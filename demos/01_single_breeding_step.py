@@ -6,8 +6,6 @@ The script prints the outcome distribution's labeled peaks and shows how
 much closer to the grid-state target each post-selected outcome lands.
 """
 
-import numpy as np
-
 from qpbreed import (
     FockConfig,
     breed_step,
@@ -27,9 +25,8 @@ target = default_target(cfg)
 print(f"input state: fidelity to target {fidelity(psi0, target):.4f}, "
       f"effective squeezing {effective_squeezing(cfg, psi0):.4f}")
 
-outcomes = breed_step(psi0, psi0, "q", cfg)
+probs, posts = breed_step(psi0, psi0, "q", cfg)
 basis = quadrature_basis(cfg, "q")
-probs = np.array([p for _, p, _ in outcomes])
 dist = label_peaks(
     OutcomeDistribution(axis="q", eigenvalues=basis.eigenvalues, probabilities=probs)
 )
@@ -39,7 +36,7 @@ print(f"{'label':>10} {'index':>6} {'q/sqrt(2 pi)':>13} {'probability':>12} "
       f"{'fidelity':>9} {'squeezing':>10}")
 for index in sorted(dist.peak_labels):
     label = dist.peak_labels[index]
-    post = outcomes[index][2]
+    post = posts[index]
     print(f"{label:>10} {index:6d} {dist.rescaled_outcomes[index]:13.3f} "
           f"{probs[index]:12.5f} {fidelity(post, target):9.4f} "
           f"{effective_squeezing(cfg, post):10.4f}")
@@ -47,5 +44,5 @@ for index in sorted(dist.peak_labels):
 peak_total = sum(probs[i] for i in dist.peak_labels)
 print(f"\nall labeled peaks together carry probability {peak_total:.4f}")
 print("one step is not enough: even the central outcome only reaches "
-      f"fidelity {fidelity(outcomes[24][2], target):.3f} - the second "
+      f"fidelity {fidelity(posts[24], target):.3f} - the second "
       "iteration (see 02_deep_chains.py) is where the grid emerges")

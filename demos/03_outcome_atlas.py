@@ -6,7 +6,7 @@ answers: how lucky do you have to be? The cumulative curves trade success
 probability against output quality.
 """
 
-import math
+import numpy as np
 
 from qpbreed import (
     FockConfig,
@@ -18,21 +18,21 @@ from qpbreed import (
 )
 
 cfg = FockConfig()
-leaves = enumerate_two_iterations(cfg, target=default_target(cfg))
+probability, fid, delta = enumerate_two_iterations(cfg, target=default_target(cfg))
 
-valid = [l for l in leaves if not math.isnan(l.fidelity)]
-print(f"enumerated {len(leaves)} outcome sequences "
-      f"(total probability {sum(l.probability for l in leaves):.10f})")
+print(f"enumerated {probability.size} outcome sequences "
+      f"(total probability {probability.sum():.10f})")
 
-best = sorted(valid, key=lambda l: -l.fidelity)[:5]
+# arrays are indexed [q1, q2, p]; nan fidelities (underflowed leaves) sort last
+best = np.unravel_index(np.argsort(-fid, axis=None, kind="stable")[:5], fid.shape)
 print("\nhighest-fidelity sequences (probability aggregates the mirror-sign twins):")
 print(f"{'q1':>4} {'q2':>4} {'p':>4} {'fidelity':>9} {'probability':>12} {'squeezing':>10}")
-for leaf in best:
-    print(f"{leaf.q1:4d} {leaf.q2:4d} {leaf.p:4d} {leaf.fidelity:9.4f} "
-          f"{sign_aggregated(leaf.probability, 3):12.5f} {leaf.effective_squeezing:10.4f}")
+for leaf in zip(*best):
+    print(f"{leaf[0]:4d} {leaf[1]:4d} {leaf[2]:4d} {fid[leaf]:9.4f} "
+          f"{sign_aggregated(probability[leaf], 3):12.5f} {delta[leaf]:10.4f}")
 
 print("\nprobability of doing at least this well:")
-for threshold, cumulative in probability_fidelity_curve(leaves, [0.94, 0.96, 0.98]):
+for threshold, cumulative in probability_fidelity_curve(probability, fid, [0.94, 0.96, 0.98]):
     print(f"  fidelity >= {threshold:.2f}: {100 * cumulative:6.2f}%")
-for bound, cumulative in effective_squeezing_curve(leaves, [0.36, 0.40, 0.46]):
+for bound, cumulative in effective_squeezing_curve(probability, delta, [0.36, 0.40, 0.46]):
     print(f"  squeezing <= {bound:.2f}: {100 * cumulative:6.2f}%")

@@ -13,24 +13,28 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from .fock import BinomialParams, FockConfig, QunaughtParams, binomial_state, qunaught_state
-from .homodyne import label_peaks, outcome_distribution, quadrature_basis
+from .homodyne import OutcomeDistribution, label_peaks, quadrature_basis, resolve_outcome
 from .metrics import default_grid, wigner
-from .numerics import NumericalError
+from .numerics import DEFAULT_TOLERANCES, NumericalError
 from .protocol import (
+    BranchResult,
     Schedule,
     breed_step,
-    default_input,
+    chain_prefixes,
     effective_squeezing_curve,
     enumerate_two_iterations,
     probability_fidelity_curve,
-    run_chain,
     sign_aggregated,
+    sweep_binomial_inputs,
 )
 
 SCHEMA_VERSION = 1
@@ -53,9 +57,7 @@ class RunConfig:
     schedule: str = "qp"
     postselect: list = None  # tokens: eigenvalue indices or labels C/S1/S2/S
     t_max: int = None  # None -> smallest cutoff satisfying the tail bound
-    output_format: str = "csv"
     output_path: str = "-"
-    parallelism: int = 1
 
     def validate(self):
         if self.dim < 2:
@@ -69,10 +71,8 @@ class RunConfig:
                 f"postselect needs one token per schedule step "
                 f"({len(self.schedule)}), got {len(self.postselect)}"
             )
-        if self.output_format not in ("csv", "json"):
-            raise ConfigError(f"output-format must be csv or json, got {self.output_format!r}")
-        if self.parallelism < 1:
-            raise ConfigError("parallelism must be at least 1")
+        if self.t_max is not None:
+            QunaughtParams(delta=self.delta_target, t_max=self.t_max)  # rejects a short cutoff
 
     def fock(self) -> FockConfig:
         return FockConfig(dim=self.dim)
@@ -123,72 +123,8 @@ def _sibling_path(path: str, suffix: str) -> str:
     return f"{path}_{suffix}"
 
 
-def _resolve_tokens(tokens, dist) -> list:
-    """Map postselect tokens (labels or integer indices) to eigenvalue
-    indices against a labeled distribution."""
-    labeled = label_peaks(dist)
-    by_label = {label: index for index, label in labeled.peak_labels.items()}
-    resolved = []
-    for token in tokens:
-        text = str(token)
-        if text.lstrip("-").isdigit():
-            index = int(text)
-            if not 0 <= index < len(dist.probabilities):
-                raise ConfigError(f"postselect index {index} out of range")
-            resolved.append(index)
-        elif text in by_label:
-            resolved.append(by_label[text])
-        else:
-            raise ConfigError(
-                f"postselect token {text!r} is not an index and no peak "
-                f"carries that label here (available: {sorted(by_label)})"
-            )
-    return resolved
-
-
-def _resolve_chain_selection(cfg: RunConfig, schedule: Schedule) -> list[int]:
-    """Resolve the postselect tokens level by level, re-labeling each
-    level's actual outcome distribution so labels stay valid at any dim."""
-    fock_cfg = cfg.fock()
-    tokens = cfg.postselect if cfg.postselect is not None else ["C"] * schedule.iterations
-    state = default_input(fock_cfg)
-    selected = []
-    for axis, token in zip(schedule.axes, tokens):
-        outcomes = breed_step(state, state, axis, fock_cfg)
-        basis = quadrature_basis(fock_cfg, axis)
-        dist = label_peaks(
-            _dist_from_outcomes(outcomes, basis)
-        )
-        by_label = {label: idx for idx, label in dist.peak_labels.items()}
-        text = str(token)
-        if text.lstrip("-").isdigit():
-            index = int(text)
-            if not 0 <= index < fock_cfg.dim:
-                raise ConfigError(f"postselect index {index} out of range")
-        elif text in by_label:
-            index = by_label[text]
-        else:
-            raise ConfigError(
-                f"postselect token {text!r} not labeled on this level "
-                f"(available: {sorted(by_label)})"
-            )
-        selected.append(index)
-        post = outcomes[index][2]
-        if post is None:
-            raise NumericalError(f"postselect outcome {index} has underflowed probability")
-        state = post
-    return selected
-
-
-def _dist_from_outcomes(outcomes, basis):
-    import numpy as np
-
-    from .homodyne import OutcomeDistribution
-
-    probabilities = np.array([prob for _, prob, _ in outcomes])
-    return OutcomeDistribution(
-        axis=basis.axis, eigenvalues=basis.eigenvalues, probabilities=probabilities
-    )
+def _distribution(cfg: FockConfig, axis: str, probabilities) -> OutcomeDistribution:
+    return OutcomeDistribution(axis, quadrature_basis(cfg, axis).eigenvalues, probabilities)
 
 
 # ---------------------------------------------------------------- commands
@@ -200,26 +136,18 @@ def cmd_distribution(cfg: RunConfig) -> int:
     --postselect (the final schedule axis is measured)."""
     fock_cfg = cfg.fock()
     psi = binomial_state(fock_cfg, BinomialParams(cfg.N, cfg.K))
-    if cfg.postselect is None:
-        axis = cfg.schedule[0]
-        basis = quadrature_basis(fock_cfg, axis)
-        outcomes = breed_step(psi, psi, axis, fock_cfg)
-        dist = label_peaks(_dist_from_outcomes(outcomes, basis))
-    else:
+    axis = cfg.schedule[0]
+    probabilities, posts = breed_step(psi, psi, axis, fock_cfg)
+    if cfg.postselect is not None:
         if len(cfg.postselect) != 2:
             raise ConfigError("conditioned distribution needs exactly two postselect tokens")
-        axis_1 = cfg.schedule[0]
-        basis_1 = quadrature_basis(fock_cfg, axis_1)
-        first = breed_step(psi, psi, axis_1, fock_cfg)
-        dist_1 = label_peaks(_dist_from_outcomes(first, basis_1))
-        idx_1, idx_2 = _resolve_tokens(cfg.postselect, dist_1)
-        left, right = first[idx_1][2], first[idx_2][2]
-        if left is None or right is None:
+        first = _distribution(fock_cfg, axis, probabilities)
+        left, right = (resolve_outcome(first, token) for token in cfg.postselect)
+        if min(probabilities[left], probabilities[right]) <= DEFAULT_TOLERANCES.probability_floor:
             raise NumericalError("conditioning outcome has underflowed probability")
-        axis_2 = cfg.schedule[-1]
-        basis_2 = quadrature_basis(fock_cfg, axis_2)
-        second = breed_step(left, right, axis_2, fock_cfg)
-        dist = label_peaks(_dist_from_outcomes(second, basis_2))
+        axis = cfg.schedule[-1]
+        probabilities, _ = breed_step(posts[left], posts[right], axis, fock_cfg)
+    dist = label_peaks(_distribution(fock_cfg, axis, probabilities))
 
     lines = _header_lines(cfg)
     lines.append("index,eigenvalue,rescaled_outcome,probability,label")
@@ -240,31 +168,13 @@ def cmd_chain(cfg: RunConfig) -> int:
     fock_cfg = cfg.fock()
     target = cfg.target()
     schedule = Schedule.from_string(cfg.schedule)
-    selected = _resolve_chain_selection(cfg, schedule)
-
-    from .metrics import effective_squeezing_report, fidelity
-
+    tokens = cfg.postselect if cfg.postselect is not None else ["C"] * schedule.iterations
     records = []
-    psi = default_input(fock_cfg)
-    report0 = effective_squeezing_report(fock_cfg, psi)
-    records.append(
-        {
-            "iterations": 0,
-            "outcome_path": [],
-            "log_probability": 0.0,
-            "probability": 1.0,
-            "aggregated_probability": 1.0,
-            "fidelity": fidelity(psi, target),
-            "effective_squeezing_q": report0.delta_q,
-            "effective_squeezing_p": report0.delta_p,
-        }
-    )
-    for k in range(1, schedule.iterations + 1):
-        partial = Schedule(schedule.axes[:k])
-        result = run_chain(fock_cfg, partial, selected[:k], target=target)
+    for prefix in chain_prefixes(fock_cfg, schedule, tokens):
+        result = BranchResult.evaluate(fock_cfg, prefix, target)
         records.append(
             {
-                "iterations": k,
+                "iterations": len(result.outcome_path),
                 "outcome_path": [list(step) for step in result.outcome_path],
                 "log_probability": result.log_probability,
                 "probability": result.probability,
@@ -291,25 +201,23 @@ def cmd_enumerate(cfg: RunConfig) -> int:
     """Full two-iteration outcome enumeration: leaf table plus the two
     cumulative curves, written as sibling CSV files."""
     fock_cfg = cfg.fock()
-    leaves = enumerate_two_iterations(fock_cfg, target=cfg.target(), workers=cfg.parallelism)
+    probability, fid, delta = enumerate_two_iterations(fock_cfg, target=cfg.target())
     m = 3  # measurements in the two-iteration tree
 
     lines = _header_lines(cfg)
     lines.append("q1,q2,p,probability,aggregated_probability,fidelity,effective_squeezing")
-    for leaf in leaves:
-        lines.append(
-            f"{leaf.q1},{leaf.q2},{leaf.p},{_fmt(leaf.probability)},"
-            f"{_fmt(sign_aggregated(leaf.probability, m))},"
-            f"{_fmt(leaf.fidelity)},{_fmt(leaf.effective_squeezing)}"
-        )
+    columns = np.stack([probability, sign_aggregated(probability, m), fid, delta], axis=-1)
+    indices = itertools.product(range(fock_cfg.dim), repeat=3)
+    for (q1, q2, p), values in zip(indices, columns.reshape(-1, 4).tolist()):
+        lines.append(f"{q1},{q2},{p}," + ",".join(_fmt(v) for v in values))
     _write(cfg, "\n".join(lines) + "\n")
 
-    curve_f = probability_fidelity_curve(leaves, DEFAULT_FIDELITY_THRESHOLDS)
+    curve_f = probability_fidelity_curve(probability, fid, DEFAULT_FIDELITY_THRESHOLDS)
     lines = _header_lines(cfg) + ["fidelity_threshold,cumulative_probability"]
     lines += [f"{_fmt(t)},{_fmt(p)}" for t, p in curve_f]
     _write(cfg, "\n".join(lines) + "\n", _sibling_path(cfg.output_path, "fidelity_curve"))
 
-    curve_s = effective_squeezing_curve(leaves, DEFAULT_SQUEEZING_BOUNDS)
+    curve_s = effective_squeezing_curve(probability, delta, DEFAULT_SQUEEZING_BOUNDS)
     lines = _header_lines(cfg) + ["squeezing_bound,cumulative_probability"]
     lines += [f"{_fmt(b)},{_fmt(p)}" for b, p in curve_s]
     _write(cfg, "\n".join(lines) + "\n", _sibling_path(cfg.output_path, "squeezing_curve"))
@@ -319,8 +227,6 @@ def cmd_enumerate(cfg: RunConfig) -> int:
 def cmd_sweep(cfg: RunConfig) -> int:
     """Chain fidelity for a grid of binomial inputs against the targets
     delta-target and 0.35, center post-selection at every level."""
-    from .protocol import sweep_binomial_inputs
-
     fock_cfg = cfg.fock()
     schedule = Schedule.from_string(cfg.schedule)
     lines = _header_lines(cfg)
@@ -345,8 +251,7 @@ def cmd_wigner(cfg: RunConfig) -> int:
     fock_cfg = cfg.fock()
     if cfg.postselect is not None:
         schedule = Schedule.from_string(cfg.schedule)
-        selected = _resolve_chain_selection(cfg, schedule)
-        state = run_chain(fock_cfg, schedule, selected, target=cfg.target()).state
+        *_, (_, _, state) = chain_prefixes(fock_cfg, schedule, cfg.postselect)
     elif cfg.N == 0:  # sentinel: N=0 selects the qunaught target itself
         state = cfg.target()
     else:
@@ -411,9 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "eigenvalue indices or labels C/S1/S2/S",
         )
         p.add_argument("--t-max", type=int)
-        p.add_argument("--output-format", choices=["csv", "json"])
         p.add_argument("--output-path")
-        p.add_argument("--parallelism", type=int)
         p.add_argument("--config", help="flat key=value config file; flags override it")
     return parser
 
@@ -425,9 +328,7 @@ _FIELD_TYPES = {
     "K": int,
     "schedule": str,
     "t_max": int,
-    "output_format": str,
     "output_path": str,
-    "parallelism": int,
 }
 
 

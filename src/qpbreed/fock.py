@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 
-from .numerics import expm_skew_hermitian
+from .numerics import DEFAULT_TOLERANCES, expm_skew_hermitian
 
 VACUUM_VARIANCE = 0.5
 
@@ -75,7 +75,7 @@ class QunaughtParams:
         if self.t_max is None:
             object.__setattr__(self, "t_max", _auto_t_max(self.delta))
         tail = math.exp(-math.pi * self.delta**2 * self.t_max**2)
-        if tail >= 1e-12:
+        if tail >= DEFAULT_TOLERANCES.qunaught_tail:
             raise ValueError(
                 f"envelope cutoff t_max={self.t_max} leaves weight {tail:.2e} "
                 f"in the first omitted term at delta={self.delta}; increase t_max"
@@ -83,7 +83,8 @@ class QunaughtParams:
 
 
 def _auto_t_max(delta: float) -> int:
-    return math.ceil(math.sqrt(-math.log(1e-12) / (math.pi * delta**2)))
+    tail = DEFAULT_TOLERANCES.qunaught_tail
+    return math.ceil(math.sqrt(-math.log(tail) / (math.pi * delta**2)))
 
 
 @lru_cache(maxsize=None)
@@ -184,8 +185,8 @@ def beamsplitter(cfg: FockConfig) -> np.ndarray:
     Built block-by-block in the total-photon-number sectors, where the
     generator is a small real antisymmetric tridiagonal matrix; the result
     is real orthogonal on the dim² two-mode space and exactly
-    block-diagonal in total photon number. Mode ordering matches
-    :func:`qpbreed.numerics.kron`: first factor measured, second kept.
+    block-diagonal in total photon number. Two-mode index k·dim + l is
+    |k⟩|l⟩: the first factor is the measured mode, the second the kept one.
     """
     dim = cfg.dim
     theta = math.pi / 4

@@ -80,7 +80,7 @@ def quadrature_basis(cfg: FockConfig, axis: str) -> QuadratureBasis:
 
 def _check_normalized(state: np.ndarray) -> None:
     norm = np.linalg.norm(state)
-    if abs(norm - 1.0) > 1e-8:
+    if abs(norm - 1.0) > DEFAULT_TOLERANCES.normalization:
         raise ValueError(f"state must be normalized, got norm {norm}")
 
 
@@ -88,9 +88,10 @@ def projection_amplitudes(state2: np.ndarray, basis: QuadratureBasis) -> np.ndar
     """Unnormalized mode-2 amplitudes for every mode-1 outcome.
 
     Row i of the result is (⟨v_i| ⊗ I)|state2⟩; its squared norm is the
-    outcome probability.
+    outcome probability. A stack of two-mode states, shape (..., dim²),
+    gives a stack of (dim, dim) amplitude matrices.
     """
-    matrix = state2.reshape(basis.dim, basis.dim)
+    matrix = state2.reshape(*state2.shape[:-1], basis.dim, basis.dim)
     return basis.eigenvectors.conj().T @ matrix
 
 
@@ -157,3 +158,22 @@ def label_peaks(dist: OutcomeDistribution) -> OutcomeDistribution:
             labels[s] = "S"
             labels[dim - 1 - s] = "mirror-S"
     return dataclasses.replace(dist, peak_labels=labels)
+
+
+def resolve_outcome(dist: OutcomeDistribution, token) -> int:
+    """Eigenvalue index selected by a post-selection token: an index in
+    [0, dim), or a peak label (C/S1/S2/S or a mirror-label) of ``dist``."""
+    dim = len(dist.probabilities)
+    text = str(token)
+    if text.lstrip("-").isdigit():
+        index = int(text)
+        if not 0 <= index < dim:
+            raise ValueError(f"outcome index {index} out of range for dim {dim}")
+        return index
+    by_label = {label: index for index, label in label_peaks(dist).peak_labels.items()}
+    if text not in by_label:
+        raise ValueError(
+            f"post-selection token {text!r} is not an index and no peak "
+            f"carries that label here (available: {sorted(by_label)})"
+        )
+    return by_label[text]

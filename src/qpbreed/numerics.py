@@ -1,8 +1,8 @@
 """Dense complex linear-algebra substrate.
 
 Everything here is a pure function of immutable inputs, so results can be
-shared freely across parallel workers. Vectors and matrices are plain numpy
-arrays (complex128 unless stated otherwise).
+shared freely. Vectors and matrices are plain numpy arrays (complex128
+unless stated otherwise).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ class Tolerances:
 
     hermitian: float = 1e-12
     skew_hermitian: float = 1e-12
-    normalization: float = 1e-12
+    normalization: float = 1e-8
     unitarity: float = 1e-10
     eig_residual: float = 1e-10
     distribution_sum: float = 1e-10
@@ -33,27 +33,6 @@ class Tolerances:
 
 
 DEFAULT_TOLERANCES = Tolerances()
-
-# Guard against accidentally assembling enormous tensor-product operators.
-MAX_KRON_DIM = 16_384
-
-
-def kron(a: np.ndarray, b: np.ndarray, max_dim: int = MAX_KRON_DIM) -> np.ndarray:
-    """Kronecker product with an explicit size guard.
-
-    Mode-ordering convention throughout the package: the first factor is the
-    measured mode, the second factor is the kept mode.
-    """
-    rows = a.shape[0] * b.shape[0]
-    cols = a.shape[-1] * b.shape[-1]
-    if rows > max_dim or cols > max_dim:
-        raise ValueError(
-            f"kron result would be {rows}x{cols}, beyond the configured "
-            f"maximum of {max_dim}; this usually signals a misconfigured "
-            "Hilbert-space dimension"
-        )
-    return np.kron(a, b)
-
 
 def eig_hermitian_tridiagonal(diag, offdiag):
     """Eigendecomposition of a real symmetric tridiagonal matrix.

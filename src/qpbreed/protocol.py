@@ -23,14 +23,13 @@ in this module store the single-sequence probability; multiply by 2^m, via
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fock import BinomialParams, FockConfig, QunaughtParams, beamsplitter, binomial_state, qunaught_state
-from .homodyne import quadrature_basis
-from .metrics import effective_squeezing, fidelity
+from .homodyne import OutcomeDistribution, projection_amplitudes, quadrature_basis, resolve_outcome
+from .metrics import SQRT_PI, _probe, effective_squeezing, fidelity
 from .numerics import DEFAULT_TOLERANCES, NumericalError
 
 
@@ -73,6 +72,20 @@ class BranchResult:
     effective_squeezing_q: float
     effective_squeezing_p: float
 
+    @classmethod
+    def evaluate(cls, cfg: FockConfig, prefix, target: np.ndarray) -> "BranchResult":
+        """Quality measures of one ``(outcome_path, log_probability, state)``
+        prefix from :func:`chain_prefixes`."""
+        path, log_probability, state = prefix
+        return cls(
+            outcome_path=path,
+            log_probability=log_probability,
+            state=state,
+            fidelity=fidelity(state, target),
+            effective_squeezing_q=effective_squeezing(cfg, state, "q"),
+            effective_squeezing_p=effective_squeezing(cfg, state, "p"),
+        )
+
     @property
     def probability(self) -> float:
         return math.exp(self.log_probability)
@@ -85,24 +98,12 @@ class BranchResult:
         return math.exp(self.log_probability + sign_aggregation_log(measurements))
 
 
-@dataclass(frozen=True)
-class LeafRecord:
-    """One leaf of the exhaustive two-iteration outcome tree."""
-
-    q1: int
-    q2: int
-    p: int
-    probability: float  # single-sequence
-    fidelity: float  # nan when the leaf probability underflows
-    effective_squeezing: float  # q-direction delta; nan as above
-
-
 def sign_aggregation_log(measurements: int) -> float:
     """log of the 2^m factor between single-sequence and aggregated counting."""
     return measurements * math.log(2.0)
 
 
-def sign_aggregated(probability: float, measurements: int) -> float:
+def sign_aggregated(probability, measurements: int):
     return probability * 2.0**measurements
 
 
@@ -119,35 +120,79 @@ def default_target(cfg: FockConfig, delta: float = 0.4) -> np.ndarray:
     return qunaught_state(cfg, QunaughtParams(delta=delta))
 
 
-def _apply_beamsplitter(cfg: FockConfig, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    # The beamsplitter matrix is real; splitting the complex vector keeps
-    # the matmul in real arithmetic.
-    bs = beamsplitter(cfg)
-    joint = np.outer(left, right).ravel()
-    if np.iscomplexobj(joint) and joint.imag.any():
-        return bs @ joint.real + 1j * (bs @ joint.imag)
-    return (bs @ joint.real).astype(complex)
-
-
 def breed_step(left: np.ndarray, right: np.ndarray, axis: str, cfg: FockConfig):
-    """One breeding step; returns [(index, probability, post_state), ...].
+    """One breeding step, over every outcome of the measured quadrature.
 
-    The post-state is None for outcomes whose probability underflows. The
-    left input enters the measured port.
+    ``left`` enters the measured port. ``right`` is one state, or an
+    (n, dim) stack whose rows are each bred with ``left``. Returns
+    ``(probabilities, posts)``: shapes (dim,) and (dim, dim) for one state,
+    (n, dim) and (n, dim, dim) for a stack. ``posts[..., i, :]`` is the
+    normalized kept-mode state after outcome i, or a zero row where the
+    outcome probability is at or below the underflow floor.
     """
-    basis = quadrature_basis(cfg, axis)
-    mixed = _apply_beamsplitter(cfg, left, right)
-    amplitudes = basis.eigenvectors.conj().T @ mixed.reshape(cfg.dim, cfg.dim)
-    probabilities = np.sum(np.abs(amplitudes) ** 2, axis=1)
-    results = []
-    for index in range(cfg.dim):
+    joint = (left[:, None] * right[..., None, :]).reshape(*right.shape[:-1], cfg.dim**2)
+    # The beamsplitter is real: one matmul over the stacked real and
+    # imaginary parts reads the dim⁴ matrix once.
+    flat = joint.reshape(-1, cfg.dim**2)
+    mixed = np.concatenate([flat.real, flat.imag]) @ beamsplitter(cfg).T
+    mixed = (mixed[: len(flat)] + 1j * mixed[len(flat) :]).reshape(joint.shape)
+    amplitudes = projection_amplitudes(mixed, quadrature_basis(cfg, axis))
+    probabilities = np.sum(np.abs(amplitudes) ** 2, axis=-1)
+    kept = probabilities > DEFAULT_TOLERANCES.probability_floor
+    posts = np.divide(
+        amplitudes,
+        np.sqrt(probabilities)[..., None],
+        out=np.zeros_like(amplitudes),
+        where=kept[..., None],
+    )
+    return probabilities, posts
+
+
+def chain_prefixes(
+    cfg: FockConfig,
+    schedule: Schedule,
+    selected,
+    state: np.ndarray | None = None,
+):
+    """Walk a uniformly post-selected chain once.
+
+    Yields ``(outcome_path, log_probability, state)`` after 0, 1, …, k
+    levels, starting from ``state`` (the default input when None). Each
+    entry of ``selected`` is an eigenvalue index or a peak label
+    (C/S1/S2/S), resolved on that level's own outcome distribution so
+    labels stay valid at any dim. When every measurement of level j selects
+    the same eigenvalue, all 2^{k−j} branches of that level are identical,
+    so the log-probability is Σ_j 2^{k−j}·ln p_j.
+    """
+    if len(selected) != schedule.iterations:
+        raise ValueError(
+            f"need one selected outcome per iteration: got {len(selected)} "
+            f"for {schedule.iterations} iterations"
+        )
+    if state is None:
+        state = default_input(cfg)
+    log_prob = 0.0
+    path = ()
+    yield path, log_prob, state
+    for level, (axis, token) in enumerate(zip(schedule.axes, selected), start=1):
+        probabilities, posts = breed_step(state, state, axis, cfg)
+        basis = quadrature_basis(cfg, axis)
+        try:
+            index = resolve_outcome(
+                OutcomeDistribution(axis, basis.eigenvalues, probabilities), token
+            )
+        except ValueError as exc:
+            raise ValueError(f"level {level}: {exc}") from None
         prob = float(probabilities[index])
-        if prob > DEFAULT_TOLERANCES.probability_floor:
-            post = amplitudes[index] / math.sqrt(prob)
-        else:
-            post = None
-        results.append((index, prob, post))
-    return results
+        if prob <= DEFAULT_TOLERANCES.probability_floor:
+            raise NumericalError(
+                f"selected outcome {index} at level {level} has probability "
+                f"{prob:.3e}, below the underflow floor"
+            )
+        log_prob = 2.0 * log_prob + math.log(prob)
+        state = posts[index]
+        path += ((level, index),)
+        yield path, log_prob, state
 
 
 def run_chain(
@@ -156,116 +201,10 @@ def run_chain(
     selected: list[int] | tuple[int, ...],
     target: np.ndarray | None = None,
 ) -> BranchResult:
-    """Uniformly post-selected breeding collapsed to a chain.
-
-    When every measurement of level j selects the same eigenvalue index,
-    all 2^{k−j} branches of that level are identical, so the run reduces to
-    one breeding step per level with log-probability Σ_j 2^{k−j}·ln p_j.
-    """
-    if len(selected) != schedule.iterations:
-        raise ValueError(
-            f"need one selected outcome per iteration: got {len(selected)} "
-            f"for {schedule.iterations} iterations"
-        )
-    if target is None:
-        target = default_target(cfg)
-    state = default_input(cfg)
-    log_prob = 0.0
-    path = []
-    for level, (axis, index) in enumerate(zip(schedule.axes, selected), start=1):
-        outcomes = breed_step(state, state, axis, cfg)
-        _, prob, post = outcomes[index]
-        if post is None:
-            raise NumericalError(
-                f"selected outcome {index} at level {level} has probability "
-                f"{prob:.3e}, below the underflow floor"
-            )
-        log_prob = 2.0 * log_prob + math.log(prob)
-        state = post
-        path.append((level, index))
-    return BranchResult(
-        outcome_path=tuple(path),
-        log_probability=log_prob,
-        state=state,
-        fidelity=fidelity(state, target),
-        effective_squeezing_q=effective_squeezing(cfg, state, "q"),
-        effective_squeezing_p=effective_squeezing(cfg, state, "p"),
-    )
-
-
-def _first_level(cfg: FockConfig):
-    psi0 = default_input(cfg)
-    outcomes = breed_step(psi0, psi0, "q", cfg)
-    probs = np.array([prob for _, prob, _ in outcomes])
-    posts = np.array(
-        [post if post is not None else np.zeros(cfg.dim, complex) for _, _, post in outcomes]
-    )
-    return probs, posts
-
-
-def _second_level_block(cfg, probs, posts, jobs, target, probe):
-    """Leaf quantities for the (q1, q2 ≥ q2_start, all p) slab of each job.
-
-    Each job is a pair (q1, q2_start); the returned row carries, for that
-    q1, arrays over (q2 − q2_start, p) of joint probability, conditional
-    probability, target overlap, and probe expectation. Vectorized over the
-    whole slab."""
-    dim = cfg.dim
-    bs = beamsplitter(cfg)
-    vp = quadrature_basis(cfg, "p").eigenvectors.conj().T
-    rows = []
-    for q1, q2_start in jobs:
-        left = posts[q1]
-        kept = posts[q2_start:]
-        # all q2 at once: columns are vec(left ⊗ posts[q2])
-        stacked = np.einsum("i,qj->qij", left, kept).reshape(len(kept), dim * dim)
-        mixed = _real_matmul(bs, stacked.T)  # (dim², n_q2) columns per q2
-        mixed = mixed.T.reshape(len(kept), dim, dim)  # (q2, mode1, mode2)
-        amps = np.einsum("ki,qij->qkj", vp, mixed)  # (q2, p, mode2)
-        cond_probs = np.sum(np.abs(amps) ** 2, axis=2)
-        overlaps = np.abs(np.einsum("qkj,j->qk", amps, target.conj()))
-        probe_exp = np.abs(np.einsum("qkj,jl,qkl->qk", amps.conj(), probe, amps))
-        prior = probs[q1] * probs[q2_start:, None]
-        rows.append((q1, q2_start, prior * cond_probs, cond_probs, overlaps, probe_exp))
-    return rows
-
-
-def _real_matmul(real_op: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    if np.iscomplexobj(vecs) and vecs.imag.any():
-        return real_op @ vecs.real + 1j * (real_op @ vecs.imag)
-    return (real_op @ vecs.real).astype(complex)
-
-
-def _leaf_quality(cond, overlap, probe_exp, floor):
-    """(fidelity, effective squeezing) of one leaf from its raw amplitudes."""
-    if cond <= floor:
-        return math.nan, math.nan
-    fid = overlap / math.sqrt(cond)
-    ratio = probe_exp / cond
-    if ratio >= 1.0:
-        delta = 0.0
-    elif ratio == 0.0:
-        delta = math.inf
-    else:
-        delta = math.sqrt(-2.0 * math.log(ratio)) / math.sqrt(math.pi)
-    return fid, delta
-
-
-_WORKER_STATE: dict = {}
-
-
-def _init_worker(cfg, target):
-    probs, posts = _first_level(cfg)
-    from .metrics import _probe
-
-    _WORKER_STATE.update(
-        cfg=cfg, probs=probs, posts=posts, target=target, probe=_probe(cfg, "q")
-    )
-
-
-def _worker_block(jobs):
-    s = _WORKER_STATE
-    return _second_level_block(s["cfg"], s["probs"], s["posts"], jobs, s["target"], s["probe"])
+    """Uniformly post-selected breeding collapsed to a chain: the last
+    prefix of :func:`chain_prefixes`, with its quality measures."""
+    *_, last = chain_prefixes(cfg, schedule, selected)
+    return BranchResult.evaluate(cfg, last, default_target(cfg) if target is None else target)
 
 
 #: Refuse enumerations larger than this many leaves (dim³); guards against a
@@ -277,22 +216,20 @@ def enumerate_two_iterations(
     cfg: FockConfig,
     target: np.ndarray | None = None,
     use_symmetry: bool = True,
-    workers: int = 1,
     max_leaves: int = MAX_ENUMERATION_LEAVES,
-) -> list[LeafRecord]:
+):
     """Exact joint distribution over all dim³ two-iteration outcome triples.
 
     The first iteration measures q on both arms, the second measures p; the
-    post-state from the first-index branch enters the measured port. With
-    ``use_symmetry`` only first-level pairs with q1 on the negative half and
-    q2 ≥ q1 are evaluated directly; the remaining leaves follow from
-    exchange symmetry of the two arms and from parity (global mirror),
-    roughly a 4× reduction. Leaves whose probability underflows are still
-    emitted, with nan quality measures. Returned in (q1, q2, p)
-    lexicographic order regardless of worker count.
+    post-state from the first-index branch enters the measured port.
+    Returns ``(probability, fidelity, effective_squeezing)``, three
+    (dim, dim, dim) arrays indexed ``[q1, q2, p]``: the single-sequence
+    probability, and the quality measures of each leaf, nan where the leaf
+    probability underflows. With ``use_symmetry`` only first-level pairs
+    with q1 on the negative half and q2 ≥ q1 are bred; the remaining leaves
+    follow from exchange symmetry of the two arms and from parity (global
+    mirror), roughly a 4× reduction.
     """
-    from .metrics import _probe
-
     if target is None:
         target = default_target(cfg)
     dim = cfg.dim
@@ -301,89 +238,41 @@ def enumerate_two_iterations(
             f"enumeration at dim {dim} would produce {dim**3} leaves, over the "
             f"budget of {max_leaves}"
         )
-    floor = DEFAULT_TOLERANCES.probability_floor
-    probs, posts = _first_level(cfg)
+    psi0 = default_input(cfg)
+    probs, posts = breed_step(psi0, psi0, "q", cfg)
     probe = _probe(cfg, "q")
-
-    if use_symmetry:
-        # q1 on the negative half (indices below dim/2), q2 from q1 up.
-        jobs = [(q1, q1) for q1 in range(dim // 2)]
-        if dim % 2:
-            jobs.append((dim // 2, dim // 2))
-    else:
-        jobs = [(q1, 0) for q1 in range(dim)]
-
-    if workers > 1:
-        chunks = [jobs[i::workers] for i in range(workers)]
-        rows = []
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(cfg, target)
-        ) as pool:
-            for part in pool.map(_worker_block, chunks):
-                rows.extend(part)
-        rows.sort(key=lambda r: r[0])
-    else:
-        rows = _second_level_block(cfg, probs, posts, jobs, target, probe)
-
-    table = {q1: (q2_start, arrays) for q1, q2_start, *arrays in rows}
-
-    def cell(q1, q2, p_idx):
-        # Canonical representative: exchange sorts the first-level pair,
-        # parity mirrors all three indices when the pair sits on the
-        # positive half. Without symmetry every row was computed directly.
-        sp = p_idx
+    # canonical first indices: below ceil(dim/2), or all without symmetry
+    half = (dim + 1) // 2 if use_symmetry else dim
+    leaves = np.empty((3, dim, dim, dim))
+    for q1 in range(half):
+        start = q1 if use_symmetry else 0
+        cond, second = breed_step(posts[q1], posts[start:], "p", cfg)
+        fid = np.abs(second @ target.conj())
+        ratio = np.abs(np.einsum("qkj,qkj->qk", second.conj(), second @ probe.T))
+        # as effective_squeezing: 0 once the overlap reaches 1, inf where it vanishes
+        with np.errstate(divide="ignore"):
+            delta = np.sqrt(-2.0 * np.log(np.minimum(ratio, 1.0))) / SQRT_PI
+        delta = np.where(ratio >= 1.0, 0.0, delta)
+        underflow = cond <= DEFAULT_TOLERANCES.probability_floor
+        fid[underflow] = delta[underflow] = math.nan
+        block = np.stack([probs[q1] * probs[start:, None] * cond, fid, delta])
+        leaves[:, q1, start:] = block
         if use_symmetry:
-            a, b = (q1, q2) if q1 <= q2 else (q2, q1)
-            if a not in table:
-                a, b = dim - 1 - b, dim - 1 - a
-                sp = dim - 1 - p_idx
-        else:
-            a, b = q1, q2
-        q2_start, (joint, cond, overlaps, probe_exp) = table[a]
-        j = b - q2_start
-        return joint[j, sp], cond[j, sp], overlaps[j, sp], probe_exp[j, sp]
-
-    leaves = []
-    for q1 in range(dim):
-        for q2 in range(dim):
-            for p_idx in range(dim):
-                joint, cond, overlap, probe_exp = cell(q1, q2, p_idx)
-                fid, delta = _leaf_quality(float(cond), float(overlap), float(probe_exp), floor)
-                leaves.append(
-                    LeafRecord(
-                        q1=q1, q2=q2, p=p_idx,
-                        probability=float(joint), fidelity=fid, effective_squeezing=delta,
-                    )
-                )
-    return leaves
+            leaves[:, start:, q1] = block  # exchange of the two arms
+    if use_symmetry:
+        # parity mirrors all three indices onto pairs with both on the positive half
+        leaves[:, half:, half:] = leaves[:, ::-1, ::-1, ::-1][:, half:, half:]
+    return tuple(leaves)
 
 
-def leaf_lookup(leaves: list[LeafRecord]) -> dict[tuple[int, int, int], LeafRecord]:
-    return {(leaf.q1, leaf.q2, leaf.p): leaf for leaf in leaves}
-
-
-def probability_fidelity_curve(leaves: list[LeafRecord], thresholds) -> list[tuple[float, float]]:
+def probability_fidelity_curve(probability, fidelities, thresholds) -> list[tuple[float, float]]:
     """Cumulative success probability of reaching at least each fidelity."""
-    fids = np.array([leaf.fidelity for leaf in leaves])
-    probs = np.array([leaf.probability for leaf in leaves])
-    valid = ~np.isnan(fids)
-    points = []
-    for threshold in thresholds:
-        mask = valid & (fids >= threshold)
-        points.append((float(threshold), float(np.sum(probs[mask]))))
-    return points
+    return [(float(t), float(np.sum(probability[fidelities >= t]))) for t in thresholds]
 
 
-def effective_squeezing_curve(leaves: list[LeafRecord], bounds) -> list[tuple[float, float]]:
+def effective_squeezing_curve(probability, deltas, bounds) -> list[tuple[float, float]]:
     """Cumulative success probability of effective squeezing at or below each bound."""
-    deltas = np.array([leaf.effective_squeezing for leaf in leaves])
-    probs = np.array([leaf.probability for leaf in leaves])
-    valid = ~np.isnan(deltas)
-    points = []
-    for bound in bounds:
-        mask = valid & (deltas <= bound)
-        points.append((float(bound), float(np.sum(probs[mask]))))
-    return points
+    return [(float(b), float(np.sum(probability[deltas <= b]))) for b in bounds]
 
 
 @dataclass(frozen=True)
@@ -407,14 +296,16 @@ def sweep_binomial_inputs(
 
     Post-selects the innermost negative eigenvalue at every level.
     Unsupported (N, K) combinations (Fock support outside the truncation)
-    are flagged rather than fatal.
+    and chains whose selected outcome underflows are flagged rather than
+    fatal.
     """
     if max_iterations is None:
         max_iterations = schedule.iterations
     if max_iterations > schedule.iterations:
         raise ValueError("max_iterations exceeds the schedule length")
+    steps = Schedule(schedule.axes[:max_iterations])
     target = qunaught_state(cfg, QunaughtParams(delta=target_delta))
-    center = quadrature_basis(cfg, "q").center_index
+    center = [quadrature_basis(cfg, "q").center_index] * max_iterations
     records = []
     for n_sym in N_list:
         for k_trunc in K_list:
@@ -422,18 +313,15 @@ def sweep_binomial_inputs(
             if params.top_level >= cfg.dim:
                 records.append(SweepRecord(n_sym, k_trunc, 0, math.nan, False))
                 continue
-            state = binomial_state(cfg, params)
-            records.append(
-                SweepRecord(n_sym, k_trunc, 0, fidelity(state, target), True)
-            )
-            for level in range(1, max_iterations + 1):
-                outcomes = breed_step(state, state, schedule.axes[level - 1], cfg)
-                _, prob, post = outcomes[center]
-                if post is None:
-                    records.append(SweepRecord(n_sym, k_trunc, level, math.nan, False))
-                    break
-                state = post
-                records.append(
-                    SweepRecord(n_sym, k_trunc, level, fidelity(state, target), True)
-                )
+            level = 0
+            try:
+                for path, _, state in chain_prefixes(
+                    cfg, steps, center, binomial_state(cfg, params)
+                ):
+                    level = len(path)
+                    records.append(
+                        SweepRecord(n_sym, k_trunc, level, fidelity(state, target), True)
+                    )
+            except NumericalError:
+                records.append(SweepRecord(n_sym, k_trunc, level + 1, math.nan, False))
     return records

@@ -43,19 +43,16 @@ def basis_p(cfg):
 
 @pytest.fixture(scope="session")
 def first_level(cfg, psi0):
-    """All first-iteration q-measurement outcomes on two copies of psi0."""
+    """(probabilities, posts) of the first-iteration q measurement on two
+    copies of psi0."""
     return breed_step(psi0, psi0, "q", cfg)
 
 
 @pytest.fixture(scope="session")
-def leaves(cfg, target):
-    """Full two-iteration enumeration at the default configuration."""
+def atlas(cfg, target):
+    """Full two-iteration enumeration at the default configuration:
+    (probability, fidelity, effective_squeezing) arrays indexed [q1, q2, p]."""
     return enumerate_two_iterations(cfg, target=target)
-
-
-@pytest.fixture(scope="session")
-def leaf_table(leaves):
-    return {(leaf.q1, leaf.q2, leaf.p): leaf for leaf in leaves}
 
 
 @pytest.fixture(scope="session")

@@ -75,26 +75,26 @@ TABLE_3 = {
 }
 
 
-def test_criterion_1_two_iteration_headline_rows(leaf_table):
+def test_criterion_1_two_iteration_headline_rows(atlas):
+    probabilities, fidelities, deltas = atlas
     checks = []
     for key, (fid, prob, delta) in TABLE_1.items():
-        leaf = leaf_table[key]
-        checks.append(abs(leaf.fidelity - fid) <= 0.002)
-        checks.append(abs(sign_aggregated(leaf.probability, 3) - prob) <= 0.0005)
-        checks.append(abs(leaf.effective_squeezing - delta) <= 0.005)
+        checks.append(abs(fidelities[key] - fid) <= 0.002)
+        checks.append(abs(sign_aggregated(probabilities[key], 3) - prob) <= 0.0005)
+        checks.append(abs(deltas[key] - delta) <= 0.005)
     report(1, "headline two-iteration rows (fidelity/probability/squeezing)", checks)
 
 
-def test_criterion_2_full_high_fidelity_table(leaf_table):
+def test_criterion_2_full_high_fidelity_table(atlas):
+    probabilities, fidelities, deltas = atlas
     checks = []
     for key, (fid, prob, delta) in TABLE_4.items():
-        leaf = leaf_table[key]
-        checks.append(abs(leaf.fidelity - fid) <= 0.002)
-        checks.append(abs(sign_aggregated(leaf.probability, 3) - prob) <= 0.0005)
-        checks.append(abs(leaf.effective_squeezing - delta) <= 0.005)
-    a, b = leaf_table[(18, 19, 24)], leaf_table[(19, 18, 24)]
-    checks.append(abs(a.probability - b.probability) <= 1e-10)
-    checks.append(abs(a.fidelity - b.fidelity) <= 1e-10)
+        checks.append(abs(fidelities[key] - fid) <= 0.002)
+        checks.append(abs(sign_aggregated(probabilities[key], 3) - prob) <= 0.0005)
+        checks.append(abs(deltas[key] - delta) <= 0.005)
+    a, b = (18, 19, 24), (19, 18, 24)
+    checks.append(abs(probabilities[a] - probabilities[b]) <= 1e-10)
+    checks.append(abs(fidelities[a] - fidelities[b]) <= 1e-10)
     report(2, "all 15 high-fidelity rows plus exchange-symmetric pair identity", checks)
 
 
@@ -115,20 +115,18 @@ def test_criterion_3_deep_chain(cfg, target):
     report(3, "deep post-selected chain fidelities and log-probabilities", checks)
 
 
-def test_criterion_4_cumulative_fidelity_curve(leaves):
-    point = probability_fidelity_curve(leaves, [0.98])[0][1]
-    best = max(
-        leaf.fidelity
-        for leaf in leaves
-        if leaf.probability > 0 and not math.isnan(leaf.fidelity)
-    )
+def test_criterion_4_cumulative_fidelity_curve(atlas):
+    probabilities, fidelities, _ = atlas
+    point = probability_fidelity_curve(probabilities, fidelities, [0.98])[0][1]
+    best = np.max(fidelities[(probabilities > 0) & ~np.isnan(fidelities)])
     checks = [abs(point - 0.0314) <= 0.003, abs(best - 0.9887) <= 0.002]
     report(4, "3.14% cumulative probability at fidelity 0.98; max fidelity 0.9887", checks)
 
 
-def test_criterion_5_cumulative_squeezing_curve(leaves):
-    p040 = effective_squeezing_curve(leaves, [0.40])[0][1]
-    p046 = effective_squeezing_curve(leaves, [0.46])[0][1]
+def test_criterion_5_cumulative_squeezing_curve(atlas):
+    probabilities, _, deltas = atlas
+    p040 = effective_squeezing_curve(probabilities, deltas, [0.40])[0][1]
+    p046 = effective_squeezing_curve(probabilities, deltas, [0.46])[0][1]
     checks = [p040 >= 0.074 - 0.01, p046 >= 0.30 - 0.01]
     report(5, "cumulative probability at squeezing bounds 0.40 / 0.46", checks)
 
@@ -144,8 +142,8 @@ def test_criterion_6_spectrum(cfg, basis_q, basis_p):
 
 
 def test_criterion_7_first_iteration(cfg, target, first_level, basis_q):
-    probs = np.array([p for _, p, _ in first_level])
-    post_c = first_level[24][2]
+    probs, posts = first_level
+    post_c = posts[24]
     labeled = label_peaks(
         OutcomeDistribution(axis="q", eigenvalues=basis_q.eigenvalues, probabilities=probs)
     )
@@ -189,7 +187,7 @@ def test_criterion_9_property_suite(cfg, basis_q, basis_p, vacuum, first_level, 
     totals = (np.arange(small.dim)[:, None] + np.arange(small.dim)[None, :]).ravel()
     checks.append(np.max(np.abs(bs[totals[:, None] != totals[None, :]])) <= 1e-10)
     # outcome distributions sum to 1
-    probs = np.array([p for _, p, _ in first_level])
+    probs, posts = first_level
     checks.append(abs(probs.sum() - 1) <= 1e-10)
     # parity mirror symmetry of the distribution
     checks.append(np.max(np.abs(probs - probs[::-1])) <= 1e-10)
@@ -209,9 +207,9 @@ def test_criterion_9_property_suite(cfg, basis_q, basis_p, vacuum, first_level, 
     checks.append(np.max(np.abs(basis_q.eigenvalues - gauss_hermite_nodes(cfg.dim))) <= 1e-9)
     # chain/tree consistency at k = 2
     chain = run_chain(cfg, Schedule.from_string("qp"), [24, 24], target=target)
-    post1 = first_level[24][2]
-    second = breed_step(post1, post1, "p", cfg)
-    tree_prob = first_level[24][1] ** 2 * second[24][1]
+    post1 = posts[24]
+    second_probs, second_posts = breed_step(post1, post1, "p", cfg)
+    tree_prob = probs[24] ** 2 * second_probs[24]
     checks.append(abs(chain.probability - tree_prob) <= 1e-10 * tree_prob)
-    checks.append(abs(abs(np.vdot(chain.state, second[24][2])) - 1) <= 1e-10)
+    checks.append(abs(abs(np.vdot(chain.state, second_posts[24])) - 1) <= 1e-10)
     report(9, "property suite (unitarity, distributions, oracles, consistency)", checks)

@@ -64,8 +64,6 @@ def test_chain_json_report(tmp_path):
             "pq",
             "--postselect",
             "C,C",
-            "--output-format",
-            "json",
             "--output-path",
             str(out),
         ]
@@ -140,6 +138,7 @@ def test_config_error_exit_code(capsys):
     assert run_cli(["distribution", "--dim", "1"]) == EXIT_CONFIG
     assert "error" in capsys.readouterr().err
     assert run_cli(["distribution", "--schedule", "xy"]) == EXIT_CONFIG
+    assert run_cli(["distribution", "--t-max", "1"]) == EXIT_CONFIG
     assert run_cli(["chain", "--schedule", "qp", "--postselect", "24"]) == EXIT_CONFIG
     assert run_cli(["chain", "--schedule", "qp", "--postselect", "99,24"]) == EXIT_CONFIG
     assert run_cli(["chain", "--schedule", "qp", "--postselect", "S9,C"]) == EXIT_CONFIG
@@ -173,6 +172,6 @@ def test_read_config_file_kebab_keys(tmp_path):
 
 
 def test_runconfig_validation():
-    cfg = RunConfig(parallelism=0)
+    cfg = RunConfig(delta_target=1.5)
     with pytest.raises(ValueError):
         cfg.validate()

@@ -100,16 +100,17 @@ def test_project_out_of_range(cfg, basis_q, vacuum):
 
 def test_mirror_posts_are_parity_images(cfg, basis_q, psi0, first_level):
     par = parity_operator(cfg.dim)
+    probs, posts = first_level
     for index in (24, 19, 18):
-        post = first_level[index][2]
-        mirror_post = first_level[basis_q.mirror(index)][2]
+        post = posts[index]
+        mirror_post = posts[basis_q.mirror(index)]
         overlap = abs(np.vdot(mirror_post, par @ post))
         assert abs(overlap - 1) < 1e-10
-        assert abs(first_level[index][1] - first_level[basis_q.mirror(index)][1]) < 1e-12
+        assert abs(probs[index] - probs[basis_q.mirror(index)]) < 1e-12
 
 
 def test_first_iteration_peak_labels(cfg, basis_q, first_level):
-    probs = np.array([p for _, p, _ in first_level])
+    probs, _ = first_level
     dist = label_peaks(
         OutcomeDistribution(axis="q", eigenvalues=basis_q.eigenvalues, probabilities=probs)
     )
@@ -130,9 +131,8 @@ def test_first_iteration_peak_labels(cfg, basis_q, first_level):
 def test_second_iteration_p_labels(cfg, basis_p, first_level):
     from qpbreed import breed_step
 
-    post_c = first_level[24][2]
-    second = breed_step(post_c, post_c, "p", cfg)
-    probs = np.array([p for _, p, _ in second])
+    post_c = first_level[1][24]
+    probs, _ = breed_step(post_c, post_c, "p", cfg)
     dist = label_peaks(
         OutcomeDistribution(axis="p", eigenvalues=basis_p.eigenvalues, probabilities=probs)
     )
@@ -143,7 +143,7 @@ def test_second_iteration_p_labels(cfg, basis_p, first_level):
 
 
 def test_labels_mirror_exactly_on_symmetric_distribution(basis_q, first_level):
-    probs = np.array([p for _, p, _ in first_level])
+    probs, _ = first_level
     dist = label_peaks(
         OutcomeDistribution(axis="q", eigenvalues=basis_q.eigenvalues, probabilities=probs)
     )

@@ -5,24 +5,9 @@ from qpbreed.numerics import (
     DEFAULT_TOLERANCES,
     eig_hermitian_tridiagonal,
     expm_skew_hermitian,
-    kron,
 )
 
 from oracles import gauss_hermite_nodes
-
-
-def test_kron_ordering():
-    a = np.array([[1, 2], [3, 4]])
-    b = np.eye(2)
-    out = kron(a, b)
-    assert out.shape == (4, 4)
-    assert out[0, 2] == 2  # first factor varies slowest
-
-
-def test_kron_size_guard():
-    big = np.eye(200)
-    with pytest.raises(ValueError, match="kron result"):
-        kron(big, big, max_dim=1000)
 
 
 def test_tridiagonal_eigs_match_gauss_hermite_oracle():
