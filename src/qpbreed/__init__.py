@@ -18,8 +18,6 @@ from .homodyne import (
     OutcomeDistribution,
     QuadratureBasis,
     label_peaks,
-    outcome_distribution,
-    project_outcome,
     quadrature_basis,
 )
 from .metrics import (
@@ -79,10 +77,8 @@ __all__ = [
     "enumerate_two_iterations",
     "fidelity",
     "label_peaks",
-    "outcome_distribution",
     "position_density",
     "probability_fidelity_curve",
-    "project_outcome",
     "quadrature",
     "quadrature_basis",
     "qunaught_state",

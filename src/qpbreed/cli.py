@@ -17,6 +17,7 @@ import itertools
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -80,6 +81,9 @@ class RunConfig:
     def target(self):
         return qunaught_state(self.fock(), QunaughtParams(delta=self.delta_target, t_max=self.t_max))
 
+    def input_state(self):
+        return binomial_state(self.fock(), BinomialParams(self.N, self.K))
+
     def as_pairs(self):
         out = []
         for f in fields(self):
@@ -135,7 +139,7 @@ def cmd_distribution(cfg: RunConfig) -> int:
     distribution conditioned on two first-level outcomes given via
     --postselect (the final schedule axis is measured)."""
     fock_cfg = cfg.fock()
-    psi = binomial_state(fock_cfg, BinomialParams(cfg.N, cfg.K))
+    psi = cfg.input_state()
     axis = cfg.schedule[0]
     probabilities, posts = breed_step(psi, psi, axis, fock_cfg)
     if cfg.postselect is not None:
@@ -170,7 +174,7 @@ def cmd_chain(cfg: RunConfig) -> int:
     schedule = Schedule.from_string(cfg.schedule)
     tokens = cfg.postselect if cfg.postselect is not None else ["C"] * schedule.iterations
     records = []
-    for prefix in chain_prefixes(fock_cfg, schedule, tokens):
+    for prefix in chain_prefixes(fock_cfg, schedule, tokens, cfg.input_state()):
         result = BranchResult.evaluate(fock_cfg, prefix, target)
         records.append(
             {
@@ -251,11 +255,11 @@ def cmd_wigner(cfg: RunConfig) -> int:
     fock_cfg = cfg.fock()
     if cfg.postselect is not None:
         schedule = Schedule.from_string(cfg.schedule)
-        *_, (_, _, state) = chain_prefixes(fock_cfg, schedule, cfg.postselect)
+        *_, (_, _, state) = chain_prefixes(fock_cfg, schedule, cfg.postselect, cfg.input_state())
     elif cfg.N == 0:  # sentinel: N=0 selects the qunaught target itself
         state = cfg.target()
     else:
-        state = binomial_state(fock_cfg, BinomialParams(cfg.N, cfg.K))
+        state = cfg.input_state()
     axis = default_grid()
     grid = wigner(state, axis, axis)
     lines = _header_lines(cfg)
@@ -358,15 +362,18 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        cfg = _resolve_config(args)
-        return COMMANDS[args.command](cfg)
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    with warnings.catch_warnings():  # one stderr line per distinct warning
+        warnings.simplefilter("default")
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            cfg = _resolve_config(args)
+            return COMMANDS[args.command](cfg)
+        except (ConfigError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except NumericalError as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -111,7 +111,8 @@ def displacement(cfg: FockConfig, beta: complex) -> np.ndarray:
     if abs(beta) ** 2 > cfg.dim / 4:
         warnings.warn(
             f"displacement amplitude |beta|^2 = {abs(beta)**2:.1f} is large for "
-            f"dim {cfg.dim}; matrix elements near the truncation edge are unreliable",
+            f"dim {cfg.dim}; matrix elements near the truncation edge are unreliable "
+            f"below dim {math.ceil(4 * abs(beta) ** 2)}",
             stacklevel=2,
         )
     padded = FockConfig(cfg.dim + cfg.displacement_pad, 0)
@@ -180,36 +181,32 @@ def qunaught_state(cfg: FockConfig, params: QunaughtParams) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def beamsplitter(cfg: FockConfig) -> np.ndarray:
-    """Balanced (50:50) beamsplitter exp(θ(a†b − ab†)) with θ = π/4.
-
-    Built block-by-block in the total-photon-number sectors, where the
-    generator is a small real antisymmetric tridiagonal matrix; the result
-    is real orthogonal on the dim² two-mode space and exactly
-    block-diagonal in total photon number. Two-mode index k·dim + l is
-    |k⟩|l⟩: the first factor is the measured mode, the second the kept one.
+    """Balanced (50:50) beamsplitter exp(θ(a†b − ab†)), θ = π/4, as its
+    total-photon-number blocks: slice t of the (2·dim − 1, dim, dim) result
+    is the real orthogonal block of sector k + l = t on |k⟩|l⟩ (k the
+    measured mode, l the kept one), indexed by k, with zero rows and columns
+    where l = t − k falls outside the truncation.
     """
     dim = cfg.dim
-    theta = math.pi / 4
-    bs = np.zeros((dim * dim, dim * dim))
+    blocks = np.zeros((2 * dim - 1, dim, dim))
     for total in range(2 * dim - 1):
-        ks = [k for k in range(dim) if 0 <= total - k < dim]
-        block = np.zeros((len(ks), len(ks)))
-        for idx in range(len(ks) - 1):
-            k = ks[idx]
-            coupling = theta * math.sqrt((k + 1) * (total - k))
-            block[idx + 1, idx] = coupling
-            block[idx, idx + 1] = -coupling
-        exp_block = scipy.linalg.expm(block)
-        flat = [k * dim + (total - k) for k in ks]
-        bs[np.ix_(flat, flat)] = exp_block
-    return bs
+        lo, hi = max(0, total - dim + 1), min(total, dim - 1) + 1
+        ks = np.arange(lo, hi - 1)
+        coupling = math.pi / 4 * np.sqrt((ks + 1) * (total - ks))
+        blocks[total, lo:hi, lo:hi] = scipy.linalg.expm(np.diag(coupling, -1) - np.diag(coupling, 1))
+    blocks.setflags(write=False)
+    return blocks
 
 
-def beamsplitter_generator(cfg: FockConfig) -> np.ndarray:
-    """Assembled two-mode generator θ(a†b − ab†); exponentiating it must
-    agree with the block-wise construction."""
-    a = annihilation(cfg)
-    identity = np.eye(cfg.dim)
-    a1 = np.kron(a, identity)
-    a2 = np.kron(identity, a)
-    return (math.pi / 4) * (a1.conj().T @ a2 - a1 @ a2.conj().T)
+def apply_beamsplitter(cfg: FockConfig, coeff: np.ndarray) -> np.ndarray:
+    """The beamsplitter on (..., dim, dim) coefficient matrices [k, l] of
+    |k⟩|l⟩. Entry [k, l] lies in sector k + l; the real and imaginary parts
+    of every state go through the real blocks in one batched matmul.
+    """
+    dim = cfg.dim
+    k, l = np.indices((dim, dim))
+    flat = coeff.reshape(-1, dim, dim)
+    sectors = np.zeros((2 * dim - 1, dim, 2 * len(flat)))
+    sectors[k + l, k] = np.concatenate([flat.real, flat.imag]).transpose(1, 2, 0)
+    mixed = (beamsplitter(cfg) @ sectors)[k + l, k].transpose(2, 0, 1)
+    return (mixed[: len(flat)] + 1j * mixed[len(flat) :]).reshape(coeff.shape)

@@ -2,7 +2,7 @@
 
 A quadrature observable restricted to dim Fock levels has a discrete
 spectrum; measuring it projects onto one of its dim eigenvectors. The
-measured mode is always mode 1 (the first Kronecker factor).
+measured mode is always mode 1, the row index of a (dim, dim) two-mode state.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fock import FockConfig
-from .numerics import DEFAULT_TOLERANCES, eig_hermitian_tridiagonal
+from .numerics import eig_hermitian_tridiagonal
 
 RESCALE = math.sqrt(2 * math.pi)
 
@@ -78,48 +78,12 @@ def quadrature_basis(cfg: FockConfig, axis: str) -> QuadratureBasis:
     return QuadratureBasis(axis=axis, dim=cfg.dim, eigenvalues=values, eigenvectors=vectors)
 
 
-def _check_normalized(state: np.ndarray) -> None:
-    norm = np.linalg.norm(state)
-    if abs(norm - 1.0) > DEFAULT_TOLERANCES.normalization:
-        raise ValueError(f"state must be normalized, got norm {norm}")
-
-
 def projection_amplitudes(state2: np.ndarray, basis: QuadratureBasis) -> np.ndarray:
-    """Unnormalized mode-2 amplitudes for every mode-1 outcome.
-
-    Row i of the result is (⟨v_i| ⊗ I)|state2⟩; its squared norm is the
-    outcome probability. A stack of two-mode states, shape (..., dim²),
-    gives a stack of (dim, dim) amplitude matrices.
-    """
-    matrix = state2.reshape(*state2.shape[:-1], basis.dim, basis.dim)
-    return basis.eigenvectors.conj().T @ matrix
-
-
-def outcome_distribution(state2: np.ndarray, basis: QuadratureBasis) -> OutcomeDistribution:
-    """Probabilities of measuring each quadrature eigenvalue on mode 1."""
-    _check_normalized(state2)
-    amplitudes = projection_amplitudes(state2, basis)
-    probabilities = np.sum(np.abs(amplitudes) ** 2, axis=1)
-    return OutcomeDistribution(
-        axis=basis.axis, eigenvalues=basis.eigenvalues, probabilities=probabilities
-    )
-
-
-def project_outcome(state2: np.ndarray, basis: QuadratureBasis, index: int):
-    """Collapse mode 1 onto eigenvector ``index``.
-
-    Returns (probability, normalized mode-2 post-state). The post-state is
-    None when the outcome probability underflows double precision.
-    """
-    _check_normalized(state2)
-    if not 0 <= index < basis.dim:
-        raise ValueError(f"outcome index {index} out of range for dim {basis.dim}")
-    matrix = state2.reshape(basis.dim, basis.dim)
-    amplitude = basis.eigenvectors[:, index].conj() @ matrix
-    probability = float(np.sum(np.abs(amplitude) ** 2))
-    if probability <= DEFAULT_TOLERANCES.probability_floor:
-        return probability, None
-    return probability, amplitude / math.sqrt(probability)
+    """Unnormalized mode-2 amplitudes for every mode-1 outcome of a
+    two-mode state's (dim, dim) coefficient matrix, or of a (..., dim, dim)
+    stack. Row i is (⟨v_i| ⊗ I)|state2⟩; its squared norm is the outcome
+    probability."""
+    return basis.eigenvectors.conj().T @ state2
 
 
 def _negative_local_maxima(probabilities: np.ndarray, half: int) -> list[int]:

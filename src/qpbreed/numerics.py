@@ -23,7 +23,6 @@ class Tolerances:
 
     hermitian: float = 1e-12
     skew_hermitian: float = 1e-12
-    normalization: float = 1e-8
     unitarity: float = 1e-10
     eig_residual: float = 1e-10
     distribution_sum: float = 1e-10

@@ -27,7 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import BinomialParams, FockConfig, QunaughtParams, beamsplitter, binomial_state, qunaught_state
+from .fock import (
+    BinomialParams, FockConfig, QunaughtParams, apply_beamsplitter, binomial_state, qunaught_state
+)
 from .homodyne import OutcomeDistribution, projection_amplitudes, quadrature_basis, resolve_outcome
 from .metrics import SQRT_PI, _probe, effective_squeezing, fidelity
 from .numerics import DEFAULT_TOLERANCES, NumericalError
@@ -130,12 +132,7 @@ def breed_step(left: np.ndarray, right: np.ndarray, axis: str, cfg: FockConfig):
     normalized kept-mode state after outcome i, or a zero row where the
     outcome probability is at or below the underflow floor.
     """
-    joint = (left[:, None] * right[..., None, :]).reshape(*right.shape[:-1], cfg.dim**2)
-    # The beamsplitter is real: one matmul over the stacked real and
-    # imaginary parts reads the dim⁴ matrix once.
-    flat = joint.reshape(-1, cfg.dim**2)
-    mixed = np.concatenate([flat.real, flat.imag]) @ beamsplitter(cfg).T
-    mixed = (mixed[: len(flat)] + 1j * mixed[len(flat) :]).reshape(joint.shape)
+    mixed = apply_beamsplitter(cfg, left[:, None] * right[..., None, :])
     amplitudes = projection_amplitudes(mixed, quadrature_basis(cfg, axis))
     probabilities = np.sum(np.abs(amplitudes) ** 2, axis=-1)
     kept = probabilities > DEFAULT_TOLERANCES.probability_floor

@@ -4,13 +4,18 @@ Everything here is computed by a different algorithm than the library code
 it checks: Gauss-Hermite nodes by root bracketing on the Hermite-function
 recurrence (vs the LAPACK tridiagonal eigensolver), displacement matrix
 elements by the closed-form Laguerre series (vs matrix exponentiation),
-and Wigner values by assembling the displaced-parity expectation directly.
+the two-mode beamsplitter generator assembled from Kronecker products (vs
+per-sector blocks), and Wigner values by assembling the displaced-parity
+expectation directly. :func:`dense_beamsplitter` is not an oracle: it
+writes out, as a dense matrix, the operator the library applies.
 """
 
 import math
 
 import numpy as np
 from scipy.special import eval_genlaguerre
+
+from qpbreed.fock import annihilation, apply_beamsplitter
 
 
 def hermite_phi(n_max, x):
@@ -96,3 +101,23 @@ def wigner_point(state, q, p, pad=30):
     d = displacement_matrix(dim + pad, -alpha)
     shifted = d @ big
     return float(np.sum((-1.0) ** np.arange(dim + pad) * np.abs(shifted) ** 2) / math.pi)
+
+
+def beamsplitter_generator(cfg):
+    """Two-mode generator θ(a†b − ab†), θ = π/4, on the dim² space with
+    index k·dim + l for |k⟩|l⟩; exponentiating it must agree with the
+    library's block-wise beamsplitter on every sector that fits the
+    truncation."""
+    a = annihilation(cfg)
+    identity = np.eye(cfg.dim)
+    a1 = np.kron(a, identity)
+    a2 = np.kron(identity, a)
+    return (math.pi / 4) * (a1.conj().T @ a2 - a1 @ a2.conj().T)
+
+
+def dense_beamsplitter(cfg):
+    """The dim²×dim² matrix of ``fock.apply_beamsplitter``, column k·dim + l
+    being its image of |k⟩|l⟩, so that the dense checks run on the code the
+    breeding step uses."""
+    basis = np.eye(cfg.dim**2).reshape(cfg.dim**2, cfg.dim, cfg.dim)
+    return apply_beamsplitter(cfg, basis).reshape(cfg.dim**2, cfg.dim**2).T

@@ -30,7 +30,7 @@ from qpbreed.fock import displacement
 from qpbreed.homodyne import RESCALE, OutcomeDistribution
 from qpbreed.protocol import sign_aggregation_log
 
-from oracles import displacement_matrix, gauss_hermite_nodes, parity_operator
+from oracles import dense_beamsplitter, displacement_matrix, gauss_hermite_nodes, parity_operator
 
 
 def report(number, description, checks):
@@ -178,11 +178,10 @@ def test_criterion_8_input_sweep_property(cfg):
 
 def test_criterion_9_property_suite(cfg, basis_q, basis_p, vacuum, first_level, target):
     checks = []
-    # beamsplitter unitarity and photon-number block structure
-    from qpbreed import beamsplitter
-
+    # beamsplitter unitarity and photon-number block structure, on the dense
+    # matrix of the operator the breeding step applies
     small = FockConfig(dim=12)
-    bs = beamsplitter(small)
+    bs = dense_beamsplitter(small)
     checks.append(np.max(np.abs(bs @ bs.T - np.eye(small.dim**2))) <= 1e-10)
     totals = (np.arange(small.dim)[:, None] + np.arange(small.dim)[None, :]).ravel()
     checks.append(np.max(np.abs(bs[totals[:, None] != totals[None, :]])) <= 1e-10)

@@ -91,6 +91,37 @@ def test_chain_postselect_indices(tmp_path):
     assert payload["records"][2]["fidelity"] == pytest.approx(0.9834, abs=2e-3)
 
 
+def test_chain_starts_from_given_binomial_input(tmp_path, capsys):
+    from qpbreed import BinomialParams, FockConfig, binomial_state, default_target, fidelity
+
+    out = tmp_path / "chain.json"
+    args = ["chain", "--schedule", "qp", "--postselect", "C,C", "--output-path", str(out)]
+    assert run_cli(args + ["--n", "3", "--k", "4"]) == EXIT_OK
+    records = json.loads(out.read_text())["records"]
+    cfg = FockConfig()
+    expected = fidelity(binomial_state(cfg, BinomialParams(3, 4)), default_target(cfg))
+    assert records[0]["fidelity"] == expected
+    # (N=9, K=9) occupies Fock level 72, outside dim 50
+    assert run_cli(args + ["--n", "9", "--k", "9"]) == EXIT_CONFIG
+    assert "outside dim 50" in capsys.readouterr().err
+    wigner = ["wigner", "--schedule", "qp", "--postselect", "C,C", "--n", "9", "--k", "9"]
+    assert run_cli(wigner + ["--output-path", str(tmp_path / "w.csv")]) == EXIT_CONFIG
+
+
+def test_warning_is_one_stderr_line(tmp_path, capsys):
+    from qpbreed.metrics import _probe
+
+    _probe.cache_clear()  # the dim-6 probe must be built, and warn, in this run
+    out = tmp_path / "chain.json"
+    args = ["chain", "--schedule", "q", "--postselect", "S1", "--dim", "6"]
+    assert run_cli(args + ["--output-path", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    warning_lines = [line for line in err if line.startswith("warning: ")]
+    assert len(warning_lines) == 1
+    assert "below dim 13" in warning_lines[0]
+    assert not any("op =" in line for line in err)
+
+
 def test_enumerate_small_dim(tmp_path):
     out = tmp_path / "enum.csv"
     assert run_cli(["enumerate", "--dim", "10", "--output-path", str(out)]) == EXIT_OK

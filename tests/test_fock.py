@@ -15,10 +15,14 @@ from qpbreed import (
     qunaught_state,
     squeezed_vacuum,
 )
-from qpbreed.fock import beamsplitter_generator
 from qpbreed.numerics import DEFAULT_TOLERANCES, expm_skew_hermitian
 
-from oracles import displacement_matrix, parity_operator
+from oracles import (
+    beamsplitter_generator,
+    dense_beamsplitter,
+    displacement_matrix,
+    parity_operator,
+)
 
 
 def test_config_validation():
@@ -129,13 +133,20 @@ def test_qunaught_delta_limits_to_squeezed_vacuum(cfg):
 
 
 def test_beamsplitter_orthogonal_blocks(cfg):
-    bs = beamsplitter(cfg)
-    assert np.max(np.abs(bs @ bs.T - np.eye(cfg.dim**2))) < DEFAULT_TOLERANCES.unitarity
+    blocks = beamsplitter(cfg)
+    assert blocks.shape == (2 * cfg.dim - 1, cfg.dim, cfg.dim)
+    # block t is orthogonal on the photon numbers k with 0 <= t - k < dim
+    # and zero elsewhere
+    kept = np.arange(2 * cfg.dim - 1)[:, None] - np.arange(cfg.dim)[None, :]
+    padded_identity = ((kept >= 0) & (kept < cfg.dim))[:, :, None] * np.eye(cfg.dim)
+    gram = blocks @ blocks.transpose(0, 2, 1)
+    assert np.max(np.abs(gram - padded_identity)) < DEFAULT_TOLERANCES.unitarity
 
 
 def test_beamsplitter_photon_number_blocks():
     cfg = FockConfig(dim=8)
-    bs = beamsplitter(cfg)
+    bs = dense_beamsplitter(cfg)
+    assert not np.any(bs.imag)
     totals = (np.arange(cfg.dim)[:, None] + np.arange(cfg.dim)[None, :]).ravel()
     off_block = bs[totals[:, None] != totals[None, :]]
     assert np.max(np.abs(off_block)) < 1e-14
@@ -144,7 +155,7 @@ def test_beamsplitter_photon_number_blocks():
 def test_beamsplitter_matches_generator_exponential():
     cfg = FockConfig(dim=12)
     direct = expm_skew_hermitian(beamsplitter_generator(cfg))
-    blockwise = beamsplitter(cfg)
+    blockwise = dense_beamsplitter(cfg)
     # agreement everywhere except where truncation of the generator product
     # differs -- the generator form is exact on each photon-number sector
     # that fits inside the truncation
@@ -156,7 +167,7 @@ def test_beamsplitter_matches_generator_exponential():
 
 def test_beamsplitter_single_photon_routing():
     cfg = FockConfig(dim=4)
-    bs = beamsplitter(cfg)
+    bs = dense_beamsplitter(cfg)
     ket_10 = np.zeros(16)
     ket_10[1 * 4 + 0] = 1.0
     out = bs @ ket_10
@@ -168,7 +179,7 @@ def test_beamsplitter_single_photon_routing():
 
 def test_beamsplitter_hong_ou_mandel():
     cfg = FockConfig(dim=4)
-    bs = beamsplitter(cfg)
+    bs = dense_beamsplitter(cfg)
     ket_11 = np.zeros(16)
     ket_11[1 * 4 + 1] = 1.0
     out = bs @ ket_11
@@ -180,7 +191,7 @@ def test_beamsplitter_hong_ou_mandel():
 
 def test_beamsplitter_vacuum_invariant():
     cfg = FockConfig(dim=6)
-    bs = beamsplitter(cfg)
+    bs = dense_beamsplitter(cfg)
     vac = np.zeros(36)
     vac[0] = 1.0
     assert np.max(np.abs(bs @ vac - vac)) < 1e-14
@@ -188,6 +199,6 @@ def test_beamsplitter_vacuum_invariant():
 
 def test_beamsplitter_commutes_with_parity():
     cfg = FockConfig(dim=10)
-    bs = beamsplitter(cfg)
+    bs = dense_beamsplitter(cfg)
     par = np.kron(parity_operator(cfg.dim), parity_operator(cfg.dim))
     assert np.max(np.abs(par @ bs - bs @ par)) < 1e-12
