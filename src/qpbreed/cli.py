@@ -368,7 +368,7 @@ def main(argv=None) -> int:
         try:
             cfg = _resolve_config(args)
             return COMMANDS[args.command](cfg)
-        except (ConfigError, ValueError) as exc:
+        except (ConfigError, ValueError, OSError) as exc:  # OSError: an unwritable output path
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         except NumericalError as exc:

@@ -14,30 +14,44 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
-from .numerics import DEFAULT_TOLERANCES, expm_skew_hermitian
+from .numerics import DEFAULT_TOLERANCES, eig_hermitian_tridiagonal, expm_skew_hermitian
 
 VACUUM_VARIANCE = 0.5
+
+#: Extra Fock levels of the space a displacement is exponentiated on before
+#: it is cut back to ``dim``, to keep truncation-edge error out of it.
+DISPLACEMENT_PAD = 20
 
 
 @dataclass(frozen=True)
 class FockConfig:
-    """Truncation settings for the single-mode Hilbert space.
-
-    ``displacement_pad`` is the number of extra Fock levels used internally
-    when exponentiating displacement generators, to suppress truncation-edge
-    error before cutting back to ``dim``.
-    """
+    """Truncation settings for the single-mode Hilbert space."""
 
     dim: int = 50
-    displacement_pad: int = 20
 
     def __post_init__(self):
         if self.dim < 2:
             raise ValueError(f"Hilbert-space dimension must be at least 2, got {self.dim}")
-        if self.displacement_pad < 0:
-            raise ValueError("displacement_pad must be non-negative")
+
+
+@dataclass(frozen=True)
+class QuadratureBasis:
+    """Eigenvalues (ascending) and eigenvectors of one quadrature axis."""
+
+    axis: str
+    dim: int
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+
+    @property
+    def center_index(self) -> int:
+        """Index of the innermost negative eigenvalue (24 at dim 50)."""
+        return self.dim // 2 - 1
+
+    def mirror(self, index: int) -> int:
+        """Index of the equal-magnitude, opposite-sign eigenvalue."""
+        return self.dim - 1 - index
 
 
 @dataclass(frozen=True)
@@ -74,6 +88,8 @@ class QunaughtParams:
             raise ValueError(f"squeezing delta must be in (0, 1), got {self.delta}")
         if self.t_max is None:
             object.__setattr__(self, "t_max", _auto_t_max(self.delta))
+        if self.t_max < 1:
+            raise ValueError(f"envelope cutoff t_max must be at least 1, got {self.t_max}")
         tail = math.exp(-math.pi * self.delta**2 * self.t_max**2)
         if tail >= DEFAULT_TOLERANCES.qunaught_tail:
             raise ValueError(
@@ -101,12 +117,32 @@ def quadrature(cfg: FockConfig, angle: float) -> np.ndarray:
     return (a * np.exp(-1j * angle) + a.conj().T * np.exp(1j * angle)) / math.sqrt(2)
 
 
+@lru_cache(maxsize=None)
+def quadrature_basis(cfg: FockConfig, axis: str) -> QuadratureBasis:
+    """Diagonalize the q or p quadrature on the truncated Fock space.
+
+    q is real symmetric tridiagonal in the Fock basis. p shares its spectrum
+    and its eigenvectors are obtained through the Fock-diagonal phase map
+    |n⟩ → iⁿ|n⟩, under which p = F q F†.
+    """
+    if axis not in ("q", "p"):
+        raise ValueError(f"axis must be 'q' or 'p', got {axis!r}")
+    offdiag = np.sqrt(np.arange(1, cfg.dim) / 2.0)
+    values, vectors = eig_hermitian_tridiagonal(np.zeros(cfg.dim), offdiag)
+    if axis == "p":
+        vectors = (1j ** np.arange(cfg.dim))[:, None] * vectors
+    vectors.setflags(write=False)
+    values.setflags(write=False)
+    return QuadratureBasis(axis=axis, dim=cfg.dim, eigenvalues=values, eigenvectors=vectors)
+
+
 def displacement(cfg: FockConfig, beta: complex) -> np.ndarray:
     """Displacement operator exp(βa† − β*a), built on a padded space.
 
-    The operator is exponentiated at dim + displacement_pad levels and then
-    truncated back, which keeps matrix elements accurate for amplitudes up
-    to |β| ~ √π at the default configuration.
+    With β = |β|e^{iφ}, D(β) = R exp(−i√2|β|p) R† with R = e^{iφn}: a phase
+    function of the p eigenbasis of dim + DISPLACEMENT_PAD levels, cut back
+    to dim. This is the exact exponential of the padded truncated generator,
+    accurate for amplitudes up to |β| ~ √π at the default configuration.
     """
     if abs(beta) ** 2 > cfg.dim / 4:
         warnings.warn(
@@ -115,11 +151,9 @@ def displacement(cfg: FockConfig, beta: complex) -> np.ndarray:
             f"below dim {math.ceil(4 * abs(beta) ** 2)}",
             stacklevel=2,
         )
-    padded = FockConfig(cfg.dim + cfg.displacement_pad, 0)
-    a = annihilation(padded)
-    generator = beta * a.conj().T - np.conj(beta) * a
-    full = expm_skew_hermitian(generator)
-    return np.ascontiguousarray(full[: cfg.dim, : cfg.dim])
+    basis = quadrature_basis(FockConfig(cfg.dim + DISPLACEMENT_PAD), "p")
+    rows = np.exp(1j * np.angle(beta) * np.arange(cfg.dim))[:, None] * basis.eigenvectors[: cfg.dim]
+    return (rows * np.exp(-1j * math.sqrt(2) * abs(beta) * basis.eigenvalues)) @ rows.conj().T
 
 
 def binomial_state(cfg: FockConfig, params: BinomialParams) -> np.ndarray:
@@ -161,21 +195,17 @@ def qunaught_state(cfg: FockConfig, params: QunaughtParams) -> np.ndarray:
     """Grid state: envelope-weighted comb of displaced squeezed vacua.
 
     Σ_t exp(−πΔ²t²) D(t√π) S(Δ)|0⟩, normalized in the truncated space.
-    Peak spacing in position is √(2π), so the state encodes no qubit.
+    Peak spacing in position is √(2π), so the state encodes no qubit. Every
+    D(t√π) = exp(−i√(2π)t·p), so the sum is one comb function of p applied
+    in the padded p eigenbasis used by :func:`displacement`.
     """
-    core = squeezed_vacuum(cfg, params.delta)
-    state = np.zeros(cfg.dim, dtype=complex)
-    with warnings.catch_warnings():
-        # The outer comb peaks carry envelope weights far below the
-        # truncation error of their displacements, so the large-amplitude
-        # warning is noise here.
-        warnings.simplefilter("ignore", UserWarning)
-        for t in range(-(params.t_max - 1), params.t_max):
-            weight = math.exp(-math.pi * params.delta**2 * t**2)
-            if t == 0:
-                state += weight * core
-            else:
-                state += weight * (displacement(cfg, t * math.sqrt(math.pi)) @ core)
+    basis = quadrature_basis(FockConfig(cfg.dim + DISPLACEMENT_PAD), "p")
+    comb = np.ones(basis.dim)
+    for t in range(1, params.t_max):
+        weight = math.exp(-math.pi * params.delta**2 * t**2)
+        comb += 2 * weight * np.cos(math.sqrt(2 * math.pi) * t * basis.eigenvalues)  # peaks +t and −t
+    rows = basis.eigenvectors[: cfg.dim]
+    state = rows @ (comb * (rows.conj().T @ squeezed_vacuum(cfg, params.delta)))
     return state / np.linalg.norm(state)
 
 
@@ -193,7 +223,7 @@ def beamsplitter(cfg: FockConfig) -> np.ndarray:
         lo, hi = max(0, total - dim + 1), min(total, dim - 1) + 1
         ks = np.arange(lo, hi - 1)
         coupling = math.pi / 4 * np.sqrt((ks + 1) * (total - ks))
-        blocks[total, lo:hi, lo:hi] = scipy.linalg.expm(np.diag(coupling, -1) - np.diag(coupling, 1))
+        blocks[total, lo:hi, lo:hi] = expm_skew_hermitian(np.diag(coupling, -1) - np.diag(coupling, 1))
     blocks.setflags(write=False)
     return blocks
 

@@ -10,12 +10,10 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from .fock import FockConfig
-from .numerics import eig_hermitian_tridiagonal
+from .fock import QuadratureBasis, quadrature_basis  # quadrature_basis: re-exported
 
 RESCALE = math.sqrt(2 * math.pi)
 
@@ -24,25 +22,6 @@ RESCALE = math.sqrt(2 * math.pi)
 #: distribution; S is the side peak one grid spacing out in a momentum-type
 #: distribution.
 PEAK_LABELS = ("C", "S1", "S2", "S")
-
-
-@dataclass(frozen=True)
-class QuadratureBasis:
-    """Eigenvalues (ascending) and eigenvectors of one quadrature axis."""
-
-    axis: str
-    dim: int
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    @property
-    def center_index(self) -> int:
-        """Index of the innermost negative eigenvalue (24 at dim 50)."""
-        return self.dim // 2 - 1
-
-    def mirror(self, index: int) -> int:
-        """Index of the equal-magnitude, opposite-sign eigenvalue."""
-        return self.dim - 1 - index
 
 
 @dataclass(frozen=True)
@@ -57,25 +36,6 @@ class OutcomeDistribution:
     @property
     def rescaled_outcomes(self) -> np.ndarray:
         return self.eigenvalues / RESCALE
-
-
-@lru_cache(maxsize=None)
-def quadrature_basis(cfg: FockConfig, axis: str) -> QuadratureBasis:
-    """Diagonalize the q or p quadrature on the truncated Fock space.
-
-    q is real symmetric tridiagonal in the Fock basis. p shares its spectrum
-    and its eigenvectors are obtained through the Fock-diagonal phase map
-    |n⟩ → iⁿ|n⟩, under which p = F q F†.
-    """
-    if axis not in ("q", "p"):
-        raise ValueError(f"axis must be 'q' or 'p', got {axis!r}")
-    offdiag = np.sqrt(np.arange(1, cfg.dim) / 2.0)
-    values, vectors = eig_hermitian_tridiagonal(np.zeros(cfg.dim), offdiag)
-    if axis == "p":
-        vectors = (1j ** np.arange(cfg.dim))[:, None] * vectors
-    vectors.setflags(write=False)
-    values.setflags(write=False)
-    return QuadratureBasis(axis=axis, dim=cfg.dim, eigenvalues=values, eigenvectors=vectors)
 
 
 def projection_amplitudes(state2: np.ndarray, basis: QuadratureBasis) -> np.ndarray:

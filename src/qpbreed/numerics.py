@@ -56,18 +56,19 @@ def eig_hermitian_tridiagonal(diag, offdiag):
     return values, vectors.astype(complex)
 
 
-def expm_skew_hermitian(g: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Unitary exponential of a skew-Hermitian generator.
+def expm_skew_hermitian(g: np.ndarray) -> np.ndarray:
+    """Unitary exponential of a skew-Hermitian generator; a real generator
+    gives a real orthogonal result.
 
     Rejects inputs whose skew-Hermiticity defect exceeds the configured
     tolerance (relative to the largest entry).
     """
-    g = np.asarray(g, dtype=complex)
+    g = np.asarray(g)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise ValueError("generator must be a square matrix")
     scale = max(1.0, float(np.max(np.abs(g)))) if g.size else 1.0
     defect = float(np.max(np.abs(g + g.conj().T))) if g.size else 0.0
-    if defect > tol.skew_hermitian * scale:
+    if defect > DEFAULT_TOLERANCES.skew_hermitian * scale:
         raise ValueError(
             f"generator is not skew-Hermitian (defect {defect:.3e} "
             f"at scale {scale:.3e})"

@@ -3,19 +3,29 @@
 Everything here is computed by a different algorithm than the library code
 it checks: Gauss-Hermite nodes by root bracketing on the Hermite-function
 recurrence (vs the LAPACK tridiagonal eigensolver), displacement matrix
-elements by the closed-form Laguerre series (vs matrix exponentiation),
-the two-mode beamsplitter generator assembled from Kronecker products (vs
-per-sector blocks), and Wigner values by assembling the displaced-parity
-expectation directly. :func:`dense_beamsplitter` is not an oracle: it
-writes out, as a dense matrix, the operator the library applies.
+elements by the closed-form Laguerre series and by the Padé matrix
+exponential of the padded generator (vs a phase function of the p
+eigenbasis), the grid state as a sum of separately displaced peaks (vs one
+comb function of p), the two-mode beamsplitter generator assembled from
+Kronecker products (vs per-sector blocks), and Wigner values by assembling
+the displaced-parity expectation directly. :func:`dense_beamsplitter` is
+not an oracle: it writes out, as a dense matrix, the operator the library
+applies.
 """
 
 import math
 
 import numpy as np
+import scipy.linalg
 from scipy.special import eval_genlaguerre
 
-from qpbreed.fock import annihilation, apply_beamsplitter
+from qpbreed.fock import (
+    DISPLACEMENT_PAD,
+    FockConfig,
+    annihilation,
+    apply_beamsplitter,
+    squeezed_vacuum,
+)
 
 
 def hermite_phi(n_max, x):
@@ -85,6 +95,24 @@ def displacement_matrix(dim, beta):
         for n in range(dim):
             out[m, n] = displacement_element(m, n, beta)
     return out
+
+
+def padded_expm_displacement(dim, beta):
+    """D(β) as scipy's ``expm`` of βa† − β*a on dim + DISPLACEMENT_PAD
+    levels, cut back to dim."""
+    a = annihilation(FockConfig(dim + DISPLACEMENT_PAD))
+    return scipy.linalg.expm(beta * a.conj().T - np.conj(beta) * a)[:dim, :dim]
+
+
+def qunaught_peak_sum(dim, params):
+    """Σ_t exp(−πΔ²t²) D(t√π) S(Δ)|0⟩ summed peak by peak with
+    :func:`padded_expm_displacement`, normalized."""
+    core = squeezed_vacuum(FockConfig(dim), params.delta)
+    state = np.zeros(dim, dtype=complex)
+    for t in range(-(params.t_max - 1), params.t_max):
+        weight = math.exp(-math.pi * params.delta**2 * t**2)
+        state += weight * (padded_expm_displacement(dim, t * math.sqrt(math.pi)) @ core)
+    return state / np.linalg.norm(state)
 
 
 def parity_operator(dim):

@@ -170,9 +170,23 @@ def test_config_error_exit_code(capsys):
     assert "error" in capsys.readouterr().err
     assert run_cli(["distribution", "--schedule", "xy"]) == EXIT_CONFIG
     assert run_cli(["distribution", "--t-max", "1"]) == EXIT_CONFIG
+    assert run_cli(["distribution", "--t-max", "0"]) == EXIT_CONFIG
+    capsys.readouterr()
+    assert run_cli(["chain", "--schedule", "qp", "--t-max", "-20"]) == EXIT_CONFIG
+    assert "t_max must be at least 1" in capsys.readouterr().err
     assert run_cli(["chain", "--schedule", "qp", "--postselect", "24"]) == EXIT_CONFIG
     assert run_cli(["chain", "--schedule", "qp", "--postselect", "99,24"]) == EXIT_CONFIG
     assert run_cli(["chain", "--schedule", "qp", "--postselect", "S9,C"]) == EXIT_CONFIG
+
+
+def test_unwritable_output_path_exit_code(tmp_path, capsys):
+    missing = tmp_path / "missing" / "x.json"
+    assert run_cli(["chain", "--schedule", "q", "--output-path", str(missing)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(missing) in err and "Traceback" not in err
+    assert run_cli(["distribution", "--output-path", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(tmp_path) in err and "Traceback" not in err
 
 
 def test_bad_config_file(tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpbreed import (
     BinomialParams,
@@ -21,15 +23,15 @@ from oracles import (
     beamsplitter_generator,
     dense_beamsplitter,
     displacement_matrix,
+    padded_expm_displacement,
     parity_operator,
+    qunaught_peak_sum,
 )
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         FockConfig(dim=1)
-    with pytest.raises(ValueError):
-        FockConfig(dim=50, displacement_pad=-1)
 
 
 def test_annihilation_commutator(cfg):
@@ -61,6 +63,27 @@ def test_displacement_matches_series_oracle(cfg):
         oracle = displacement_matrix(cfg.dim, beta)
         # compare well inside the truncation edge
         assert np.max(np.abs(built[:30, :30] - oracle[:30, :30])) < 1e-8
+
+
+@settings(database=None, derandomize=True, deadline=None)
+@given(
+    dim=st.integers(4, 60),
+    radius=st.floats(0, 0.499),
+    phase=st.floats(0, 2 * math.pi),
+)
+def test_displacement_matches_padded_expm(dim, radius, phase):
+    # |β|² = radius² · dim < dim/4, the range in which no warning fires
+    beta = radius * math.sqrt(dim) * complex(math.cos(phase), math.sin(phase))
+    built = displacement(FockConfig(dim), beta)
+    assert np.max(np.abs(built - padded_expm_displacement(dim, beta))) < 1e-12
+
+
+@pytest.mark.parametrize("dim", [12, 50, 100])
+def test_qunaught_matches_peak_sum(dim):
+    for delta in (0.3, 0.35, 0.4, 0.5):
+        params = QunaughtParams(delta)
+        built = qunaught_state(FockConfig(dim), params)
+        assert np.max(np.abs(built - qunaught_peak_sum(dim, params))) < 1e-12
 
 
 def test_displacement_warns_on_large_amplitude(cfg):
@@ -118,6 +141,8 @@ def test_qunaught_params_auto_t_max():
     assert QunaughtParams(delta=0.35).t_max == 9
     with pytest.raises(ValueError, match="first omitted term"):
         QunaughtParams(delta=0.35, t_max=8)
+    with pytest.raises(ValueError, match="t_max"):
+        QunaughtParams(0.4, t_max=-20)
 
 
 def test_qunaught_normalized_and_even(cfg, target):
