@@ -23,6 +23,9 @@ VACUUM_VARIANCE = 0.5
 #: it is cut back to ``dim``, to keep truncation-edge error out of it.
 DISPLACEMENT_PAD = 20
 
+#: Least norm of a qunaught comb, as a share of its weight sum, that is not rounding noise.
+MIN_COMB_NORM = 1e-8
+
 
 @dataclass(frozen=True)
 class FockConfig:
@@ -197,16 +200,22 @@ def qunaught_state(cfg: FockConfig, params: QunaughtParams) -> np.ndarray:
     Σ_t exp(−πΔ²t²) D(t√π) S(Δ)|0⟩, normalized in the truncated space.
     Peak spacing in position is √(2π), so the state encodes no qubit. Every
     D(t√π) = exp(−i√(2π)t·p), so the sum is one comb function of p applied
-    in the padded p eigenbasis used by :func:`displacement`.
+    in the padded p eigenbasis used by :func:`displacement`; a Δ too small for
+    dim leaves only rounding noise of the comb there and raises ValueError.
     """
     basis = quadrature_basis(FockConfig(cfg.dim + DISPLACEMENT_PAD), "p")
     comb = np.ones(basis.dim)
+    weight_sum = 1.0
     for t in range(1, params.t_max):
         weight = math.exp(-math.pi * params.delta**2 * t**2)
+        weight_sum += 2 * weight
         comb += 2 * weight * np.cos(math.sqrt(2 * math.pi) * t * basis.eigenvalues)  # peaks +t and −t
     rows = basis.eigenvectors[: cfg.dim]
     state = rows @ (comb * (rows.conj().T @ squeezed_vacuum(cfg, params.delta)))
-    return state / np.linalg.norm(state)
+    norm = np.linalg.norm(state)
+    if norm < MIN_COMB_NORM * weight_sum:
+        raise ValueError(f"qunaught delta={params.delta} is too small for dim {cfg.dim}")
+    return state / norm
 
 
 @lru_cache(maxsize=None)

@@ -49,22 +49,22 @@ def _probe(cfg: FockConfig, direction: str) -> np.ndarray:
     return op
 
 
-def effective_squeezing(cfg: FockConfig, state: np.ndarray, direction: str = "q") -> float:
+def effective_squeezing(cfg: FockConfig, state: np.ndarray, direction: str = "q") -> float | np.ndarray:
     """Grid-state quality δ = (1/√π)·√(ln |⟨D⟩|⁻²).
 
     The probe displacement is √π along the chosen direction (real amplitude
     for 'q', imaginary for 'p'); for an ideal grid state of squeezing Δ both
-    directions give δ = Δ. Returns 0.0 if the overlap magnitude reaches 1
-    numerically and inf if it vanishes.
+    directions give δ = Δ. Gives 0.0 where the overlap magnitude reaches 1
+    numerically and inf where it vanishes. ``state`` is one state, giving a
+    float, or a (..., dim) stack, giving an array of δ.
     """
     if direction not in ("q", "p"):
         raise ValueError(f"direction must be 'q' or 'p', got {direction!r}")
-    overlap = abs(np.vdot(state, _probe(cfg, direction) @ state))
-    if overlap >= 1.0:
-        return 0.0
-    if overlap == 0.0:
-        return math.inf
-    return math.sqrt(-2.0 * math.log(overlap)) / SQRT_PI
+    overlap = np.abs(np.einsum("...j,...j->...", np.conj(state), state @ _probe(cfg, direction).T))
+    with np.errstate(divide="ignore"):
+        delta = np.sqrt(-2.0 * np.log(np.minimum(overlap, 1.0))) / SQRT_PI
+    delta = np.where(overlap >= 1.0, 0.0, delta)
+    return float(delta) if delta.ndim == 0 else delta
 
 
 def effective_squeezing_report(cfg: FockConfig, state: np.ndarray) -> EffectiveSqueezingReport:

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 
 class NumericalError(RuntimeError):
@@ -46,14 +45,11 @@ def eig_hermitian_tridiagonal(diag, offdiag):
     if offdiag.shape[0] != diag.shape[0] - 1:
         raise ValueError("offdiag must be one entry shorter than diag")
     try:
-        values, vectors = scipy.linalg.eigh_tridiagonal(diag, offdiag)
+        values, vectors = np.linalg.eigh(np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - hard to trigger
         raise NumericalError(f"tridiagonal eigensolver did not converge: {exc}") from exc
-    for j in range(vectors.shape[1]):
-        k = int(np.argmax(np.abs(vectors[:, j])))
-        if vectors[k, j] < 0:
-            vectors[:, j] = -vectors[:, j]
-    return values, vectors.astype(complex)
+    largest = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(len(values))]
+    return values, (vectors * np.where(largest < 0, -1.0, 1.0)).astype(complex)
 
 
 def expm_skew_hermitian(g: np.ndarray) -> np.ndarray:
@@ -73,4 +69,6 @@ def expm_skew_hermitian(g: np.ndarray) -> np.ndarray:
             f"generator is not skew-Hermitian (defect {defect:.3e} "
             f"at scale {scale:.3e})"
         )
-    return scipy.linalg.expm(g)
+    values, vectors = np.linalg.eigh(1j * g)  # 1j·g = H Hermitian, exp(g) = V e^{−iλ} V†
+    u = (vectors * np.exp(-1j * values)) @ vectors.conj().T
+    return u.real if np.isrealobj(g) else u

@@ -31,7 +31,7 @@ from .fock import (
     BinomialParams, FockConfig, QunaughtParams, apply_beamsplitter, binomial_state, qunaught_state
 )
 from .homodyne import OutcomeDistribution, projection_amplitudes, quadrature_basis, resolve_outcome
-from .metrics import SQRT_PI, _probe, effective_squeezing, fidelity
+from .metrics import effective_squeezing, fidelity
 from .numerics import DEFAULT_TOLERANCES, NumericalError
 
 
@@ -237,22 +237,15 @@ def enumerate_two_iterations(
         )
     psi0 = default_input(cfg)
     probs, posts = breed_step(psi0, psi0, "q", cfg)
-    probe = _probe(cfg, "q")
     # canonical first indices: below ceil(dim/2), or all without symmetry
     half = (dim + 1) // 2 if use_symmetry else dim
     leaves = np.empty((3, dim, dim, dim))
     for q1 in range(half):
         start = q1 if use_symmetry else 0
         cond, second = breed_step(posts[q1], posts[start:], "p", cfg)
-        fid = np.abs(second @ target.conj())
-        ratio = np.abs(np.einsum("qkj,qkj->qk", second.conj(), second @ probe.T))
-        # as effective_squeezing: 0 once the overlap reaches 1, inf where it vanishes
-        with np.errstate(divide="ignore"):
-            delta = np.sqrt(-2.0 * np.log(np.minimum(ratio, 1.0))) / SQRT_PI
-        delta = np.where(ratio >= 1.0, 0.0, delta)
-        underflow = cond <= DEFAULT_TOLERANCES.probability_floor
-        fid[underflow] = delta[underflow] = math.nan
-        block = np.stack([probs[q1] * probs[start:, None] * cond, fid, delta])
+        quality = [np.abs(second @ target.conj()), effective_squeezing(cfg, second, "q")]
+        block = np.stack([probs[q1] * probs[start:, None] * cond, *quality])
+        block[1:, cond <= DEFAULT_TOLERANCES.probability_floor] = math.nan  # underflowed leaves
         leaves[:, q1, start:] = block
         if use_symmetry:
             leaves[:, start:, q1] = block  # exchange of the two arms

@@ -2,15 +2,16 @@
 
 Everything here is computed by a different algorithm than the library code
 it checks: Gauss-Hermite nodes by root bracketing on the Hermite-function
-recurrence (vs the LAPACK tridiagonal eigensolver), displacement matrix
+recurrence (vs numpy's symmetric eigensolver), displacement matrix
 elements by the closed-form Laguerre series and by the Padé matrix
 exponential of the padded generator (vs a phase function of the p
 eigenbasis), the grid state as a sum of separately displaced peaks (vs one
-comb function of p), the two-mode beamsplitter generator assembled from
-Kronecker products (vs per-sector blocks), and Wigner values by assembling
-the displaced-parity expectation directly. :func:`dense_beamsplitter` is
-not an oracle: it writes out, as a dense matrix, the operator the library
-applies.
+comb function of p), the beamsplitter as the Padé exponential of its
+two-mode generator assembled from Kronecker products (vs per-sector blocks
+exponentiated through their eigendecomposition), and Wigner values by
+assembling the displaced-parity expectation directly.
+:func:`dense_beamsplitter` is not an oracle: it writes out, as a dense
+matrix, the operator the library applies.
 """
 
 import math
@@ -131,16 +132,16 @@ def wigner_point(state, q, p, pad=30):
     return float(np.sum((-1.0) ** np.arange(dim + pad) * np.abs(shifted) ** 2) / math.pi)
 
 
-def beamsplitter_generator(cfg):
-    """Two-mode generator θ(a†b − ab†), θ = π/4, on the dim² space with
-    index k·dim + l for |k⟩|l⟩; exponentiating it must agree with the
-    library's block-wise beamsplitter on every sector that fits the
-    truncation."""
+def generator_beamsplitter(cfg):
+    """scipy's Padé ``expm`` of the two-mode generator θ(a†b − ab†),
+    θ = π/4, on the dim² space with index k·dim + l for |k⟩|l⟩; it must
+    agree with the library's block-wise beamsplitter on every sector that
+    fits the truncation."""
     a = annihilation(cfg)
     identity = np.eye(cfg.dim)
     a1 = np.kron(a, identity)
     a2 = np.kron(identity, a)
-    return (math.pi / 4) * (a1.conj().T @ a2 - a1 @ a2.conj().T)
+    return scipy.linalg.expm((math.pi / 4) * (a1.conj().T @ a2 - a1 @ a2.conj().T))
 
 
 def dense_beamsplitter(cfg):

@@ -1,7 +1,11 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qpbreed
 from qpbreed.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -174,6 +178,8 @@ def test_config_error_exit_code(capsys):
     capsys.readouterr()
     assert run_cli(["chain", "--schedule", "qp", "--t-max", "-20"]) == EXIT_CONFIG
     assert "t_max must be at least 1" in capsys.readouterr().err
+    assert run_cli(["chain", "--schedule", "qp", "--delta-target", "0.001"]) == EXIT_CONFIG
+    assert "delta=0.001 is too small for dim 50" in capsys.readouterr().err
     assert run_cli(["chain", "--schedule", "qp", "--postselect", "24"]) == EXIT_CONFIG
     assert run_cli(["chain", "--schedule", "qp", "--postselect", "99,24"]) == EXIT_CONFIG
     assert run_cli(["chain", "--schedule", "qp", "--postselect", "S9,C"]) == EXIT_CONFIG
@@ -187,6 +193,21 @@ def test_unwritable_output_path_exit_code(tmp_path, capsys):
     assert run_cli(["distribution", "--output-path", str(tmp_path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert str(tmp_path) in err and "Traceback" not in err
+
+
+def test_runs_without_scipy(tmp_path):
+    # scipy is a test-only dependency: the package must run with it unimportable
+    src = str(Path(qpbreed.__file__).parents[1])
+    for args in (
+        ["chain", "--schedule", "qp", "--dim", "13", "--output-path", str(tmp_path / "c.json")],
+        ["wigner", "--n", "0", "--dim", "13", "--output-path", str(tmp_path / "w.csv")],
+    ):
+        script = (
+            f"import sys; sys.modules['scipy'] = None; sys.path.insert(0, {src!r})\n"
+            f"from qpbreed.cli import main; sys.exit(main({args!r}))"
+        )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert result.returncode == EXIT_OK, result.stderr
 
 
 def test_bad_config_file(tmp_path):

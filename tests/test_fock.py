@@ -17,12 +17,12 @@ from qpbreed import (
     qunaught_state,
     squeezed_vacuum,
 )
-from qpbreed.numerics import DEFAULT_TOLERANCES, expm_skew_hermitian
+from qpbreed.numerics import DEFAULT_TOLERANCES
 
 from oracles import (
-    beamsplitter_generator,
     dense_beamsplitter,
     displacement_matrix,
+    generator_beamsplitter,
     padded_expm_displacement,
     parity_operator,
     qunaught_peak_sum,
@@ -150,6 +150,16 @@ def test_qunaught_normalized_and_even(cfg, target):
     assert np.max(np.abs(target[1::2])) < 1e-12  # parity-even comb
 
 
+def test_qunaught_rejects_delta_too_small_for_dim():
+    # the comb keeps ~1e-12 of its weight sum here, which is rounding noise
+    for dim, delta in ((50, 0.001), (12, 0.01)):
+        with pytest.raises(ValueError, match=f"delta={delta} is too small for dim {dim}"):
+            qunaught_state(FockConfig(dim), QunaughtParams(delta))
+    for dim, delta in ((12, 0.02), (50, 0.01)):
+        state = qunaught_state(FockConfig(dim), QunaughtParams(delta))
+        assert abs(np.linalg.norm(state) - 1) < 1e-12
+
+
 def test_qunaught_delta_limits_to_squeezed_vacuum(cfg):
     # At very small envelope (delta -> 1 would be vacuum-like) the state
     # stays normalized; sanity check another delta builds fine.
@@ -179,7 +189,7 @@ def test_beamsplitter_photon_number_blocks():
 
 def test_beamsplitter_matches_generator_exponential():
     cfg = FockConfig(dim=12)
-    direct = expm_skew_hermitian(beamsplitter_generator(cfg))
+    direct = generator_beamsplitter(cfg)
     blockwise = dense_beamsplitter(cfg)
     # agreement everywhere except where truncation of the generator product
     # differs -- the generator form is exact on each photon-number sector

@@ -40,10 +40,18 @@ def test_effective_squeezing_vacuum(cfg, vacuum):
     assert effective_squeezing(cfg, vacuum, "p") == pytest.approx(1.0, abs=1e-4)
 
 
-def test_effective_squeezing_of_squeezed_vacuum(cfg):
-    for delta in (0.3, 0.4, 0.5, 1.0):
-        state = squeezed_vacuum(cfg, delta)
+def test_effective_squeezing_of_squeezed_vacuum(cfg, vacuum):
+    states = [squeezed_vacuum(cfg, delta) for delta in (0.3, 0.4, 0.5, 1.0)]
+    for delta, state in zip((0.3, 0.4, 0.5, 1.0), states):
         assert effective_squeezing(cfg, state, "p") == pytest.approx(delta, abs=1e-3)
+    # a (2, 3, dim) stack gives the per-state values; 3|0⟩ has overlap above 1
+    # (δ = 0) and the zero vector overlap 0 (δ = inf)
+    states += [3 * vacuum, 0 * vacuum]
+    stacked = effective_squeezing(cfg, np.reshape(states, (2, 3, cfg.dim)), "p")
+    single = [effective_squeezing(cfg, state, "p") for state in states]
+    assert all(isinstance(value, float) for value in single)
+    assert stacked.shape == (2, 3) and single[4:] == [0.0, math.inf]
+    np.testing.assert_allclose(stacked.ravel(), single, rtol=1e-14, atol=0)
 
 
 def test_effective_squeezing_input_state(cfg, psi0):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qpbreed.numerics import (
     DEFAULT_TOLERANCES,
@@ -51,6 +52,16 @@ def test_expm_skew_hermitian_is_unitary():
     g = m - m.conj().T
     u = expm_skew_hermitian(g)
     assert np.max(np.abs(u.conj().T @ u - np.eye(12))) < DEFAULT_TOLERANCES.unitarity
+
+
+def test_expm_skew_hermitian_matches_pade_expm():
+    rng = np.random.default_rng(7)
+    m = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+    r = rng.normal(size=(12, 12))
+    for g in (m - m.conj().T, r - r.T):
+        u = expm_skew_hermitian(g)
+        assert np.max(np.abs(u - scipy.linalg.expm(g))) < DEFAULT_TOLERANCES.unitarity
+    assert np.isrealobj(u)  # a real generator gives a real result
 
 
 def test_expm_rejects_non_skew_input():
