@@ -12,7 +12,7 @@ from qpbreed import FockConfig, Schedule, default_input, default_target, run_cha
 from qpbreed.metrics import default_grid, position_density
 
 cfg = FockConfig()
-axis = default_grid(extent=5.0, points=201)
+axis = default_grid()
 
 states = {
     "binomial_input": default_input(cfg),

@@ -10,7 +10,6 @@ from .fock import (
     beamsplitter,
     binomial_state,
     displacement,
-    quadrature,
     qunaught_state,
     squeezed_vacuum,
 )
@@ -21,10 +20,8 @@ from .homodyne import (
     quadrature_basis,
 )
 from .metrics import (
-    EffectiveSqueezingReport,
     WignerGrid,
     effective_squeezing,
-    effective_squeezing_report,
     fidelity,
     position_density,
     sgkp_db,
@@ -53,7 +50,6 @@ __all__ = [
     "BinomialParams",
     "BranchResult",
     "DEFAULT_TOLERANCES",
-    "EffectiveSqueezingReport",
     "FockConfig",
     "NumericalError",
     "OutcomeDistribution",
@@ -73,13 +69,11 @@ __all__ = [
     "displacement",
     "effective_squeezing",
     "effective_squeezing_curve",
-    "effective_squeezing_report",
     "enumerate_two_iterations",
     "fidelity",
     "label_peaks",
     "position_density",
     "probability_fidelity_curve",
-    "quadrature",
     "quadrature_basis",
     "qunaught_state",
     "run_chain",

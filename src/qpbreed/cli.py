@@ -13,12 +13,11 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
-import math
+import os
 import sys
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -45,10 +44,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-class ConfigError(ValueError):
-    pass
-
-
 @dataclass
 class RunConfig:
     dim: int = 50
@@ -62,13 +57,13 @@ class RunConfig:
 
     def validate(self):
         if self.dim < 2:
-            raise ConfigError(f"dim must be at least 2, got {self.dim}")
+            raise ValueError(f"dim must be at least 2, got {self.dim}")
         if not 0 < self.delta_target < 1:
-            raise ConfigError(f"delta-target must be in (0, 1), got {self.delta_target}")
+            raise ValueError(f"delta-target must be in (0, 1), got {self.delta_target}")
         if any(c not in "qp" for c in self.schedule) or not self.schedule:
-            raise ConfigError(f"schedule must be a nonempty string over q/p, got {self.schedule!r}")
+            raise ValueError(f"schedule must be a nonempty string over q/p, got {self.schedule!r}")
         if self.postselect is not None and len(self.postselect) != len(self.schedule):
-            raise ConfigError(
+            raise ValueError(
                 f"postselect needs one token per schedule step "
                 f"({len(self.schedule)}), got {len(self.postselect)}"
             )
@@ -84,29 +79,22 @@ class RunConfig:
     def input_state(self):
         return binomial_state(self.fock(), BinomialParams(self.N, self.K))
 
-    def as_pairs(self):
-        out = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "postselect":
-                value = "" if value is None else ",".join(str(t) for t in value)
-            out.append((f.name, value))
-        return out
+    def as_dict(self) -> dict:
+        """Every field in order, with the postselect tokens joined by commas."""
+        tokens = "" if self.postselect is None else ",".join(map(str, self.postselect))
+        return {**asdict(self), "postselect": tokens}
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        return f"{x:.12g}"
-    return str(x)
-
-
-def _header_lines(cfg: RunConfig):
+def _write_table(cfg: RunConfig, head: str, row_format: str, rows, path: str | None = None):
+    """Write a table: the schema version and the resolved config as comment
+    lines, then ``head``, then ``row_format % tuple(row)`` for each row."""
     lines = [f"# schema_version={SCHEMA_VERSION}"]
-    for key, value in cfg.as_pairs():
-        lines.append(f"# config {key}={_fmt(value) if value is not None else ''}")
-    return lines
+    for key, value in cfg.as_dict().items():
+        text = "" if value is None else "%.12g" % value if isinstance(value, float) else value
+        lines.append(f"# config {key}={text}")
+    lines.append(head)
+    lines += [row_format % tuple(row) for row in rows]
+    _write(cfg, "\n".join(lines) + "\n", path)
 
 
 def _write(cfg: RunConfig, text: str, path: str | None = None):
@@ -121,10 +109,8 @@ def _write(cfg: RunConfig, text: str, path: str | None = None):
 def _sibling_path(path: str, suffix: str) -> str:
     if path == "-":
         return "-"
-    stem, dot, ext = path.rpartition(".")
-    if dot:
-        return f"{stem}_{suffix}.{ext}"
-    return f"{path}_{suffix}"
+    root, ext = os.path.splitext(path)
+    return f"{root}_{suffix}{ext}"
 
 
 def _distribution(cfg: FockConfig, axis: str, probabilities) -> OutcomeDistribution:
@@ -144,7 +130,7 @@ def cmd_distribution(cfg: RunConfig) -> int:
     probabilities, posts = breed_step(psi, psi, axis, fock_cfg)
     if cfg.postselect is not None:
         if len(cfg.postselect) != 2:
-            raise ConfigError("conditioned distribution needs exactly two postselect tokens")
+            raise ValueError("conditioned distribution needs exactly two postselect tokens")
         first = _distribution(fock_cfg, axis, probabilities)
         left, right = (resolve_outcome(first, token) for token in cfg.postselect)
         if min(probabilities[left], probabilities[right]) <= DEFAULT_TOLERANCES.probability_floor:
@@ -152,17 +138,11 @@ def cmd_distribution(cfg: RunConfig) -> int:
         axis = cfg.schedule[-1]
         probabilities, _ = breed_step(posts[left], posts[right], axis, fock_cfg)
     dist = label_peaks(_distribution(fock_cfg, axis, probabilities))
-
-    lines = _header_lines(cfg)
-    lines.append("index,eigenvalue,rescaled_outcome,probability,label")
-    rescaled = dist.rescaled_outcomes
-    for i, prob in enumerate(dist.probabilities):
-        label = dist.peak_labels.get(i, "")
-        lines.append(
-            f"{i},{_fmt(float(dist.eigenvalues[i]))},{_fmt(float(rescaled[i]))},"
-            f"{_fmt(float(prob))},{label}"
-        )
-    _write(cfg, "\n".join(lines) + "\n")
+    columns = zip(dist.eigenvalues, dist.rescaled_outcomes, dist.probabilities)
+    rows = [(i, *values, dist.peak_labels.get(i, "")) for i, values in enumerate(columns)]
+    _write_table(
+        cfg, "index,eigenvalue,rescaled_outcome,probability,label", "%d,%.12g,%.12g,%.12g,%s", rows
+    )
     return EXIT_OK
 
 
@@ -190,7 +170,7 @@ def cmd_chain(cfg: RunConfig) -> int:
         )
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "config": {key: value for key, value in cfg.as_pairs()},
+        "config": cfg.as_dict(),
         "records": records,
     }
     _write(cfg, json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -207,24 +187,21 @@ def cmd_enumerate(cfg: RunConfig) -> int:
     fock_cfg = cfg.fock()
     probability, fid, delta = enumerate_two_iterations(fock_cfg, target=cfg.target())
     m = 3  # measurements in the two-iteration tree
-
-    lines = _header_lines(cfg)
-    lines.append("q1,q2,p,probability,aggregated_probability,fidelity,effective_squeezing")
-    columns = np.stack([probability, sign_aggregated(probability, m), fid, delta], axis=-1)
-    indices = itertools.product(range(fock_cfg.dim), repeat=3)
-    for (q1, q2, p), values in zip(indices, columns.reshape(-1, 4).tolist()):
-        lines.append(f"{q1},{q2},{p}," + ",".join(_fmt(v) for v in values))
-    _write(cfg, "\n".join(lines) + "\n")
-
+    columns = [*np.indices(probability.shape), probability, sign_aggregated(probability, m), fid, delta]
+    _write_table(
+        cfg,
+        "q1,q2,p,probability,aggregated_probability,fidelity,effective_squeezing",
+        "%d,%d,%d,%.12g,%.12g,%.12g,%.12g",
+        zip(*(column.ravel().tolist() for column in columns)),
+    )
     curve_f = probability_fidelity_curve(probability, fid, DEFAULT_FIDELITY_THRESHOLDS)
-    lines = _header_lines(cfg) + ["fidelity_threshold,cumulative_probability"]
-    lines += [f"{_fmt(t)},{_fmt(p)}" for t, p in curve_f]
-    _write(cfg, "\n".join(lines) + "\n", _sibling_path(cfg.output_path, "fidelity_curve"))
-
     curve_s = effective_squeezing_curve(probability, delta, DEFAULT_SQUEEZING_BOUNDS)
-    lines = _header_lines(cfg) + ["squeezing_bound,cumulative_probability"]
-    lines += [f"{_fmt(b)},{_fmt(p)}" for b, p in curve_s]
-    _write(cfg, "\n".join(lines) + "\n", _sibling_path(cfg.output_path, "squeezing_curve"))
+    for suffix, column, points in (
+        ("fidelity_curve", "fidelity_threshold", curve_f),
+        ("squeezing_curve", "squeezing_bound", curve_s),
+    ):
+        path = _sibling_path(cfg.output_path, suffix)
+        _write_table(cfg, f"{column},cumulative_probability", "%.12g,%.12g", points, path)
     return EXIT_OK
 
 
@@ -233,19 +210,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
     delta-target and 0.35, center post-selection at every level."""
     fock_cfg = cfg.fock()
     schedule = Schedule.from_string(cfg.schedule)
-    lines = _header_lines(cfg)
-    lines.append("target_delta,N,K,iteration,fidelity,supported")
-    deltas = sorted({cfg.delta_target, 0.35}, reverse=True)
-    for delta in deltas:
-        records = sweep_binomial_inputs(
-            fock_cfg, [2, 3, 4], list(range(2, 8)), schedule, delta
-        )
-        for rec in records:
-            lines.append(
-                f"{_fmt(delta)},{rec.N},{rec.K},{rec.iteration},"
-                f"{_fmt(rec.fidelity)},{str(rec.supported).lower()}"
-            )
-    _write(cfg, "\n".join(lines) + "\n")
+    rows = [
+        (delta, rec.N, rec.K, rec.iteration, rec.fidelity, str(rec.supported).lower())
+        for delta in sorted({cfg.delta_target, 0.35}, reverse=True)
+        for rec in sweep_binomial_inputs(fock_cfg, [2, 3, 4], list(range(2, 8)), schedule, delta)
+    ]
+    _write_table(cfg, "target_delta,N,K,iteration,fidelity,supported", "%.12g,%d,%d,%d,%.12g,%s", rows)
     return EXIT_OK
 
 
@@ -262,11 +232,8 @@ def cmd_wigner(cfg: RunConfig) -> int:
         state = cfg.input_state()
     axis = default_grid()
     grid = wigner(state, axis, axis)
-    lines = _header_lines(cfg)
-    lines.append("# rows: q from %s to %s; columns: p likewise" % (_fmt(axis[0]), _fmt(axis[-1])))
-    for row in grid.values:
-        lines.append(",".join(_fmt(float(v)) for v in row))
-    _write(cfg, "\n".join(lines) + "\n")
+    head = "# rows: q from %.12g to %.12g; columns: p likewise" % (axis[0], axis[-1])
+    _write_table(cfg, head, ",".join(["%.12g"] * len(axis)), grid.values.tolist())
     return EXIT_OK
 
 
@@ -291,12 +258,27 @@ def _read_config_file(path: str) -> dict:
                 if not line or line.startswith("#"):
                     continue
                 if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+                    raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
                 key, _, value = line.partition("=")
                 values[key.strip().replace("-", "_")] = value.strip()
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        raise ValueError(f"cannot read config file {path}: {exc}") from exc
     return values
+
+
+#: How each RunConfig field is parsed from its text, alike for its flag
+#: (``--`` and the field name in lower kebab case) and its config-file key
+#: (the field name).
+_FIELDS = {
+    "dim": int,
+    "delta_target": float,
+    "N": int,
+    "K": int,
+    "schedule": str,
+    "postselect": lambda text: [t for t in text.split(",") if t],
+    "t_max": int,
+    "output_path": str,
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -304,57 +286,30 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="qpbreed",
         description="Grid-state breeding from binomial codes: distributions, "
         "post-selected chains, exhaustive enumeration, input sweeps, and "
-        "Wigner grids.",
+        "Wigner grids. --postselect takes comma-separated outcome tokens, one "
+        "per schedule step: eigenvalue indices or labels C/S1/S2/S.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, func in COMMANDS.items():
         p = sub.add_parser(name, help=func.__doc__.splitlines()[0])
-        p.add_argument("--dim", type=int)
-        p.add_argument("--delta-target", type=float)
-        p.add_argument("--n", type=int, dest="N")
-        p.add_argument("--k", type=int, dest="K")
-        p.add_argument("--schedule")
-        p.add_argument(
-            "--postselect",
-            help="comma-separated outcome tokens, one per schedule step: "
-            "eigenvalue indices or labels C/S1/S2/S",
-        )
-        p.add_argument("--t-max", type=int)
-        p.add_argument("--output-path")
+        for field, parse in _FIELDS.items():
+            p.add_argument("--" + field.lower().replace("_", "-"), type=parse, dest=field)
         p.add_argument("--config", help="flat key=value config file; flags override it")
     return parser
 
 
-_FIELD_TYPES = {
-    "dim": int,
-    "delta_target": float,
-    "N": int,
-    "K": int,
-    "schedule": str,
-    "t_max": int,
-    "output_path": str,
-}
-
-
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
-    if args.config:
-        for key, raw in _read_config_file(args.config).items():
-            if key == "postselect":
-                cfg.postselect = [t for t in raw.split(",") if t]
-                continue
-            if key not in _FIELD_TYPES:
-                raise ConfigError(f"unknown config key {key!r}")
-            try:
-                setattr(cfg, key, _FIELD_TYPES[key](raw))
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {key}: {raw!r}") from exc
-    for name in _FIELD_TYPES:
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(cfg, name, value)
-    if getattr(args, "postselect", None) is not None:
-        cfg.postselect = [t for t in args.postselect.split(",") if t]
+    for key, raw in (_read_config_file(args.config) if args.config else {}).items():
+        if key not in _FIELDS:
+            raise ValueError(f"unknown config key {key!r}")
+        try:
+            setattr(cfg, key, _FIELDS[key](raw))
+        except ValueError as exc:
+            raise ValueError(f"bad value for {key}: {raw!r}") from exc
+    for field in _FIELDS:
+        if getattr(args, field) is not None:
+            setattr(cfg, field, getattr(args, field))
     cfg.validate()
     return cfg
 
@@ -368,8 +323,11 @@ def main(argv=None) -> int:
         try:
             cfg = _resolve_config(args)
             return COMMANDS[args.command](cfg)
-        except (ConfigError, ValueError, OSError) as exc:  # OSError: an unwritable output path
+        except (ValueError, OSError) as exc:  # OSError: an unwritable output path
             print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except MemoryError as exc:  # raised by the commands, after cfg is resolved
+            print(f"error: dim={cfg.dim} needs more memory than is available: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         except NumericalError as exc:
             print(f"numerical failure: {exc}", file=sys.stderr)

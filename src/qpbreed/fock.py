@@ -52,10 +52,6 @@ class QuadratureBasis:
         """Index of the innermost negative eigenvalue (24 at dim 50)."""
         return self.dim // 2 - 1
 
-    def mirror(self, index: int) -> int:
-        """Index of the equal-magnitude, opposite-sign eigenvalue."""
-        return self.dim - 1 - index
-
 
 @dataclass(frozen=True)
 class BinomialParams:
@@ -112,12 +108,6 @@ def annihilation(cfg: FockConfig) -> np.ndarray:
     n = np.arange(1, cfg.dim)
     a[n - 1, n] = np.sqrt(n)
     return a
-
-
-def quadrature(cfg: FockConfig, angle: float) -> np.ndarray:
-    """Rotated quadrature (a e^{−iθ} + a† e^{iθ})/√2; θ=0 gives q, θ=π/2 gives p."""
-    a = annihilation(cfg)
-    return (a * np.exp(-1j * angle) + a.conj().T * np.exp(1j * angle)) / math.sqrt(2)
 
 
 @lru_cache(maxsize=None)

@@ -17,12 +17,6 @@ from .fock import QuadratureBasis, quadrature_basis  # quadrature_basis: re-expo
 
 RESCALE = math.sqrt(2 * math.pi)
 
-#: Labels recognised by the post-selection machinery. C is the innermost
-#: negative outcome; S1/S2 sit on the side peak of a position-type
-#: distribution; S is the side peak one grid spacing out in a momentum-type
-#: distribution.
-PEAK_LABELS = ("C", "S1", "S2", "S")
-
 
 @dataclass(frozen=True)
 class OutcomeDistribution:

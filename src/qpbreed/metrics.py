@@ -15,12 +15,6 @@ SQRT_PI = math.sqrt(math.pi)
 
 
 @dataclass(frozen=True)
-class EffectiveSqueezingReport:
-    delta_q: float
-    delta_p: float
-
-
-@dataclass(frozen=True)
 class WignerGrid:
     q_axis: np.ndarray
     p_axis: np.ndarray
@@ -65,13 +59,6 @@ def effective_squeezing(cfg: FockConfig, state: np.ndarray, direction: str = "q"
         delta = np.sqrt(-2.0 * np.log(np.minimum(overlap, 1.0))) / SQRT_PI
     delta = np.where(overlap >= 1.0, 0.0, delta)
     return float(delta) if delta.ndim == 0 else delta
-
-
-def effective_squeezing_report(cfg: FockConfig, state: np.ndarray) -> EffectiveSqueezingReport:
-    return EffectiveSqueezingReport(
-        delta_q=effective_squeezing(cfg, state, "q"),
-        delta_p=effective_squeezing(cfg, state, "p"),
-    )
 
 
 def sgkp_db(delta: float) -> float:
@@ -143,6 +130,6 @@ def position_density(state: np.ndarray, q_axis: np.ndarray) -> np.ndarray:
     return np.abs(psi) ** 2
 
 
-def default_grid(extent: float = 5.0, points: int = 201) -> np.ndarray:
-    """Symmetric plotting axis matching the package's default phase-space window."""
-    return np.linspace(-extent, extent, points)
+def default_grid() -> np.ndarray:
+    """The package's phase-space plotting axis: 201 points over [−5, 5]."""
+    return np.linspace(-5.0, 5.0, 201)

@@ -20,12 +20,7 @@ class NumericalError(RuntimeError):
 class Tolerances:
     """Central record of the numerical tolerances used across the package."""
 
-    hermitian: float = 1e-12
     skew_hermitian: float = 1e-12
-    unitarity: float = 1e-10
-    eig_residual: float = 1e-10
-    distribution_sum: float = 1e-10
-    beamsplitter_routes: float = 1e-9
     qunaught_tail: float = 1e-12
     probability_floor: float = 1e-300
 

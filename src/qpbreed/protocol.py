@@ -58,10 +58,6 @@ class Schedule:
         other = "p" if start == "q" else "q"
         return cls(tuple(start if i % 2 == 0 else other for i in range(iterations)))
 
-    @classmethod
-    def constant(cls, axis: str, iterations: int) -> "Schedule":
-        return cls((axis,) * iterations)
-
 
 @dataclass(frozen=True)
 class BranchResult:
@@ -209,12 +205,7 @@ def run_chain(
 MAX_ENUMERATION_LEAVES = 2_000_000
 
 
-def enumerate_two_iterations(
-    cfg: FockConfig,
-    target: np.ndarray | None = None,
-    use_symmetry: bool = True,
-    max_leaves: int = MAX_ENUMERATION_LEAVES,
-):
+def enumerate_two_iterations(cfg: FockConfig, target: np.ndarray | None = None):
     """Exact joint distribution over all dim³ two-iteration outcome triples.
 
     The first iteration measures q on both arms, the second measures p; the
@@ -222,36 +213,32 @@ def enumerate_two_iterations(
     Returns ``(probability, fidelity, effective_squeezing)``, three
     (dim, dim, dim) arrays indexed ``[q1, q2, p]``: the single-sequence
     probability, and the quality measures of each leaf, nan where the leaf
-    probability underflows. With ``use_symmetry`` only first-level pairs
-    with q1 on the negative half and q2 ≥ q1 are bred; the remaining leaves
-    follow from exchange symmetry of the two arms and from parity (global
-    mirror), roughly a 4× reduction.
+    probability underflows. Only first-level pairs with q1 on the negative
+    half and q2 ≥ q1 are bred; the remaining leaves follow from exchange
+    symmetry of the two arms and from parity (global mirror), roughly a 4×
+    reduction.
     """
-    if target is None:
-        target = default_target(cfg)
     dim = cfg.dim
-    if dim**3 > max_leaves:
+    if dim**3 > MAX_ENUMERATION_LEAVES:
         raise ValueError(
             f"enumeration at dim {dim} would produce {dim**3} leaves, over the "
-            f"budget of {max_leaves}"
+            f"budget of {MAX_ENUMERATION_LEAVES}"
         )
+    if target is None:
+        target = default_target(cfg)
     psi0 = default_input(cfg)
     probs, posts = breed_step(psi0, psi0, "q", cfg)
-    # canonical first indices: below ceil(dim/2), or all without symmetry
-    half = (dim + 1) // 2 if use_symmetry else dim
+    half = (dim + 1) // 2  # canonical first indices: below ceil(dim/2)
     leaves = np.empty((3, dim, dim, dim))
     for q1 in range(half):
-        start = q1 if use_symmetry else 0
-        cond, second = breed_step(posts[q1], posts[start:], "p", cfg)
+        cond, second = breed_step(posts[q1], posts[q1:], "p", cfg)
         quality = [np.abs(second @ target.conj()), effective_squeezing(cfg, second, "q")]
-        block = np.stack([probs[q1] * probs[start:, None] * cond, *quality])
+        block = np.stack([probs[q1] * probs[q1:, None] * cond, *quality])
         block[1:, cond <= DEFAULT_TOLERANCES.probability_floor] = math.nan  # underflowed leaves
-        leaves[:, q1, start:] = block
-        if use_symmetry:
-            leaves[:, start:, q1] = block  # exchange of the two arms
-    if use_symmetry:
-        # parity mirrors all three indices onto pairs with both on the positive half
-        leaves[:, half:, half:] = leaves[:, ::-1, ::-1, ::-1][:, half:, half:]
+        leaves[:, q1, q1:] = block
+        leaves[:, q1:, q1] = block  # exchange of the two arms
+    # parity mirrors all three indices onto pairs with both on the positive half
+    leaves[:, half:, half:] = leaves[:, ::-1, ::-1, ::-1][:, half:, half:]
     return tuple(leaves)
 
 
@@ -280,7 +267,6 @@ def sweep_binomial_inputs(
     K_list,
     schedule: Schedule,
     target_delta: float,
-    max_iterations: int | None = None,
 ) -> list[SweepRecord]:
     """Chain fidelity after 0..k iterations for a grid of binomial inputs.
 
@@ -289,13 +275,8 @@ def sweep_binomial_inputs(
     and chains whose selected outcome underflows are flagged rather than
     fatal.
     """
-    if max_iterations is None:
-        max_iterations = schedule.iterations
-    if max_iterations > schedule.iterations:
-        raise ValueError("max_iterations exceeds the schedule length")
-    steps = Schedule(schedule.axes[:max_iterations])
     target = qunaught_state(cfg, QunaughtParams(delta=target_delta))
-    center = [quadrature_basis(cfg, "q").center_index] * max_iterations
+    center = [quadrature_basis(cfg, "q").center_index] * schedule.iterations
     records = []
     for n_sym in N_list:
         for k_trunc in K_list:
@@ -306,7 +287,7 @@ def sweep_binomial_inputs(
             level = 0
             try:
                 for path, _, state in chain_prefixes(
-                    cfg, steps, center, binomial_state(cfg, params)
+                    cfg, schedule, center, binomial_state(cfg, params)
                 ):
                     level = len(path)
                     records.append(

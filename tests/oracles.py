@@ -10,8 +10,12 @@ comb function of p), the beamsplitter as the Padé exponential of its
 two-mode generator assembled from Kronecker products (vs per-sector blocks
 exponentiated through their eigendecomposition), and Wigner values by
 assembling the displaced-parity expectation directly.
+:func:`direct_two_iteration_enumeration` breeds every first-level pair,
+where the library breeds a quarter of them and fills in the rest by
+exchange and parity symmetry.
 :func:`dense_beamsplitter` is not an oracle: it writes out, as a dense
-matrix, the operator the library applies.
+matrix, the operator the library applies. The quadrature operators, the
+constant schedule and the tolerances below are used only by the tests.
 """
 
 import math
@@ -27,6 +31,25 @@ from qpbreed.fock import (
     apply_beamsplitter,
     squeezed_vacuum,
 )
+from qpbreed.numerics import DEFAULT_TOLERANCES
+from qpbreed.protocol import Schedule, breed_step, default_input
+
+HERMITIAN = 1e-12
+UNITARITY = 1e-10
+EIG_RESIDUAL = 1e-10
+DISTRIBUTION_SUM = 1e-10
+BEAMSPLITTER_ROUTES = 1e-9
+
+
+def quadrature(cfg, angle):
+    """Rotated quadrature (a e^{−iθ} + a† e^{iθ})/√2; θ=0 gives q, θ=π/2 gives p."""
+    a = annihilation(cfg)
+    return (a * np.exp(-1j * angle) + a.conj().T * np.exp(1j * angle)) / math.sqrt(2)
+
+
+def constant_schedule(axis, iterations):
+    """The same measurement axis at every iteration."""
+    return Schedule((axis,) * iterations)
 
 
 def hermite_phi(n_max, x):
@@ -150,3 +173,19 @@ def dense_beamsplitter(cfg):
     breeding step uses."""
     basis = np.eye(cfg.dim**2).reshape(cfg.dim**2, cfg.dim, cfg.dim)
     return apply_beamsplitter(cfg, basis).reshape(cfg.dim**2, cfg.dim**2).T
+
+
+def direct_two_iteration_enumeration(cfg, target):
+    """``(probability, fidelity)`` of every [q1, q2, p] leaf of the default
+    two-iteration tree, breeding all dim² first-level pairs; fidelity is nan
+    where the second-level outcome underflows."""
+    psi0 = default_input(cfg)
+    probs, posts = breed_step(psi0, psi0, "q", cfg)
+    probability = np.empty((cfg.dim,) * 3)
+    fid = np.empty_like(probability)
+    for q1 in range(cfg.dim):
+        cond, second = breed_step(posts[q1], posts, "p", cfg)
+        probability[q1] = probs[q1] * probs[:, None] * cond
+        kept = cond > DEFAULT_TOLERANCES.probability_floor
+        fid[q1] = np.where(kept, np.abs(second @ target.conj()), np.nan)
+    return probability, fid

@@ -7,11 +7,14 @@ import pytest
 
 import qpbreed
 from qpbreed.cli import (
+    _FIELDS,
     EXIT_CONFIG,
     EXIT_OK,
     RunConfig,
+    _build_parser,
     _read_config_file,
     _resolve_config,
+    _sibling_path,
     main,
 )
 
@@ -138,6 +141,12 @@ def test_enumerate_small_dim(tmp_path):
     assert (tmp_path / "enum_squeezing_curve.csv").exists()
 
 
+def test_sibling_path_keeps_directories():
+    assert _sibling_path("out/leaves.csv", "fidelity_curve") == "out/leaves_fidelity_curve.csv"
+    assert _sibling_path("run.v2/leaves", "fidelity_curve") == "run.v2/leaves_fidelity_curve"
+    assert _sibling_path("-", "fidelity_curve") == "-"
+
+
 def test_sweep_emits_both_targets(tmp_path):
     out = tmp_path / "sweep.csv"
     assert run_cli(["sweep", "--schedule", "pq", "--output-path", str(out)]) == EXIT_OK
@@ -228,6 +237,45 @@ def test_numerical_failure_exit_code(monkeypatch):
 
     monkeypatch.setitem(cli.COMMANDS, "distribution", boom)
     assert run_cli(["distribution"]) == cli.EXIT_NUMERICAL
+
+
+def test_memory_error_exit_code(monkeypatch, capsys):
+    import qpbreed.cli as cli
+
+    def hungry(cfg):
+        """Synthetic allocation failure."""
+        raise MemoryError("Unable to allocate 13.4 GiB")
+
+    monkeypatch.setitem(cli.COMMANDS, "distribution", hungry)
+    assert run_cli(["distribution", "--dim", "30000"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: dim=30000 ") and "13.4 GiB" in err
+    assert "Traceback" not in err
+
+
+#: One value per RunConfig field, each different from the default.
+SAMPLES = {
+    "dim": "24",
+    "delta_target": "0.35",
+    "N": "3",
+    "K": "4",
+    "schedule": "pq",
+    "postselect": "C,S",
+    "t_max": "9",
+    "output_path": "out.csv",
+}
+
+
+@pytest.mark.parametrize("field", list(_FIELDS))
+def test_config_file_and_flags_agree(tmp_path, field):
+    raw = SAMPLES[field]
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{field}={raw}\n")
+    flag = "--" + field.lower().replace("_", "-")
+    by_flag = _resolve_config(_build_parser().parse_args(["chain", flag, raw]))
+    by_file = _resolve_config(_build_parser().parse_args(["chain", "--config", str(cfg_file)]))
+    assert by_flag == by_file
+    assert getattr(by_flag, field) != getattr(RunConfig(), field)
 
 
 def test_read_config_file_kebab_keys(tmp_path):

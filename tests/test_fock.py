@@ -13,18 +13,19 @@ from qpbreed import (
     beamsplitter,
     binomial_state,
     displacement,
-    quadrature,
     qunaught_state,
     squeezed_vacuum,
 )
-from qpbreed.numerics import DEFAULT_TOLERANCES
-
 from oracles import (
+    BEAMSPLITTER_ROUTES,
+    HERMITIAN,
+    UNITARITY,
     dense_beamsplitter,
     displacement_matrix,
     generator_beamsplitter,
     padded_expm_displacement,
     parity_operator,
+    quadrature,
     qunaught_peak_sum,
 )
 
@@ -46,7 +47,7 @@ def test_annihilation_commutator(cfg):
 def test_quadrature_hermitian(cfg):
     for angle in (0.0, math.pi / 2, 0.3):
         x = quadrature(cfg, angle)
-        assert np.max(np.abs(x - x.conj().T)) < DEFAULT_TOLERANCES.hermitian
+        assert np.max(np.abs(x - x.conj().T)) < HERMITIAN
 
 
 def test_vacuum_quadrature_variance(cfg):
@@ -175,7 +176,7 @@ def test_beamsplitter_orthogonal_blocks(cfg):
     kept = np.arange(2 * cfg.dim - 1)[:, None] - np.arange(cfg.dim)[None, :]
     padded_identity = ((kept >= 0) & (kept < cfg.dim))[:, :, None] * np.eye(cfg.dim)
     gram = blocks @ blocks.transpose(0, 2, 1)
-    assert np.max(np.abs(gram - padded_identity)) < DEFAULT_TOLERANCES.unitarity
+    assert np.max(np.abs(gram - padded_identity)) < UNITARITY
 
 
 def test_beamsplitter_photon_number_blocks():
@@ -197,7 +198,7 @@ def test_beamsplitter_matches_generator_exponential():
     totals = (np.arange(cfg.dim)[:, None] + np.arange(cfg.dim)[None, :]).ravel()
     inside = totals < cfg.dim
     sub = np.ix_(inside, inside)
-    assert np.max(np.abs(direct[sub] - blockwise[sub])) < DEFAULT_TOLERANCES.beamsplitter_routes
+    assert np.max(np.abs(direct[sub] - blockwise[sub])) < BEAMSPLITTER_ROUTES
 
 
 def test_beamsplitter_single_photon_routing():

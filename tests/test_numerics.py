@@ -2,13 +2,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qpbreed.numerics import (
-    DEFAULT_TOLERANCES,
-    eig_hermitian_tridiagonal,
-    expm_skew_hermitian,
-)
+from qpbreed.numerics import eig_hermitian_tridiagonal, expm_skew_hermitian
 
-from oracles import gauss_hermite_nodes
+from oracles import EIG_RESIDUAL, UNITARITY, gauss_hermite_nodes
 
 
 def test_tridiagonal_eigs_match_gauss_hermite_oracle():
@@ -25,7 +21,7 @@ def test_tridiagonal_eigs_residual_and_orthonormality():
     matrix = np.diag(offdiag, 1) + np.diag(offdiag, -1)
     values, vectors = eig_hermitian_tridiagonal(np.zeros(n), offdiag)
     residual = matrix @ vectors - vectors * values[None, :]
-    assert np.max(np.abs(residual)) < DEFAULT_TOLERANCES.eig_residual
+    assert np.max(np.abs(residual)) < EIG_RESIDUAL
     gram = vectors.conj().T @ vectors
     assert np.max(np.abs(gram - np.eye(n))) < 1e-10
 
@@ -51,7 +47,7 @@ def test_expm_skew_hermitian_is_unitary():
     m = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
     g = m - m.conj().T
     u = expm_skew_hermitian(g)
-    assert np.max(np.abs(u.conj().T @ u - np.eye(12))) < DEFAULT_TOLERANCES.unitarity
+    assert np.max(np.abs(u.conj().T @ u - np.eye(12))) < UNITARITY
 
 
 def test_expm_skew_hermitian_matches_pade_expm():
@@ -60,7 +56,7 @@ def test_expm_skew_hermitian_matches_pade_expm():
     r = rng.normal(size=(12, 12))
     for g in (m - m.conj().T, r - r.T):
         u = expm_skew_hermitian(g)
-        assert np.max(np.abs(u - scipy.linalg.expm(g))) < DEFAULT_TOLERANCES.unitarity
+        assert np.max(np.abs(u - scipy.linalg.expm(g))) < UNITARITY
     assert np.isrealobj(u)  # a real generator gives a real result
 
 

@@ -14,7 +14,6 @@ from qpbreed import (
     enumerate_two_iterations,
     fidelity,
     probability_fidelity_curve,
-    quadrature,
     run_chain,
     sign_aggregated,
     sweep_binomial_inputs,
@@ -22,11 +21,12 @@ from qpbreed import (
 from qpbreed.numerics import DEFAULT_TOLERANCES
 from qpbreed.protocol import measurements_in_tree, sign_aggregation_log
 
+from oracles import constant_schedule, direct_two_iteration_enumeration, quadrature
+
 
 def test_schedule_constructors():
     assert Schedule.alternating(4).axes == ("q", "p", "q", "p")
     assert Schedule.alternating(3, start="p").axes == ("p", "q", "p")
-    assert Schedule.constant("q", 2).axes == ("q", "q")
     assert Schedule.from_string("qppq").iterations == 4
     with pytest.raises(ValueError):
         Schedule(("q", "x"))
@@ -73,7 +73,7 @@ def test_chain_selection_index_out_of_range(cfg, index):
 
 def test_chain_extreme_selection_stays_finite_in_log_space(cfg):
     # even wildly improbable selections keep finite log-probability
-    result = run_chain(cfg, Schedule.constant("q", 6), [0] * 6)
+    result = run_chain(cfg, constant_schedule("q", 6), [0] * 6)
     assert result.log_probability < -4000
     assert math.isfinite(result.log_probability)
 
@@ -157,16 +157,18 @@ def test_symmetry_reduction_matches_direct_enumeration():
     # what makes the exchange/parity reduction exact
     cfg = FockConfig(dim=18)
     target = default_target(cfg)
-    fast_prob, fast_fid, _ = enumerate_two_iterations(cfg, target=target, use_symmetry=True)
-    slow_prob, slow_fid, _ = enumerate_two_iterations(cfg, target=target, use_symmetry=False)
+    fast_prob, fast_fid, _ = enumerate_two_iterations(cfg, target=target)
+    slow_prob, slow_fid = direct_two_iteration_enumeration(cfg, target)
     np.testing.assert_allclose(fast_prob, slow_prob, rtol=1e-9, atol=1e-13)
     both = ~(np.isnan(fast_fid) | np.isnan(slow_fid))
     np.testing.assert_allclose(fast_fid[both], slow_fid[both], rtol=0, atol=1e-9)
 
 
 def test_enumeration_budget_guard():
+    # 127³ = 2,048,383 leaves, just over the budget; the guard runs before
+    # any state is built
     with pytest.raises(ValueError, match="budget"):
-        enumerate_two_iterations(FockConfig(dim=50), max_leaves=1000)
+        enumerate_two_iterations(FockConfig(dim=127))
 
 
 def test_probability_fidelity_curve_endpoints(atlas):
@@ -222,7 +224,3 @@ def test_sweep_oscillation_and_argmax(cfg):
     best = max(by_input, key=lambda key: by_input[key].get(4, -1))
     assert best == (2, 3)
 
-
-def test_sweep_max_iterations_validation(cfg):
-    with pytest.raises(ValueError):
-        sweep_binomial_inputs(cfg, [2], [3], Schedule.alternating(2), 0.4, max_iterations=5)
