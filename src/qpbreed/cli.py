@@ -30,6 +30,7 @@ from .protocol import (
     Schedule,
     breed_step,
     chain_prefixes,
+    check_enumeration_budget,
     effective_squeezing_curve,
     enumerate_two_iterations,
     probability_fidelity_curve,
@@ -184,8 +185,8 @@ DEFAULT_SQUEEZING_BOUNDS = [round(0.30 + 0.01 * i, 2) for i in range(41)]
 def cmd_enumerate(cfg: RunConfig) -> int:
     """Full two-iteration outcome enumeration: leaf table plus the two
     cumulative curves, written as sibling CSV files."""
-    fock_cfg = cfg.fock()
-    probability, fid, delta = enumerate_two_iterations(fock_cfg, target=cfg.target())
+    check_enumeration_budget(cfg.dim)  # before the target is built
+    probability, fid, delta = enumerate_two_iterations(cfg.fock(), target=cfg.target())
     m = 3  # measurements in the two-iteration tree
     columns = [*np.indices(probability.shape), probability, sign_aggregated(probability, m), fid, delta]
     _write_table(

@@ -79,6 +79,16 @@ def wigner(state: np.ndarray, q_axis: np.ndarray, p_axis: np.ndarray) -> WignerG
     stays accurate out to arbitrary phase-space distance and for states
     occupying the full truncated basis. The integrand is band-limited, so a
     trapezoid sum at a few times the Nyquist rate is exponentially accurate.
+
+    ψ is evaluated once, on one x grid that holds every q ± y. Its step h
+    is the q spacing divided by 2^j, for the smallest j ≥ 0 that puts h at
+    or below the sampling bound π/(2.5·bandwidth); the y step is the
+    largest multiple of h at or below that bound, so it is never coarser
+    than the bound and, on a dense q axis, not much finer either. A
+    one-point q axis takes the bound itself as its step. ``q_axis`` must
+    therefore be evenly spaced; ``p_axis`` may be any set of points. Since
+    the integrand at −y is the conjugate of that at y, only y ≥ 0 is
+    summed, with the y > 0 terms doubled and the real part taken.
     """
     state = np.asarray(state, dtype=complex)
     dim = state.shape[0]
@@ -88,21 +98,39 @@ def wigner(state: np.ndarray, q_axis: np.ndarray, p_axis: np.ndarray) -> WignerG
     # classically allowed radius of the highest Fock level, plus tail room
     x_max = math.sqrt(2 * dim + 1) + 3.0
     p_extreme = float(np.max(np.abs(p_axis))) if p_axis.size else 0.0
-    q_extreme = float(np.max(np.abs(q_axis))) if q_axis.size else 0.0
+    q_extreme = float(np.max(np.abs(q_axis)))
     bandwidth = 2 * math.sqrt(2 * dim + 1) + 2 * p_extreme
-    step = math.pi / (2.5 * bandwidth)
+    bound = math.pi / (2.5 * bandwidth)
     y_max = x_max + q_extreme
-    count = 2 * math.ceil(y_max / step) + 1
-    y = np.linspace(-y_max, y_max, count)
-    step = y[1] - y[0]
 
-    phases = np.exp(2j * np.outer(p_axis, y))
-    values = np.empty((len(q_axis), len(p_axis)))
-    for i, q in enumerate(q_axis):
-        phi = hermite_functions(dim, np.concatenate([q + y, q - y]))
-        psi_plus = state.conj() @ phi[:, :count]
-        psi_minus = state @ phi[:, count:]
-        values[i] = np.real(phases @ (psi_plus * psi_minus)) * step / math.pi
+    n_q = len(q_axis)
+    stride = 1  # x-grid points between neighbouring q values
+    if n_q == 1:
+        h = bound
+    else:
+        spacing = (q_axis[-1] - q_axis[0]) / (n_q - 1)
+        if spacing == 0 or np.max(np.abs(np.diff(q_axis) - spacing)) > 1e-9 * abs(spacing):
+            raise ValueError("q_axis must be evenly spaced with a nonzero spacing")
+        while abs(spacing) / stride > bound:
+            stride *= 2
+        h = spacing / stride
+    skip = max(1, int(bound // abs(h)))  # x-grid points per y step
+    m = math.ceil(y_max / (skip * abs(h)))  # y steps on each side of 0
+    x = q_axis[0] + h * np.arange(-m * skip, (n_q - 1) * stride + m * skip + 1)
+    psi = state @ hermite_functions(dim, x)
+
+    # row i, column k: ψ(q_i + y_k) and ψ(q_i − y_k), strided views of psi
+    windows = np.lib.stride_tricks.sliding_window_view(psi, m * skip + 1)[:, ::skip]
+    plus = windows[m * skip :: stride]
+    minus = windows[: n_q * stride : stride, ::-1]
+    products = plus.conj()
+    products *= minus
+
+    y_step = skip * h
+    phases = np.multiply.outer(2j * y_step * np.arange(m + 1), p_axis)
+    np.exp(phases, out=phases)
+    phases[1:] *= 2
+    values = (products @ phases).real * (abs(y_step) / math.pi)
     return WignerGrid(q_axis=q_axis, p_axis=p_axis, values=values)
 
 

@@ -205,6 +205,16 @@ def run_chain(
 MAX_ENUMERATION_LEAVES = 2_000_000
 
 
+def check_enumeration_budget(dim: int) -> None:
+    """Raise ValueError if a two-iteration enumeration at ``dim`` would
+    exceed :data:`MAX_ENUMERATION_LEAVES`."""
+    if dim**3 > MAX_ENUMERATION_LEAVES:
+        raise ValueError(
+            f"enumeration at dim {dim} would produce {dim**3} leaves, over the "
+            f"budget of {MAX_ENUMERATION_LEAVES}"
+        )
+
+
 def enumerate_two_iterations(cfg: FockConfig, target: np.ndarray | None = None):
     """Exact joint distribution over all dim³ two-iteration outcome triples.
 
@@ -219,11 +229,7 @@ def enumerate_two_iterations(cfg: FockConfig, target: np.ndarray | None = None):
     reduction.
     """
     dim = cfg.dim
-    if dim**3 > MAX_ENUMERATION_LEAVES:
-        raise ValueError(
-            f"enumeration at dim {dim} would produce {dim**3} leaves, over the "
-            f"budget of {MAX_ENUMERATION_LEAVES}"
-        )
+    check_enumeration_budget(dim)
     if target is None:
         target = default_target(cfg)
     psi0 = default_input(cfg)

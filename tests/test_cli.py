@@ -141,6 +141,17 @@ def test_enumerate_small_dim(tmp_path):
     assert (tmp_path / "enum_squeezing_curve.csv").exists()
 
 
+def test_enumerate_over_budget_exits_before_the_target(monkeypatch, capsys):
+    def unbuilt(cfg):
+        raise AssertionError("the target was built for a refused enumeration")
+
+    monkeypatch.setattr(RunConfig, "target", unbuilt)
+    # 127³ = 2,048,383 leaves, just over the budget
+    assert run_cli(["enumerate", "--dim", "127"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "over the budget of 2000000" in err and "Traceback" not in err
+
+
 def test_sibling_path_keeps_directories():
     assert _sibling_path("out/leaves.csv", "fidelity_curve") == "out/leaves_fidelity_curve.csv"
     assert _sibling_path("run.v2/leaves", "fidelity_curve") == "run.v2/leaves_fidelity_curve"

@@ -5,6 +5,8 @@ import pytest
 
 from qpbreed import (
     FockConfig,
+    Schedule,
+    chain_prefixes,
     effective_squeezing,
     fidelity,
     position_density,
@@ -12,7 +14,8 @@ from qpbreed import (
     squeezed_vacuum,
     wigner,
 )
-from qpbreed.metrics import hermite_functions
+from qpbreed import metrics
+from qpbreed.metrics import default_grid, hermite_functions
 
 from oracles import hermite_phi, wigner_point
 
@@ -90,12 +93,42 @@ def test_wigner_vacuum(cfg, vacuum):
     assert np.max(np.abs(grid.values - expected)) < 1e-10
 
 
-def test_wigner_matches_brute_force_oracle(psi0):
+def test_wigner_matches_brute_force_oracle(cfg, psi0):
     points = [(0.0, 0.0), (1.2, -0.7), (-2.0, 1.5), (0.5, 2.5)]
-    qs = np.array([p[0] for p in points])
     for q, p in points:
         grid = wigner(psi0, np.array([q]), np.array([p]))
         assert grid.values[0, 0] == pytest.approx(wigner_point(psi0, q, p), abs=1e-8)
+    # evenly spaced axes share one x grid: the default axis (q spacing over
+    # 2 below the sampling bound), a coarse one (spacing over 16) and a fine
+    # one (two x steps per y step), checked at the corners, the origin and
+    # off-diagonal points. The corners sit at |α|² = 25, which the oracle
+    # needs 60 padding levels to reach.
+    *_, (_, _, state) = chain_prefixes(cfg, Schedule.from_string("qp"), ["C", "C"], psi0)
+    for axis in (default_grid(), np.linspace(-4, 4, 21), np.linspace(-4, 4, 401)):
+        grid = wigner(state, axis, axis)
+        last, mid = len(axis) - 1, len(axis) // 2
+        for i, j in [(0, 0), (last, last), (0, last), (mid, mid), (mid // 3, last), (last, mid // 2)]:
+            expected = wigner_point(state, axis[i], axis[j], pad=60)
+            assert grid.values[i, j] == pytest.approx(expected, abs=1e-10)
+
+
+def test_wigner_rejects_uneven_q_axis(psi0):
+    axis = np.linspace(-3, 3, 31)
+    for q_axis in (np.append(axis, 3.5), np.zeros(3)):
+        with pytest.raises(ValueError, match="q_axis"):
+            wigner(psi0, q_axis, axis)
+
+
+def test_wigner_evaluates_the_wavefunction_once(monkeypatch, psi0):
+    calls = []
+
+    def counted(max_n, x):
+        calls.append(len(x))
+        return hermite_functions(max_n, x)
+
+    monkeypatch.setattr(metrics, "hermite_functions", counted)
+    wigner(psi0, default_grid(), default_grid())
+    assert len(calls) == 1
 
 
 def test_wigner_normalization_and_symmetry(psi0):
