@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import DEFAULT_TOLERANCES, eig_hermitian_tridiagonal, expm_skew_hermitian
+from .numerics import DEFAULT_TOLERANCES, eig_hermitian_tridiagonal, expm_skew_tridiagonal
 
 VACUUM_VARIANCE = 0.5
 
@@ -210,19 +210,40 @@ def qunaught_state(cfg: FockConfig, params: QunaughtParams) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def beamsplitter(cfg: FockConfig) -> np.ndarray:
-    """Balanced (50:50) beamsplitter exp(θ(a†b − ab†)), θ = π/4, as its
+    """Balanced (50:50) beamsplitter U = exp(θ(a†b − ab†)), θ = π/4, as its
     total-photon-number blocks: slice t of the (2·dim − 1, dim, dim) result
     is the real orthogonal block of sector k + l = t on |k⟩|l⟩ (k the
     measured mode, l the kept one), indexed by k, with zero rows and columns
     where l = t − k falls outside the truncation.
+
+    A sector t < dim fits the truncation whole, and its block is the Wigner
+    d^{t/2}(π/2) matrix of the Schwinger map. It is built from block t − 1
+    by t·U|k, l⟩ = √k·A·U|k − 1, l⟩ + √l·B·U|k, l − 1⟩, with
+    A = U a† U† = (a† − b†)/√2 and B = U b† U† = (a† + b†)/√2. Every
+    coefficient of this averaged recursion is at most 1 in size, which keeps
+    it stable where the one-term ladder recursion is not. A sector t ≥ dim
+    is cut by the truncation; its block is the exponential of the truncated
+    sector generator, from :func:`expm_skew_tridiagonal`.
     """
     dim = cfg.dim
     blocks = np.zeros((2 * dim - 1, dim, dim))
-    for total in range(2 * dim - 1):
-        lo, hi = max(0, total - dim + 1), min(total, dim - 1) + 1
-        ks = np.arange(lo, hi - 1)
+    blocks[0, 0, 0] = 1.0
+    for total in range(1, dim):
+        previous = blocks[total - 1, :total, : total + 1]  # its last column is zero
+        root = np.sqrt(np.arange(total + 1))
+        # column k: √k·U|k − 1, l⟩ and √l·U|k, l − 1⟩, rows indexed as in sector t − 1
+        from_a = np.zeros_like(previous)
+        from_a[:, 1:] = root[1:] * previous[:, :-1]
+        from_b = root[::-1] * previous
+        block = blocks[total, : total + 1, : total + 1]
+        block[1:] = root[1:, None] * (from_a + from_b)  # the a† parts of A and B
+        block[:-1] += root[:0:-1, None] * (from_b - from_a)  # their b† parts
+        block /= total * math.sqrt(2)
+    for total in range(dim, 2 * dim - 1):
+        lo = total - dim + 1
+        ks = np.arange(lo, dim - 1)
         coupling = math.pi / 4 * np.sqrt((ks + 1) * (total - ks))
-        blocks[total, lo:hi, lo:hi] = expm_skew_hermitian(np.diag(coupling, -1) - np.diag(coupling, 1))
+        blocks[total, lo:, lo:] = expm_skew_tridiagonal(coupling)
     blocks.setflags(write=False)
     return blocks
 

@@ -7,9 +7,11 @@ elements by the closed-form Laguerre series and by the Padé matrix
 exponential of the padded generator (vs a phase function of the p
 eigenbasis), the grid state as a sum of separately displaced peaks (vs one
 comb function of p), the beamsplitter as the Padé exponential of its
-two-mode generator assembled from Kronecker products (vs per-sector blocks
-exponentiated through their eigendecomposition), and Wigner values by
-assembling the displaced-parity expectation directly.
+two-mode generator assembled from Kronecker products, or of each
+photon-number sector's generator assembled from single-mode matrix elements
+(vs the d^j recursion for whole sectors and a half-size real eigensolve for
+truncated ones), and Wigner values by assembling the displaced-parity
+expectation directly.
 :func:`direct_two_iteration_enumeration` breeds every first-level pair,
 where the library breeds a quarter of them and fills in the rest by
 exchange and parity symmetry.
@@ -157,14 +159,29 @@ def wigner_point(state, q, p, pad=30):
 
 def generator_beamsplitter(cfg):
     """scipy's Padé ``expm`` of the two-mode generator θ(a†b − ab†),
-    θ = π/4, on the dim² space with index k·dim + l for |k⟩|l⟩; it must
-    agree with the library's block-wise beamsplitter on every sector that
-    fits the truncation."""
+    θ = π/4, on the dim² space with index k·dim + l for |k⟩|l⟩. The
+    truncated generator keeps total photon number, so this matches the
+    library's block-wise beamsplitter on every sector, truncated or not."""
     a = annihilation(cfg)
     identity = np.eye(cfg.dim)
     a1 = np.kron(a, identity)
     a2 = np.kron(identity, a)
     return scipy.linalg.expm((math.pi / 4) * (a1.conj().T @ a2 - a1 @ a2.conj().T))
+
+
+def sector_expm_beamsplitter(cfg):
+    """The ``(2·dim − 1, dim, dim)`` blocks of ``fock.beamsplitter``, each
+    as scipy's Padé ``expm`` of its sector's own truncated generator: the
+    matrix elements ⟨k, t − k|θ(a†b − ab†)|k', t − k'⟩ over the levels k
+    with both photon numbers inside the truncation."""
+    adag = annihilation(cfg).real.T
+    blocks = np.zeros((2 * cfg.dim - 1, cfg.dim, cfg.dim))
+    for total in range(2 * cfg.dim - 1):
+        ks = np.arange(max(0, total - cfg.dim + 1), min(total, cfg.dim - 1) + 1)
+        k, l = np.ix_(ks, ks), np.ix_(total - ks, total - ks)
+        generator = (math.pi / 4) * (adag[k] * adag.T[l] - adag.T[k] * adag[l])
+        blocks[total, k[0], k[1]] = scipy.linalg.expm(generator)
+    return blocks
 
 
 def dense_beamsplitter(cfg):

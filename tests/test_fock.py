@@ -27,6 +27,7 @@ from oracles import (
     parity_operator,
     quadrature,
     qunaught_peak_sum,
+    sector_expm_beamsplitter,
 )
 
 
@@ -169,14 +170,23 @@ def test_qunaught_delta_limits_to_squeezed_vacuum(cfg):
 
 
 def test_beamsplitter_orthogonal_blocks(cfg):
-    blocks = beamsplitter(cfg)
-    assert blocks.shape == (2 * cfg.dim - 1, cfg.dim, cfg.dim)
-    # block t is orthogonal on the photon numbers k with 0 <= t - k < dim
-    # and zero elsewhere
-    kept = np.arange(2 * cfg.dim - 1)[:, None] - np.arange(cfg.dim)[None, :]
-    padded_identity = ((kept >= 0) & (kept < cfg.dim))[:, :, None] * np.eye(cfg.dim)
-    gram = blocks @ blocks.transpose(0, 2, 1)
-    assert np.max(np.abs(gram - padded_identity)) < UNITARITY
+    for dim in (cfg.dim, 51):
+        blocks = beamsplitter(FockConfig(dim))
+        assert blocks.shape == (2 * dim - 1, dim, dim)
+        # block t is orthogonal on the photon numbers k with 0 <= t - k < dim
+        # and zero elsewhere
+        kept = np.arange(2 * dim - 1)[:, None] - np.arange(dim)[None, :]
+        padded_identity = ((kept >= 0) & (kept < dim))[:, :, None] * np.eye(dim)
+        gram = blocks @ blocks.transpose(0, 2, 1)
+        assert np.max(np.abs(gram - padded_identity)) < UNITARITY
+
+
+@pytest.mark.parametrize("dim", [2, 3, 50, 51, 101])
+def test_beamsplitter_matches_sector_expm(dim):
+    # every sector: whole ones (t < dim, the d^j recursion, up to t = 100)
+    # and truncated ones of both parities of size (the half-size eigensolve)
+    cfg = FockConfig(dim)
+    assert np.max(np.abs(beamsplitter(cfg) - sector_expm_beamsplitter(cfg))) < 1e-12
 
 
 def test_beamsplitter_photon_number_blocks():
@@ -189,16 +199,30 @@ def test_beamsplitter_photon_number_blocks():
 
 
 def test_beamsplitter_matches_generator_exponential():
-    cfg = FockConfig(dim=12)
-    direct = generator_beamsplitter(cfg)
-    blockwise = dense_beamsplitter(cfg)
-    # agreement everywhere except where truncation of the generator product
-    # differs -- the generator form is exact on each photon-number sector
-    # that fits inside the truncation
-    totals = (np.arange(cfg.dim)[:, None] + np.arange(cfg.dim)[None, :]).ravel()
-    inside = totals < cfg.dim
-    sub = np.ix_(inside, inside)
-    assert np.max(np.abs(direct[sub] - blockwise[sub])) < BEAMSPLITTER_ROUTES
+    # the exponential of the truncated two-mode generator is block-diagonal
+    # in total photon number, so it matches every sector, truncated or not
+    for dim in (12, 13):
+        cfg = FockConfig(dim)
+        direct = generator_beamsplitter(cfg)
+        assert np.max(np.abs(direct - dense_beamsplitter(cfg))) < BEAMSPLITTER_ROUTES
+
+
+def test_beamsplitter_builds_no_full_size_eigensolve(monkeypatch):
+    eigh = np.linalg.eigh
+    rows = []
+
+    def counted(matrix, *args, **kwargs):
+        rows.append(len(matrix))
+        return eigh(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    dim = 50
+    beamsplitter.__wrapped__(FockConfig(dim))
+    # only the truncated sectors t >= dim, of sizes n = 2·dim − 1 − t, call
+    # it: twice each for n >= 2, on ⌈n/2⌉ and ⌊n/2⌋ rows
+    expected = [size for n in range(2, dim) for size in ((n + 1) // 2, n // 2)]
+    assert sorted(rows) == sorted(expected)
+    assert max(rows) <= math.ceil(dim / 2)
 
 
 def test_beamsplitter_single_photon_routing():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qpbreed.numerics import eig_hermitian_tridiagonal, expm_skew_hermitian
+from qpbreed.numerics import eig_hermitian_tridiagonal, expm_skew_hermitian, expm_skew_tridiagonal
 
 from oracles import EIG_RESIDUAL, UNITARITY, gauss_hermite_nodes
 
@@ -68,3 +68,21 @@ def test_expm_rejects_non_skew_input():
 def test_expm_rejects_non_square():
     with pytest.raises(ValueError):
         expm_skew_hermitian(np.zeros((2, 3)))
+
+
+def test_expm_skew_tridiagonal_matches_pade_expm():
+    rng = np.random.default_rng(11)
+    for n in range(1, 41):
+        half = rng.uniform(0, n, size=(n - 1) // 2)
+        coupling = np.concatenate([half, rng.uniform(0, n, size=(n - 1) % 2), half[::-1]])
+        generator = np.diag(coupling, -1) - np.diag(coupling, 1)
+        u = expm_skew_tridiagonal(coupling)
+        assert np.max(np.abs(u - scipy.linalg.expm(generator))) < UNITARITY
+        assert np.max(np.abs(u.T @ u - np.eye(n))) < UNITARITY
+
+
+def test_expm_skew_tridiagonal_rejects_non_persymmetric_coupling():
+    with pytest.raises(ValueError, match="persymmetric"):
+        expm_skew_tridiagonal([1.0, 2.0])
+    with pytest.raises(ValueError, match="vector"):
+        expm_skew_tridiagonal(np.ones((2, 2)))

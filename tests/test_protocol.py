@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpbreed import (
     FockConfig,
@@ -45,6 +47,30 @@ def test_breed_step_probabilities_valid(cfg, psi0, first_level):
     kept = probs > DEFAULT_TOLERANCES.probability_floor
     assert np.max(np.abs(np.linalg.norm(posts[kept], axis=1) - 1)) < 1e-10
     assert not posts[~kept].any()
+
+
+def random_states(dim, seed, even=False):
+    """Two normalized random complex states, parity-even if ``even``."""
+    states = np.random.default_rng(seed).normal(size=(2, dim, 2)) @ np.array([1, 1j])
+    if even:
+        states[:, 1::2] = 0
+    return states / np.linalg.norm(states, axis=1, keepdims=True)
+
+
+@settings(database=None, derandomize=True, deadline=None)
+@given(dim=st.integers(2, 40), axis=st.sampled_from("qp"), seed=st.integers(0, 2**32 - 1))
+def test_breed_step_probabilities_sum_to_one(dim, axis, seed):
+    probs, _ = breed_step(*random_states(dim, seed), axis, FockConfig(dim))
+    assert abs(probs.sum() - 1) < 1e-12
+
+
+@settings(database=None, derandomize=True, deadline=None)
+@given(dim=st.integers(2, 40), axis=st.sampled_from("qp"), seed=st.integers(0, 2**32 - 1))
+def test_breed_step_mirror_symmetric_for_even_inputs(dim, axis, seed):
+    # two even inputs make the joint state even under parity on both modes,
+    # which maps each outcome onto its mirror image
+    probs, _ = breed_step(*random_states(dim, seed, even=True), axis, FockConfig(dim))
+    assert np.max(np.abs(probs - probs[::-1])) < 1e-12
 
 
 def test_breed_step_vacuum_invariant(cfg, vacuum):
