@@ -27,7 +27,7 @@ from .metrics import (
     sgkp_db,
     wigner,
 )
-from .numerics import DEFAULT_TOLERANCES, NumericalError, Tolerances
+from .numerics import NumericalError
 from .protocol import (
     BranchResult,
     Schedule,
@@ -49,7 +49,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BinomialParams",
     "BranchResult",
-    "DEFAULT_TOLERANCES",
     "FockConfig",
     "NumericalError",
     "OutcomeDistribution",
@@ -57,7 +56,6 @@ __all__ = [
     "QunaughtParams",
     "Schedule",
     "SweepRecord",
-    "Tolerances",
     "WignerGrid",
     "annihilation",
     "beamsplitter",

@@ -3,9 +3,9 @@
 Every run is deterministic: the pipeline contains no randomness (measurement
 outcomes are enumerated or post-selected, never sampled), so identical
 configs produce byte-identical output files. Tabular data is CSV with a
-commented header embedding the schema version and the fully resolved
-config; chain reports are JSON; Wigner grids are plain comma-separated
-matrix text (one row per q value).
+commented header embedding the schema version and the resolved settings
+the command reads (:data:`READS`); chain reports are JSON; Wigner grids are
+plain comma-separated matrix text (one row per q value).
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -24,7 +24,7 @@ import numpy as np
 from .fock import BinomialParams, FockConfig, QunaughtParams, binomial_state, qunaught_state
 from .homodyne import OutcomeDistribution, label_peaks, quadrature_basis, resolve_outcome
 from .metrics import default_grid, wigner
-from .numerics import DEFAULT_TOLERANCES, NumericalError
+from .numerics import PROBABILITY_FLOOR, NumericalError
 from .protocol import (
     BranchResult,
     Schedule,
@@ -38,7 +38,7 @@ from .protocol import (
     sweep_binomial_inputs,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -53,7 +53,6 @@ class RunConfig:
     K: int = 3
     schedule: str = "qp"
     postselect: list = None  # tokens: eigenvalue indices or labels C/S1/S2/S
-    t_max: int = None  # None -> smallest cutoff satisfying the tail bound
     output_path: str = "-"
 
     def validate(self):
@@ -68,30 +67,31 @@ class RunConfig:
                 f"postselect needs one token per schedule step "
                 f"({len(self.schedule)}), got {len(self.postselect)}"
             )
-        if self.t_max is not None:
-            QunaughtParams(delta=self.delta_target, t_max=self.t_max)  # rejects a short cutoff
 
     def fock(self) -> FockConfig:
         return FockConfig(dim=self.dim)
 
     def target(self):
-        return qunaught_state(self.fock(), QunaughtParams(delta=self.delta_target, t_max=self.t_max))
+        return qunaught_state(self.fock(), QunaughtParams(delta=self.delta_target))
 
     def input_state(self):
         return binomial_state(self.fock(), BinomialParams(self.N, self.K))
 
-    def as_dict(self) -> dict:
-        """Every field in order, with the postselect tokens joined by commas."""
+    def as_dict(self, command: str) -> dict:
+        """The fields ``command`` reads, in field order, with the postselect
+        tokens joined by commas."""
         tokens = "" if self.postselect is None else ",".join(map(str, self.postselect))
-        return {**asdict(self), "postselect": tokens}
+        values = {**asdict(self), "postselect": tokens}
+        return {key: value for key, value in values.items() if key in READS[command]}
 
 
-def _write_table(cfg: RunConfig, head: str, row_format: str, rows, path: str | None = None):
-    """Write a table: the schema version and the resolved config as comment
-    lines, then ``head``, then ``row_format % tuple(row)`` for each row."""
+def _write_table(cfg: RunConfig, command: str, head: str, row_format: str, rows, path=None):
+    """Write a table: the schema version and the settings ``command`` reads
+    as comment lines, then ``head``, then ``row_format % tuple(row)`` for
+    each row."""
     lines = [f"# schema_version={SCHEMA_VERSION}"]
-    for key, value in cfg.as_dict().items():
-        text = "" if value is None else "%.12g" % value if isinstance(value, float) else value
+    for key, value in cfg.as_dict(command).items():
+        text = "%.12g" % value if isinstance(value, float) else value
         lines.append(f"# config {key}={text}")
     lines.append(head)
     lines += [row_format % tuple(row) for row in rows]
@@ -134,16 +134,15 @@ def cmd_distribution(cfg: RunConfig) -> int:
             raise ValueError("conditioned distribution needs exactly two postselect tokens")
         first = _distribution(fock_cfg, axis, probabilities)
         left, right = (resolve_outcome(first, token) for token in cfg.postselect)
-        if min(probabilities[left], probabilities[right]) <= DEFAULT_TOLERANCES.probability_floor:
+        if min(probabilities[left], probabilities[right]) <= PROBABILITY_FLOOR:
             raise NumericalError("conditioning outcome has underflowed probability")
         axis = cfg.schedule[-1]
         probabilities, _ = breed_step(posts[left], posts[right], axis, fock_cfg)
     dist = label_peaks(_distribution(fock_cfg, axis, probabilities))
     columns = zip(dist.eigenvalues, dist.rescaled_outcomes, dist.probabilities)
     rows = [(i, *values, dist.peak_labels.get(i, "")) for i, values in enumerate(columns)]
-    _write_table(
-        cfg, "index,eigenvalue,rescaled_outcome,probability,label", "%d,%.12g,%.12g,%.12g,%s", rows
-    )
+    head = "index,eigenvalue,rescaled_outcome,probability,label"
+    _write_table(cfg, "distribution", head, "%d,%.12g,%.12g,%.12g,%s", rows)
     return EXIT_OK
 
 
@@ -171,7 +170,7 @@ def cmd_chain(cfg: RunConfig) -> int:
         )
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "config": cfg.as_dict(),
+        "config": cfg.as_dict("chain"),
         "records": records,
     }
     _write(cfg, json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -191,6 +190,7 @@ def cmd_enumerate(cfg: RunConfig) -> int:
     columns = [*np.indices(probability.shape), probability, sign_aggregated(probability, m), fid, delta]
     _write_table(
         cfg,
+        "enumerate",
         "q1,q2,p,probability,aggregated_probability,fidelity,effective_squeezing",
         "%d,%d,%d,%.12g,%.12g,%.12g,%.12g",
         zip(*(column.ravel().tolist() for column in columns)),
@@ -202,21 +202,21 @@ def cmd_enumerate(cfg: RunConfig) -> int:
         ("squeezing_curve", "squeezing_bound", curve_s),
     ):
         path = _sibling_path(cfg.output_path, suffix)
-        _write_table(cfg, f"{column},cumulative_probability", "%.12g,%.12g", points, path)
+        _write_table(cfg, "enumerate", f"{column},cumulative_probability", "%.12g,%.12g", points, path)
     return EXIT_OK
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
     """Chain fidelity for a grid of binomial inputs against the targets
     delta-target and 0.35, center post-selection at every level."""
-    fock_cfg = cfg.fock()
     schedule = Schedule.from_string(cfg.schedule)
+    deltas = sorted({cfg.delta_target, 0.35}, reverse=True)
     rows = [
-        (delta, rec.N, rec.K, rec.iteration, rec.fidelity, str(rec.supported).lower())
-        for delta in sorted({cfg.delta_target, 0.35}, reverse=True)
-        for rec in sweep_binomial_inputs(fock_cfg, [2, 3, 4], list(range(2, 8)), schedule, delta)
+        (rec.target_delta, rec.N, rec.K, rec.iteration, rec.fidelity, str(rec.supported).lower())
+        for rec in sweep_binomial_inputs(cfg.fock(), [2, 3, 4], list(range(2, 8)), schedule, *deltas)
     ]
-    _write_table(cfg, "target_delta,N,K,iteration,fidelity,supported", "%.12g,%d,%d,%d,%.12g,%s", rows)
+    head = "target_delta,N,K,iteration,fidelity,supported"
+    _write_table(cfg, "sweep", head, "%.12g,%d,%d,%d,%.12g,%s", rows)
     return EXIT_OK
 
 
@@ -234,7 +234,7 @@ def cmd_wigner(cfg: RunConfig) -> int:
     axis = default_grid()
     grid = wigner(state, axis, axis)
     head = "# rows: q from %.12g to %.12g; columns: p likewise" % (axis[0], axis[-1])
-    _write_table(cfg, head, ",".join(["%.12g"] * len(axis)), grid.values.tolist())
+    _write_table(cfg, "wigner", head, ",".join(["%.12g"] * len(axis)), grid.values.tolist())
     return EXIT_OK
 
 
@@ -277,8 +277,17 @@ _FIELDS = {
     "K": int,
     "schedule": str,
     "postselect": lambda text: [t for t in text.split(",") if t],
-    "t_max": int,
     "output_path": str,
+}
+
+#: The RunConfig fields each command reads: its flags, its config-file keys
+#: and the settings its outputs echo.
+READS = {
+    "distribution": set(_FIELDS) - {"delta_target"},
+    "chain": set(_FIELDS),
+    "enumerate": {"dim", "delta_target", "output_path"},
+    "sweep": {"dim", "delta_target", "schedule", "output_path"},
+    "wigner": set(_FIELDS),
 }
 
 
@@ -294,21 +303,24 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, func in COMMANDS.items():
         p = sub.add_parser(name, help=func.__doc__.splitlines()[0])
         for field, parse in _FIELDS.items():
-            p.add_argument("--" + field.lower().replace("_", "-"), type=parse, dest=field)
+            if field in READS[name]:
+                p.add_argument("--" + field.lower().replace("_", "-"), type=parse, dest=field)
         p.add_argument("--config", help="flat key=value config file; flags override it")
     return parser
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
+    reads = READS[args.command]
     for key, raw in (_read_config_file(args.config) if args.config else {}).items():
-        if key not in _FIELDS:
-            raise ValueError(f"unknown config key {key!r}")
+        if key not in reads:
+            known = ", ".join(field for field in _FIELDS if field in reads)
+            raise ValueError(f"{args.command} reads no config key {key!r}; it reads {known}")
         try:
             setattr(cfg, key, _FIELDS[key](raw))
         except ValueError as exc:
             raise ValueError(f"bad value for {key}: {raw!r}") from exc
-    for field in _FIELDS:
+    for field in reads:
         if getattr(args, field) is not None:
             setattr(cfg, field, getattr(args, field))
     cfg.validate()
@@ -316,8 +328,10 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the help, or its usage error
+        return exc.code
     with warnings.catch_warnings():  # one stderr line per distinct warning
         warnings.simplefilter("default")
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import DEFAULT_TOLERANCES, eig_hermitian_tridiagonal, expm_skew_tridiagonal
+from .numerics import eig_hermitian_tridiagonal, expm_skew_tridiagonal
 
 VACUUM_VARIANCE = 0.5
 
@@ -23,8 +23,8 @@ VACUUM_VARIANCE = 0.5
 #: it is cut back to ``dim``, to keep truncation-edge error out of it.
 DISPLACEMENT_PAD = 20
 
-#: Least norm of a qunaught comb, as a share of its weight sum, that is not rounding noise.
-MIN_COMB_NORM = 1e-8
+#: Largest weight exp(−πΔ²t²) of a qunaught peak left out of its envelope sum.
+QUNAUGHT_TAIL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -72,34 +72,20 @@ class BinomialParams:
 
 @dataclass(frozen=True)
 class QunaughtParams:
-    """Target squeezing and envelope cutoff of the grid (qunaught) state.
-
-    The peak-envelope sum runs over |t| < t_max; t_max=None picks the
-    smallest cutoff whose first omitted weight exp(−πΔ²t_max²) is below
-    1e−12.
-    """
+    """Target squeezing Δ of the grid (qunaught) state."""
 
     delta: float
-    t_max: int | None = None
 
     def __post_init__(self):
         if not 0 < self.delta < 1:
             raise ValueError(f"squeezing delta must be in (0, 1), got {self.delta}")
-        if self.t_max is None:
-            object.__setattr__(self, "t_max", _auto_t_max(self.delta))
-        if self.t_max < 1:
-            raise ValueError(f"envelope cutoff t_max must be at least 1, got {self.t_max}")
-        tail = math.exp(-math.pi * self.delta**2 * self.t_max**2)
-        if tail >= DEFAULT_TOLERANCES.qunaught_tail:
-            raise ValueError(
-                f"envelope cutoff t_max={self.t_max} leaves weight {tail:.2e} "
-                f"in the first omitted term at delta={self.delta}; increase t_max"
-            )
 
-
-def _auto_t_max(delta: float) -> int:
-    tail = DEFAULT_TOLERANCES.qunaught_tail
-    return math.ceil(math.sqrt(-math.log(tail) / (math.pi * delta**2)))
+    @property
+    def t_max(self) -> int:
+        """Envelope cutoff: the peak sum runs over |t| < t_max, the smallest
+        cutoff whose first omitted weight exp(−πΔ²t_max²) is below
+        :data:`QUNAUGHT_TAIL`."""
+        return math.ceil(math.sqrt(-math.log(QUNAUGHT_TAIL) / (math.pi * self.delta**2)))
 
 
 @lru_cache(maxsize=None)
@@ -190,22 +176,26 @@ def qunaught_state(cfg: FockConfig, params: QunaughtParams) -> np.ndarray:
     Σ_t exp(−πΔ²t²) D(t√π) S(Δ)|0⟩, normalized in the truncated space.
     Peak spacing in position is √(2π), so the state encodes no qubit. Every
     D(t√π) = exp(−i√(2π)t·p), so the sum is one comb function of p applied
-    in the padded p eigenbasis used by :func:`displacement`; a Δ too small for
-    dim leaves only rounding noise of the comb there and raises ValueError.
+    in the padded p eigenbasis used by :func:`displacement`. The comb's peak
+    at p = 0 has width Δ; a Δ below half the spacing of the padded p
+    eigenvalues at p = 0 leaves it to one eigenvector or none, so the
+    truncation cannot resolve the comb, and raises ValueError.
     """
     basis = quadrature_basis(FockConfig(cfg.dim + DISPLACEMENT_PAD), "p")
+    center = basis.center_index
+    spacing = basis.eigenvalues[center + 1] - basis.eigenvalues[center]
+    if params.delta < spacing / 2:
+        raise ValueError(
+            f"qunaught delta={params.delta} is too small for dim {cfg.dim}: "
+            f"it must be at least {spacing / 2:.4g}, half the p eigenvalue spacing at p = 0"
+        )
     comb = np.ones(basis.dim)
-    weight_sum = 1.0
     for t in range(1, params.t_max):
         weight = math.exp(-math.pi * params.delta**2 * t**2)
-        weight_sum += 2 * weight
         comb += 2 * weight * np.cos(math.sqrt(2 * math.pi) * t * basis.eigenvalues)  # peaks +t and −t
     rows = basis.eigenvectors[: cfg.dim]
     state = rows @ (comb * (rows.conj().T @ squeezed_vacuum(cfg, params.delta)))
-    norm = np.linalg.norm(state)
-    if norm < MIN_COMB_NORM * weight_sum:
-        raise ValueError(f"qunaught delta={params.delta} is too small for dim {cfg.dim}")
-    return state / norm
+    return state / np.linalg.norm(state)
 
 
 @lru_cache(maxsize=None)

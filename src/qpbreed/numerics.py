@@ -7,8 +7,6 @@ unless stated otherwise).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -16,16 +14,13 @@ class NumericalError(RuntimeError):
     """An iterative numerical routine failed to converge."""
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Central record of the numerical tolerances used across the package."""
+#: Largest skew-Hermiticity (or persymmetry) defect of a generator, relative
+#: to its largest entry.
+SKEW_HERMITIAN_TOL = 1e-12
 
-    skew_hermitian: float = 1e-12
-    qunaught_tail: float = 1e-12
-    probability_floor: float = 1e-300
+#: Outcome probabilities at or below this are treated as underflowed.
+PROBABILITY_FLOOR = 1e-300
 
-
-DEFAULT_TOLERANCES = Tolerances()
 
 def eig_hermitian_tridiagonal(diag, offdiag):
     """Eigendecomposition of a real symmetric tridiagonal matrix.
@@ -51,16 +46,16 @@ def expm_skew_hermitian(g: np.ndarray) -> np.ndarray:
     """Unitary exponential of a skew-Hermitian generator; a real generator
     gives a real orthogonal result.
 
-    Rejects inputs whose skew-Hermiticity defect exceeds the configured
-    tolerance (relative to the largest entry). Nothing in the package calls
-    it; the benchmark's traced run still wraps it by name.
+    Rejects inputs whose skew-Hermiticity defect exceeds
+    :data:`SKEW_HERMITIAN_TOL` (relative to the largest entry). Nothing in
+    the package calls it; the benchmark's traced run still wraps it by name.
     """
     g = np.asarray(g)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise ValueError("generator must be a square matrix")
     scale = max(1.0, float(np.max(np.abs(g)))) if g.size else 1.0
     defect = float(np.max(np.abs(g + g.conj().T))) if g.size else 0.0
-    if defect > DEFAULT_TOLERANCES.skew_hermitian * scale:
+    if defect > SKEW_HERMITIAN_TOL * scale:
         raise ValueError(
             f"generator is not skew-Hermitian (defect {defect:.3e} "
             f"at scale {scale:.3e})"
@@ -87,7 +82,7 @@ def expm_skew_tridiagonal(coupling) -> np.ndarray:
         raise ValueError("coupling must be a vector")
     scale = max(1.0, float(np.max(np.abs(coupling)))) if coupling.size else 1.0
     defect = float(np.max(np.abs(coupling - coupling[::-1]))) if coupling.size else 0.0
-    if defect > DEFAULT_TOLERANCES.skew_hermitian * scale:
+    if defect > SKEW_HERMITIAN_TOL * scale:
         raise ValueError(f"coupling is not persymmetric (defect {defect:.3e} at scale {scale:.3e})")
     n = coupling.size + 1
     half, odd = divmod(n, 2)

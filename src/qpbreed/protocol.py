@@ -32,7 +32,7 @@ from .fock import (
 )
 from .homodyne import OutcomeDistribution, projection_amplitudes, quadrature_basis, resolve_outcome
 from .metrics import effective_squeezing, fidelity
-from .numerics import DEFAULT_TOLERANCES, NumericalError
+from .numerics import PROBABILITY_FLOOR, NumericalError
 
 
 @dataclass(frozen=True)
@@ -114,8 +114,8 @@ def default_input(cfg: FockConfig) -> np.ndarray:
     return binomial_state(cfg, BinomialParams(N=2, K=3))
 
 
-def default_target(cfg: FockConfig, delta: float = 0.4) -> np.ndarray:
-    return qunaught_state(cfg, QunaughtParams(delta=delta))
+def default_target(cfg: FockConfig) -> np.ndarray:
+    return qunaught_state(cfg, QunaughtParams(delta=0.4))
 
 
 def breed_step(left: np.ndarray, right: np.ndarray, axis: str, cfg: FockConfig):
@@ -131,7 +131,7 @@ def breed_step(left: np.ndarray, right: np.ndarray, axis: str, cfg: FockConfig):
     mixed = apply_beamsplitter(cfg, left[:, None] * right[..., None, :])
     amplitudes = projection_amplitudes(mixed, quadrature_basis(cfg, axis))
     probabilities = np.sum(np.abs(amplitudes) ** 2, axis=-1)
-    kept = probabilities > DEFAULT_TOLERANCES.probability_floor
+    kept = probabilities > PROBABILITY_FLOOR
     posts = np.divide(
         amplitudes,
         np.sqrt(probabilities)[..., None],
@@ -177,7 +177,7 @@ def chain_prefixes(
         except ValueError as exc:
             raise ValueError(f"level {level}: {exc}") from None
         prob = float(probabilities[index])
-        if prob <= DEFAULT_TOLERANCES.probability_floor:
+        if prob <= PROBABILITY_FLOOR:
             raise NumericalError(
                 f"selected outcome {index} at level {level} has probability "
                 f"{prob:.3e}, below the underflow floor"
@@ -240,7 +240,7 @@ def enumerate_two_iterations(cfg: FockConfig, target: np.ndarray | None = None):
         cond, second = breed_step(posts[q1], posts[q1:], "p", cfg)
         quality = [np.abs(second @ target.conj()), effective_squeezing(cfg, second, "q")]
         block = np.stack([probs[q1] * probs[q1:, None] * cond, *quality])
-        block[1:, cond <= DEFAULT_TOLERANCES.probability_floor] = math.nan  # underflowed leaves
+        block[1:, cond <= PROBABILITY_FLOOR] = math.nan  # underflowed leaves
         leaves[:, q1, q1:] = block
         leaves[:, q1:, q1] = block  # exchange of the two arms
     # parity mirrors all three indices onto pairs with both on the positive half
@@ -260,6 +260,7 @@ def effective_squeezing_curve(probability, deltas, bounds) -> list[tuple[float, 
 
 @dataclass(frozen=True)
 class SweepRecord:
+    target_delta: float
     N: int
     K: int
     iteration: int
@@ -268,27 +269,25 @@ class SweepRecord:
 
 
 def sweep_binomial_inputs(
-    cfg: FockConfig,
-    N_list,
-    K_list,
-    schedule: Schedule,
-    target_delta: float,
+    cfg: FockConfig, N_list, K_list, schedule: Schedule, *target_deltas: float
 ) -> list[SweepRecord]:
-    """Chain fidelity after 0..k iterations for a grid of binomial inputs.
+    """Chain fidelity after 0..k iterations for a grid of binomial inputs,
+    against the qunaught target of each given Δ.
 
-    Post-selects the innermost negative eigenvalue at every level.
+    Post-selects the innermost negative eigenvalue at every level, breeds
+    each chain once and gives records by target, then N, K and iteration.
     Unsupported (N, K) combinations (Fock support outside the truncation)
     and chains whose selected outcome underflows are flagged rather than
     fatal.
     """
-    target = qunaught_state(cfg, QunaughtParams(delta=target_delta))
+    targets = [qunaught_state(cfg, QunaughtParams(delta)) for delta in target_deltas]
     center = [quadrature_basis(cfg, "q").center_index] * schedule.iterations
-    records = []
+    levels = []  # (N, K, iteration, state), state None where unsupported
     for n_sym in N_list:
         for k_trunc in K_list:
             params = BinomialParams(N=n_sym, K=k_trunc)
             if params.top_level >= cfg.dim:
-                records.append(SweepRecord(n_sym, k_trunc, 0, math.nan, False))
+                levels.append((n_sym, k_trunc, 0, None))
                 continue
             level = 0
             try:
@@ -296,9 +295,12 @@ def sweep_binomial_inputs(
                     cfg, schedule, center, binomial_state(cfg, params)
                 ):
                     level = len(path)
-                    records.append(
-                        SweepRecord(n_sym, k_trunc, level, fidelity(state, target), True)
-                    )
+                    levels.append((n_sym, k_trunc, level, state))
             except NumericalError:
-                records.append(SweepRecord(n_sym, k_trunc, level + 1, math.nan, False))
+                levels.append((n_sym, k_trunc, level + 1, None))
+    records = []
+    for delta, target in zip(target_deltas, targets):
+        for n_sym, k_trunc, level, state in levels:
+            fid = math.nan if state is None else fidelity(state, target)
+            records.append(SweepRecord(delta, n_sym, k_trunc, level, fid, state is not None))
     return records

@@ -10,7 +10,8 @@ comb function of p), the beamsplitter as the Padé exponential of its
 two-mode generator assembled from Kronecker products, or of each
 photon-number sector's generator assembled from single-mode matrix elements
 (vs the d^j recursion for whole sectors and a half-size real eigensolve for
-truncated ones), and Wigner values by assembling the displaced-parity
+truncated ones; mpmath's 40-digit exponential for the small truncated
+sectors), and Wigner values by assembling the displaced-parity
 expectation directly.
 :func:`direct_two_iteration_enumeration` breeds every first-level pair,
 where the library breeds a quarter of them and fills in the rest by
@@ -22,6 +23,7 @@ constant schedule and the tolerances below are used only by the tests.
 
 import math
 
+import mpmath
 import numpy as np
 import scipy.linalg
 from scipy.special import eval_genlaguerre
@@ -33,7 +35,7 @@ from qpbreed.fock import (
     apply_beamsplitter,
     squeezed_vacuum,
 )
-from qpbreed.numerics import DEFAULT_TOLERANCES
+from qpbreed.numerics import PROBABILITY_FLOOR
 from qpbreed.protocol import Schedule, breed_step, default_input
 
 HERMITIAN = 1e-12
@@ -169,18 +171,31 @@ def generator_beamsplitter(cfg):
     return scipy.linalg.expm((math.pi / 4) * (a1.conj().T @ a2 - a1 @ a2.conj().T))
 
 
+#: Truncated beamsplitter sectors of at most this many levels are
+#: exponentiated in extended precision: their couplings reach about 78 at
+#: dim 101, where scipy's double-precision ``expm`` is off by up to 9.4e-13.
+MPMATH_SECTOR_LEVELS = 8
+
+
 def sector_expm_beamsplitter(cfg):
     """The ``(2·dim − 1, dim, dim)`` blocks of ``fock.beamsplitter``, each
-    as scipy's Padé ``expm`` of its sector's own truncated generator: the
-    matrix elements ⟨k, t − k|θ(a†b − ab†)|k', t − k'⟩ over the levels k
-    with both photon numbers inside the truncation."""
+    as the exponential of its sector's own truncated generator: the matrix
+    elements ⟨k, t − k|θ(a†b − ab†)|k', t − k'⟩ over the levels k with both
+    photon numbers inside the truncation. Whole sectors and the larger
+    truncated ones use scipy's Padé ``expm``; truncated sectors of at most
+    :data:`MPMATH_SECTOR_LEVELS` levels use mpmath's at 40 digits."""
     adag = annihilation(cfg).real.T
     blocks = np.zeros((2 * cfg.dim - 1, cfg.dim, cfg.dim))
     for total in range(2 * cfg.dim - 1):
         ks = np.arange(max(0, total - cfg.dim + 1), min(total, cfg.dim - 1) + 1)
         k, l = np.ix_(ks, ks), np.ix_(total - ks, total - ks)
         generator = (math.pi / 4) * (adag[k] * adag.T[l] - adag.T[k] * adag[l])
-        blocks[total, k[0], k[1]] = scipy.linalg.expm(generator)
+        if total >= cfg.dim and len(ks) <= MPMATH_SECTOR_LEVELS:
+            with mpmath.workdps(40):
+                exact = mpmath.expm(mpmath.matrix(generator.tolist()))
+                blocks[total, k[0], k[1]] = np.array(exact.tolist(), dtype=float)
+        else:
+            blocks[total, k[0], k[1]] = scipy.linalg.expm(generator)
     return blocks
 
 
@@ -203,6 +218,6 @@ def direct_two_iteration_enumeration(cfg, target):
     for q1 in range(cfg.dim):
         cond, second = breed_step(posts[q1], posts, "p", cfg)
         probability[q1] = probs[q1] * probs[:, None] * cond
-        kept = cond > DEFAULT_TOLERANCES.probability_floor
+        kept = cond > PROBABILITY_FLOOR
         fid[q1] = np.where(kept, np.abs(second @ target.conj()), np.nan)
     return probability, fid

@@ -8,8 +8,10 @@ import pytest
 import qpbreed
 from qpbreed.cli import (
     _FIELDS,
+    COMMANDS,
     EXIT_CONFIG,
     EXIT_OK,
+    READS,
     RunConfig,
     _build_parser,
     _read_config_file,
@@ -27,7 +29,7 @@ def test_distribution_default(tmp_path, capsys):
     out = tmp_path / "dist.csv"
     assert run_cli(["distribution", "--output-path", str(out)]) == EXIT_OK
     lines = out.read_text().splitlines()
-    assert lines[0] == "# schema_version=1"
+    assert lines[0] == "# schema_version=2"
     assert any(line.startswith("# config dim=50") for line in lines)
     header_end = next(i for i, line in enumerate(lines) if not line.startswith("#"))
     assert lines[header_end] == "index,eigenvalue,rescaled_outcome,probability,label"
@@ -77,7 +79,7 @@ def test_chain_json_report(tmp_path):
     )
     assert code == EXIT_OK
     payload = json.loads(out.read_text())
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     assert payload["config"]["dim"] == 50
     records = payload["records"]
     assert [r["iterations"] for r in records] == [0, 1, 2]
@@ -178,7 +180,7 @@ def test_wigner_matrix_text(tmp_path):
 
 def test_config_file_and_flag_override(tmp_path):
     cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text("dim=20\nschedule=qp\ndelta-target=0.35\n# comment\n")
+    cfg_file.write_text("dim=20\nschedule=pq\n# comment\n")
     out = tmp_path / "dist.csv"
     code = run_cli(
         ["distribution", "--config", str(cfg_file), "--dim", "24", "--output-path", str(out)]
@@ -186,18 +188,17 @@ def test_config_file_and_flag_override(tmp_path):
     assert code == EXIT_OK
     text = out.read_text()
     assert "# config dim=24" in text  # flag wins
-    assert "# config delta_target=0.35" in text  # file applies
+    assert "# config schedule=pq" in text  # file applies
 
 
 def test_config_error_exit_code(capsys):
     assert run_cli(["distribution", "--dim", "1"]) == EXIT_CONFIG
     assert "error" in capsys.readouterr().err
     assert run_cli(["distribution", "--schedule", "xy"]) == EXIT_CONFIG
-    assert run_cli(["distribution", "--t-max", "1"]) == EXIT_CONFIG
-    assert run_cli(["distribution", "--t-max", "0"]) == EXIT_CONFIG
     capsys.readouterr()
-    assert run_cli(["chain", "--schedule", "qp", "--t-max", "-20"]) == EXIT_CONFIG
-    assert "t_max must be at least 1" in capsys.readouterr().err
+    # the envelope cutoff follows from delta and is no setting
+    assert run_cli(["chain", "--schedule", "qp", "--t-max", "20"]) == EXIT_CONFIG
+    assert "unrecognized arguments: --t-max 20" in capsys.readouterr().err
     assert run_cli(["chain", "--schedule", "qp", "--delta-target", "0.001"]) == EXIT_CONFIG
     assert "delta=0.001 is too small for dim 50" in capsys.readouterr().err
     assert run_cli(["chain", "--schedule", "qp", "--postselect", "24"]) == EXIT_CONFIG
@@ -264,15 +265,16 @@ def test_memory_error_exit_code(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
-#: One value per RunConfig field, each different from the default.
+#: One value per RunConfig field, each different from the default and quick
+#: to run, at dim 16 unless the value is the dim, with every command that
+#: reads it.
 SAMPLES = {
-    "dim": "24",
+    "dim": "14",
     "delta_target": "0.35",
     "N": "3",
     "K": "4",
     "schedule": "pq",
-    "postselect": "C,S",
-    "t_max": "9",
+    "postselect": "C,C",
     "output_path": "out.csv",
 }
 
@@ -291,12 +293,68 @@ def test_config_file_and_flags_agree(tmp_path, field):
 
 def test_read_config_file_kebab_keys(tmp_path):
     f = tmp_path / "c.cfg"
-    f.write_text("delta-target=0.4\nt-max=8\n")
+    f.write_text("delta-target=0.4\noutput-path=out.csv\n")
     values = _read_config_file(str(f))
-    assert values == {"delta_target": "0.4", "t_max": "8"}
+    assert values == {"delta_target": "0.4", "output_path": "out.csv"}
 
 
 def test_runconfig_validation():
     cfg = RunConfig(delta_target=1.5)
     with pytest.raises(ValueError):
         cfg.validate()
+
+
+def test_each_command_reads_27_settings_in_all():
+    assert sum(len(fields) for fields in READS.values()) == 27
+    assert READS["enumerate"] == {"dim", "delta_target", "output_path"}
+    assert READS["sweep"] == {"dim", "delta_target", "schedule", "output_path"}
+
+
+def _echoed(path):
+    """The settings an output echoes, as text: the chain JSON's config
+    object, or a CSV's ``# config`` lines."""
+    text = path.read_text()
+    if text.startswith("{"):
+        payload = json.loads(text)
+        assert payload["schema_version"] == 2
+        return {key: str(value) for key, value in payload["config"].items()}
+    lines = text.splitlines()
+    assert lines[0] == "# schema_version=2"
+    pairs = [line[len("# config ") :].partition("=") for line in lines if line.startswith("# config ")]
+    return {key: value for key, _, value in pairs}
+
+
+@pytest.mark.parametrize("by", ["flag", "config"])
+@pytest.mark.parametrize("field", list(_FIELDS))
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_command_takes_only_the_fields_it_reads(tmp_path, capsys, command, field, by):
+    out = tmp_path / "base.txt"
+    settings = {"dim": "16", "output_path": str(out)}
+    raw = str(tmp_path / SAMPLES[field]) if field == "output_path" else SAMPLES[field]
+    if by == "flag":
+        settings[field] = raw
+        args = []
+    else:
+        settings.pop(field, None)
+        (tmp_path / "run.cfg").write_text(f"{field}={raw}\n")
+        args = ["--config", str(tmp_path / "run.cfg")]
+    for key, value in settings.items():
+        args += ["--" + key.lower().replace("_", "-"), value]
+    code = main([command, *args])
+    err = capsys.readouterr().err
+    if field not in READS[command]:
+        assert code == EXIT_CONFIG
+        named = "--" + field.lower().replace("_", "-") if by == "flag" else repr(field)
+        assert named in err and "Traceback" not in err
+        return
+    assert code == EXIT_OK, err
+    echoed = _echoed(tmp_path / SAMPLES[field] if field == "output_path" else out)
+    assert set(echoed) == READS[command]
+    assert echoed[field] == raw
+
+
+def test_argparse_exits_become_return_codes(capsys):
+    assert main(["chain", "--help"]) == EXIT_OK
+    assert main(["nosuchcommand"]) == EXIT_CONFIG
+    assert main(["chain", "--dim", "many"]) == EXIT_CONFIG
+    assert "--dim" in capsys.readouterr().err

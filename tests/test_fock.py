@@ -16,6 +16,7 @@ from qpbreed import (
     qunaught_state,
     squeezed_vacuum,
 )
+from qpbreed.fock import QUNAUGHT_TAIL
 from oracles import (
     BEAMSPLITTER_ROUTES,
     HERMITIAN,
@@ -141,10 +142,11 @@ def test_squeezed_vacuum_even_support(cfg):
 def test_qunaught_params_auto_t_max():
     assert QunaughtParams(delta=0.4).t_max == 8
     assert QunaughtParams(delta=0.35).t_max == 9
-    with pytest.raises(ValueError, match="first omitted term"):
-        QunaughtParams(delta=0.35, t_max=8)
-    with pytest.raises(ValueError, match="t_max"):
-        QunaughtParams(0.4, t_max=-20)
+    # the smallest cutoff whose first omitted weight is below the tail bound
+    for delta in (0.05, 0.2, 0.35, 0.4, 0.9):
+        t_max = QunaughtParams(delta).t_max
+        assert math.exp(-math.pi * delta**2 * t_max**2) <= QUNAUGHT_TAIL
+        assert math.exp(-math.pi * delta**2 * (t_max - 1) ** 2) > QUNAUGHT_TAIL
 
 
 def test_qunaught_normalized_and_even(cfg, target):
@@ -153,13 +155,21 @@ def test_qunaught_normalized_and_even(cfg, target):
 
 
 def test_qunaught_rejects_delta_too_small_for_dim():
-    # the comb keeps ~1e-12 of its weight sum here, which is rounding noise
-    for dim, delta in ((50, 0.001), (12, 0.01)):
+    # Δ below half the padded p eigenvalue spacing at p = 0 (0.195 at dim 12,
+    # 0.132 at dims 50 and 51): the truncation cannot resolve the comb. At
+    # odd dims and some even ones such a comb keeps a sizeable norm, which
+    # an after-the-fact norm floor let through.
+    rejected = [(50, 0.001), (12, 0.01), (12, 0.02), (50, 0.01), (51, 0.001)]
+    rejected += [(dim, 0.001) for dim in (44, 46, 60, 76, 84, 92, 94)]
+    for dim, delta in rejected:
         with pytest.raises(ValueError, match=f"delta={delta} is too small for dim {dim}"):
             qunaught_state(FockConfig(dim), QunaughtParams(delta))
-    for dim, delta in ((12, 0.02), (50, 0.01)):
+    # a resolved Δ gives the target of a much larger truncation, cut to dim
+    for dim, delta in ((12, 0.2), (51, 0.14), (100, 0.11)):
         state = qunaught_state(FockConfig(dim), QunaughtParams(delta))
         assert abs(np.linalg.norm(state) - 1) < 1e-12
+        wide = qunaught_state(FockConfig(400), QunaughtParams(delta))[:dim]
+        assert abs(np.vdot(wide, state)) / np.linalg.norm(wide) > 0.99
 
 
 def test_qunaught_delta_limits_to_squeezed_vacuum(cfg):

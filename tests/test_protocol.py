@@ -20,7 +20,7 @@ from qpbreed import (
     sign_aggregated,
     sweep_binomial_inputs,
 )
-from qpbreed.numerics import DEFAULT_TOLERANCES
+from qpbreed.numerics import PROBABILITY_FLOOR
 from qpbreed.protocol import measurements_in_tree, sign_aggregation_log
 
 from oracles import constant_schedule, direct_two_iteration_enumeration, quadrature
@@ -44,7 +44,7 @@ def test_breed_step_probabilities_valid(cfg, psi0, first_level):
     probs, posts = first_level
     assert abs(probs.sum() - 1) < 1e-10
     assert probs.min() >= 0
-    kept = probs > DEFAULT_TOLERANCES.probability_floor
+    kept = probs > PROBABILITY_FLOOR
     assert np.max(np.abs(np.linalg.norm(posts[kept], axis=1) - 1)) < 1e-10
     assert not posts[~kept].any()
 
@@ -75,7 +75,7 @@ def test_breed_step_mirror_symmetric_for_even_inputs(dim, axis, seed):
 
 def test_breed_step_vacuum_invariant(cfg, vacuum):
     probs, posts = breed_step(vacuum, vacuum, "q", cfg)
-    kept = probs > DEFAULT_TOLERANCES.probability_floor
+    kept = probs > PROBABILITY_FLOOR
     assert np.max(np.abs(np.abs(posts[kept] @ vacuum.conj()) - 1)) < 1e-10
 
 
@@ -233,6 +233,20 @@ def test_sweep_flags_unsupported_inputs():
     records = sweep_binomial_inputs(cfg, [4], [6, 7], Schedule.alternating(2), 0.4)
     # N=4, K>=6 occupies level 2*3*4 = 24 >= 20
     assert all(not r.supported and math.isnan(r.fidelity) for r in records)
+
+
+def test_sweep_breeds_once_for_all_targets(monkeypatch):
+    import qpbreed.protocol as protocol
+
+    cfg = FockConfig(dim=20)
+    schedule = Schedule.alternating(2)
+    alone = [sweep_binomial_inputs(cfg, [2, 3], [2, 3, 4], schedule, d) for d in (0.4, 0.35)]
+    steps = []
+    monkeypatch.setattr(protocol, "breed_step", lambda *a: steps.append(1) or breed_step(*a))
+    both = sweep_binomial_inputs(cfg, [2, 3], [2, 3, 4], schedule, 0.4, 0.35)
+    assert [r.target_delta for r in both] == [0.4] * len(alone[0]) + [0.35] * len(alone[1])
+    assert both == alone[0] + alone[1]
+    assert len(steps) == sum(r.iteration > 0 and r.supported for r in alone[0])
 
 
 def test_sweep_oscillation_and_argmax(cfg):
