@@ -33,6 +33,7 @@ from .protocol import (
     check_enumeration_budget,
     effective_squeezing_curve,
     enumerate_two_iterations,
+    leaf_fold,
     probability_fidelity_curve,
     sign_aggregated,
     sweep_binomial_inputs,
@@ -85,17 +86,16 @@ class RunConfig:
         return {key: value for key, value in values.items() if key in READS[command]}
 
 
-def _write_table(cfg: RunConfig, command: str, head: str, row_format: str, rows, path=None):
+def _write_table(cfg: RunConfig, command: str, head: str, lines, path=None):
     """Write a table: the schema version and the settings ``command`` reads
-    as comment lines, then ``head``, then ``row_format % tuple(row)`` for
-    each row."""
-    lines = [f"# schema_version={SCHEMA_VERSION}"]
+    as comment lines, then ``head``, then the already formatted ``lines``."""
+    header = [f"# schema_version={SCHEMA_VERSION}"]
     for key, value in cfg.as_dict(command).items():
         text = "%.12g" % value if isinstance(value, float) else value
-        lines.append(f"# config {key}={text}")
-    lines.append(head)
-    lines += [row_format % tuple(row) for row in rows]
-    _write(cfg, "\n".join(lines) + "\n", path)
+        header.append(f"# config {key}={text}")
+    header.append(head)
+    header += lines
+    _write(cfg, "\n".join(header) + "\n", path)
 
 
 def _write(cfg: RunConfig, text: str, path: str | None = None):
@@ -142,7 +142,7 @@ def cmd_distribution(cfg: RunConfig) -> int:
     columns = zip(dist.eigenvalues, dist.rescaled_outcomes, dist.probabilities)
     rows = [(i, *values, dist.peak_labels.get(i, "")) for i, values in enumerate(columns)]
     head = "index,eigenvalue,rescaled_outcome,probability,label"
-    _write_table(cfg, "distribution", head, "%d,%.12g,%.12g,%.12g,%s", rows)
+    _write_table(cfg, "distribution", head, ["%d,%.12g,%.12g,%.12g,%s" % row for row in rows])
     return EXIT_OK
 
 
@@ -186,15 +186,16 @@ def cmd_enumerate(cfg: RunConfig) -> int:
     cumulative curves, written as sibling CSV files."""
     check_enumeration_budget(cfg.dim)  # before the target is built
     probability, fid, delta = enumerate_two_iterations(cfg.fock(), target=cfg.target())
+    # each canonical leaf is formatted once; the other leaves repeat its values
+    fold, canonical = leaf_fold(cfg.dim)
     m = 3  # measurements in the two-iteration tree
-    columns = [*np.indices(probability.shape), probability, sign_aggregated(probability, m), fid, delta]
-    _write_table(
-        cfg,
-        "enumerate",
-        "q1,q2,p,probability,aggregated_probability,fidelity,effective_squeezing",
-        "%d,%d,%d,%.12g,%.12g,%.12g,%.12g",
-        zip(*(column.ravel().tolist() for column in columns)),
-    )
+    columns = [probability, sign_aggregated(probability, m), fid, delta]
+    rows = zip(*(column[canonical].ravel().tolist() for column in columns))
+    values = np.array(["%.12g,%.12g,%.12g,%.12g" % row for row in rows], dtype=object)
+    index = np.array([f"{i}," for i in range(cfg.dim)], dtype=object)
+    lines = index[:, None, None] + index[:, None] + index + values[fold]
+    head = "q1,q2,p,probability,aggregated_probability,fidelity,effective_squeezing"
+    _write_table(cfg, "enumerate", head, lines.ravel().tolist())
     curve_f = probability_fidelity_curve(probability, fid, DEFAULT_FIDELITY_THRESHOLDS)
     curve_s = effective_squeezing_curve(probability, delta, DEFAULT_SQUEEZING_BOUNDS)
     for suffix, column, points in (
@@ -202,7 +203,8 @@ def cmd_enumerate(cfg: RunConfig) -> int:
         ("squeezing_curve", "squeezing_bound", curve_s),
     ):
         path = _sibling_path(cfg.output_path, suffix)
-        _write_table(cfg, "enumerate", f"{column},cumulative_probability", "%.12g,%.12g", points, path)
+        lines = ["%.12g,%.12g" % point for point in points]
+        _write_table(cfg, "enumerate", f"{column},cumulative_probability", lines, path)
     return EXIT_OK
 
 
@@ -216,7 +218,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         for rec in sweep_binomial_inputs(cfg.fock(), [2, 3, 4], list(range(2, 8)), schedule, *deltas)
     ]
     head = "target_delta,N,K,iteration,fidelity,supported"
-    _write_table(cfg, "sweep", head, "%.12g,%d,%d,%d,%.12g,%s", rows)
+    _write_table(cfg, "sweep", head, ["%.12g,%d,%d,%d,%.12g,%s" % row for row in rows])
     return EXIT_OK
 
 
@@ -234,7 +236,8 @@ def cmd_wigner(cfg: RunConfig) -> int:
     axis = default_grid()
     grid = wigner(state, axis, axis)
     head = "# rows: q from %.12g to %.12g; columns: p likewise" % (axis[0], axis[-1])
-    _write_table(cfg, "wigner", head, ",".join(["%.12g"] * len(axis)), grid.values.tolist())
+    row_format = ",".join(["%.12g"] * len(axis))
+    _write_table(cfg, "wigner", head, [row_format % tuple(row) for row in grid.values.tolist()])
     return EXIT_OK
 
 

@@ -3,9 +3,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qpbreed
+from qpbreed import FockConfig, enumerate_two_iterations, sign_aggregated
 from qpbreed.cli import (
     _FIELDS,
     COMMANDS,
@@ -141,6 +143,25 @@ def test_enumerate_small_dim(tmp_path):
     assert total == pytest.approx(1.0, abs=1e-8)
     assert (tmp_path / "enum_fidelity_curve.csv").exists()
     assert (tmp_path / "enum_squeezing_curve.csv").exists()
+
+
+@pytest.mark.parametrize("dim", [19, 20])
+def test_enumerate_rows_are_the_per_row_format(tmp_path, capsys, dim):
+    # the CLI formats each canonical leaf once and gathers its text; every
+    # row must still read as the %-format of that leaf's own values
+    probability, fid, delta = enumerate_two_iterations(FockConfig(dim))
+    columns = [*np.indices(probability.shape), probability, sign_aggregated(probability, 3), fid, delta]
+    expected = [
+        "%d,%d,%d,%.12g,%.12g,%.12g,%.12g" % row
+        for row in zip(*(column.ravel().tolist() for column in columns))
+    ]
+    out = tmp_path / "enum.csv"
+    assert run_cli(["enumerate", "--dim", str(dim), "--output-path", str(out)]) == EXIT_OK
+    assert run_cli(["enumerate", "--dim", str(dim), "--output-path", "-"]) == EXIT_OK
+    for text in (out.read_text(), capsys.readouterr().out):
+        lines = text.splitlines()
+        start = lines.index("q1,q2,p,probability,aggregated_probability,fidelity,effective_squeezing") + 1
+        assert lines[start : start + dim**3] == expected
 
 
 def test_enumerate_over_budget_exits_before_the_target(monkeypatch, capsys):
