@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -86,25 +87,28 @@ class RunConfig:
         return {key: value for key, value in values.items() if key in READS[command]}
 
 
-def _write_table(cfg: RunConfig, command: str, head: str, lines, path=None):
+def _write_table(cfg: RunConfig, command: str, head: str, chunks, path=None):
     """Write a table: the schema version and the settings ``command`` reads
-    as comment lines, then ``head``, then the already formatted ``lines``."""
+    as comment lines, then ``head``, then the rows, given as an iterable of
+    text chunks that each hold whole formatted lines, newlines included. A
+    generator of chunks is written as it is consumed."""
     header = [f"# schema_version={SCHEMA_VERSION}"]
     for key, value in cfg.as_dict(command).items():
         text = "%.12g" % value if isinstance(value, float) else value
         header.append(f"# config {key}={text}")
     header.append(head)
-    header += lines
-    _write(cfg, "\n".join(header) + "\n", path)
+    _write(cfg, itertools.chain(["\n".join(header) + "\n"], chunks), path)
 
 
-def _write(cfg: RunConfig, text: str, path: str | None = None):
+def _write(cfg: RunConfig, chunks, path: str | None = None):
+    """Write the text chunks, in order, to ``path`` (``cfg.output_path``
+    when None), where ``-`` is standard output."""
     path = cfg.output_path if path is None else path
     if path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
 
 
 def _sibling_path(path: str, suffix: str) -> str:
@@ -142,7 +146,7 @@ def cmd_distribution(cfg: RunConfig) -> int:
     columns = zip(dist.eigenvalues, dist.rescaled_outcomes, dist.probabilities)
     rows = [(i, *values, dist.peak_labels.get(i, "")) for i, values in enumerate(columns)]
     head = "index,eigenvalue,rescaled_outcome,probability,label"
-    _write_table(cfg, "distribution", head, ["%d,%.12g,%.12g,%.12g,%s" % row for row in rows])
+    _write_table(cfg, "distribution", head, ["%d,%.12g,%.12g,%.12g,%s\n" % row for row in rows])
     return EXIT_OK
 
 
@@ -173,7 +177,7 @@ def cmd_chain(cfg: RunConfig) -> int:
         "config": cfg.as_dict("chain"),
         "records": records,
     }
-    _write(cfg, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write(cfg, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
     return EXIT_OK
 
 
@@ -193,9 +197,12 @@ def cmd_enumerate(cfg: RunConfig) -> int:
     rows = zip(*(column[canonical].ravel().tolist() for column in columns))
     values = np.array(["%.12g,%.12g,%.12g,%.12g" % row for row in rows], dtype=object)
     index = np.array([f"{i}," for i in range(cfg.dim)], dtype=object)
-    lines = index[:, None, None] + index[:, None] + index + values[fold]
+    slabs = (  # one q1 at a time, so that no more than dim² row strings are held
+        "\n".join((index[q1] + index[:, None] + index + values[fold[q1]]).ravel().tolist()) + "\n"
+        for q1 in range(cfg.dim)
+    )
     head = "q1,q2,p,probability,aggregated_probability,fidelity,effective_squeezing"
-    _write_table(cfg, "enumerate", head, lines.ravel().tolist())
+    _write_table(cfg, "enumerate", head, slabs)
     curve_f = probability_fidelity_curve(probability, fid, DEFAULT_FIDELITY_THRESHOLDS)
     curve_s = effective_squeezing_curve(probability, delta, DEFAULT_SQUEEZING_BOUNDS)
     for suffix, column, points in (
@@ -203,7 +210,7 @@ def cmd_enumerate(cfg: RunConfig) -> int:
         ("squeezing_curve", "squeezing_bound", curve_s),
     ):
         path = _sibling_path(cfg.output_path, suffix)
-        lines = ["%.12g,%.12g" % point for point in points]
+        lines = ["%.12g,%.12g\n" % point for point in points]
         _write_table(cfg, "enumerate", f"{column},cumulative_probability", lines, path)
     return EXIT_OK
 
@@ -218,7 +225,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         for rec in sweep_binomial_inputs(cfg.fock(), [2, 3, 4], list(range(2, 8)), schedule, *deltas)
     ]
     head = "target_delta,N,K,iteration,fidelity,supported"
-    _write_table(cfg, "sweep", head, ["%.12g,%d,%d,%d,%.12g,%s" % row for row in rows])
+    _write_table(cfg, "sweep", head, ["%.12g,%d,%d,%d,%.12g,%s\n" % row for row in rows])
     return EXIT_OK
 
 
@@ -236,7 +243,7 @@ def cmd_wigner(cfg: RunConfig) -> int:
     axis = default_grid()
     grid = wigner(state, axis, axis)
     head = "# rows: q from %.12g to %.12g; columns: p likewise" % (axis[0], axis[-1])
-    row_format = ",".join(["%.12g"] * len(axis))
+    row_format = ",".join(["%.12g"] * len(axis)) + "\n"
     _write_table(cfg, "wigner", head, [row_format % tuple(row) for row in grid.values.tolist()])
     return EXIT_OK
 

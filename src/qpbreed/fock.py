@@ -100,9 +100,11 @@ def annihilation(cfg: FockConfig) -> np.ndarray:
 def quadrature_basis(cfg: FockConfig, axis: str) -> QuadratureBasis:
     """Diagonalize the q or p quadrature on the truncated Fock space.
 
-    q is real symmetric tridiagonal in the Fock basis. p shares its spectrum
-    and its eigenvectors are obtained through the Fock-diagonal phase map
-    |n⟩ → iⁿ|n⟩, under which p = F q F†.
+    q is real symmetric tridiagonal in the Fock basis, so its eigenvectors
+    are real (float64). p shares its spectrum and its eigenvectors are
+    obtained through the Fock-diagonal phase map |n⟩ → iⁿ|n⟩, under which
+    p = F q F†: row n of the complex p eigenvectors is iⁿ times row n of the
+    q eigenvectors, exactly.
     """
     if axis not in ("q", "p"):
         raise ValueError(f"axis must be 'q' or 'p', got {axis!r}")
@@ -138,17 +140,18 @@ def displacement(cfg: FockConfig, beta: complex) -> np.ndarray:
 def binomial_state(cfg: FockConfig, params: BinomialParams) -> np.ndarray:
     """Zero-logical codeword of the N-fold binomial code.
 
-    Amplitude √(2^{1−K} C(K, 2k)) on Fock level 2kN for k = 0..⌊K/2⌋.
+    Amplitude √(2^{1−K} C(K, 2k)) on Fock level 2kN for k = 0..⌊K/2⌋, as a
+    real (float64) vector.
     """
     if params.top_level >= cfg.dim:
         raise ValueError(
             f"binomial state (N={params.N}, K={params.K}) occupies Fock level "
             f"{params.top_level}, outside dim {cfg.dim}"
         )
-    state = np.zeros(cfg.dim, dtype=complex)
+    state = np.zeros(cfg.dim)
     for k in range(params.K // 2 + 1):
         state[2 * k * params.N] = math.sqrt(math.comb(params.K, 2 * k) / 2 ** (params.K - 1))
-    return state / np.linalg.norm(state)
+    return state * (1 / np.linalg.norm(state))
 
 
 def squeezed_vacuum(cfg: FockConfig, delta: float) -> np.ndarray:
@@ -156,18 +159,19 @@ def squeezed_vacuum(cfg: FockConfig, delta: float) -> np.ndarray:
 
     Computed from the analytic even-Fock series λⁿ√((2n)!)/(2ⁿn!) with
     λ = tanh(ln delta), then normalized in the truncated space. This avoids
-    exponentiating the two-photon generator at the truncation edge.
+    exponentiating the two-photon generator at the truncation edge. The
+    state is real (float64).
     """
     if not 0 < delta <= 1:
         raise ValueError(f"delta must be in (0, 1], got {delta}")
     lam = math.tanh(math.log(delta))
-    state = np.zeros(cfg.dim, dtype=complex)
+    state = np.zeros(cfg.dim)
     state[0] = 1.0
     coeff = 1.0
     for n in range(1, (cfg.dim - 1) // 2 + 1):
         coeff *= lam * math.sqrt((2 * n) * (2 * n - 1)) / (2 * n)
         state[2 * n] = coeff
-    return state / np.linalg.norm(state)
+    return state * (1 / np.linalg.norm(state))
 
 
 def qunaught_state(cfg: FockConfig, params: QunaughtParams) -> np.ndarray:
@@ -238,15 +242,33 @@ def beamsplitter(cfg: FockConfig) -> np.ndarray:
     return blocks
 
 
+@lru_cache(maxsize=None)
+def _sector_index(dim: int) -> np.ndarray:
+    """Row (k + l)·dim + k, in the (2·dim − 1)·dim rows of the stacked
+    sectors, of each entry [k, l] of a (dim, dim) coefficient matrix,
+    flattened in C order."""
+    k, l = np.indices((dim, dim))
+    index = ((k + l) * dim + k).ravel()
+    index.setflags(write=False)
+    return index
+
+
 def apply_beamsplitter(cfg: FockConfig, coeff: np.ndarray) -> np.ndarray:
     """The beamsplitter on (..., dim, dim) coefficient matrices [k, l] of
-    |k⟩|l⟩. Entry [k, l] lies in sector k + l; the real and imaginary parts
-    of every state go through the real blocks in one batched matmul.
+    |k⟩|l⟩. Entry [k, l] lies in sector k + l. The states go through the
+    real blocks in one batched matmul, one column per state, and a complex
+    stack adds one more column per state for its imaginary part. So a real
+    input gives a real (float64) result at half the cost of a complex one.
     """
     dim = cfg.dim
-    k, l = np.indices((dim, dim))
-    flat = coeff.reshape(-1, dim, dim)
-    sectors = np.zeros((2 * dim - 1, dim, 2 * len(flat)))
-    sectors[k + l, k] = np.concatenate([flat.real, flat.imag]).transpose(1, 2, 0)
-    mixed = (beamsplitter(cfg) @ sectors)[k + l, k].transpose(2, 0, 1)
-    return (mixed[: len(flat)] + 1j * mixed[len(flat) :]).reshape(coeff.shape)
+    index = _sector_index(dim)
+    flat = coeff.reshape(-1, dim * dim)
+    split = np.iscomplexobj(flat)
+    parts = np.concatenate([flat.real, flat.imag]) if split else flat
+    sectors = np.zeros(((2 * dim - 1) * dim, len(parts)))
+    sectors[index] = parts.T
+    mixed = (beamsplitter(cfg) @ sectors.reshape(2 * dim - 1, dim, -1)).reshape(sectors.shape)
+    mixed = mixed[index].T
+    if split:
+        mixed = mixed[: len(flat)] + 1j * mixed[len(flat) :]
+    return mixed.reshape(coeff.shape)

@@ -34,10 +34,28 @@ class OutcomeDistribution:
 
 def projection_amplitudes(state2: np.ndarray, basis: QuadratureBasis) -> np.ndarray:
     """Unnormalized mode-2 amplitudes for every mode-1 outcome of a
-    two-mode state's (dim, dim) coefficient matrix, or of a (..., dim, dim)
+    two-mode state's (dim, dim) coefficient matrix M, or of a (..., dim, dim)
     stack. Row i is (⟨v_i| ⊗ I)|state2⟩; its squared norm is the outcome
-    probability."""
-    return basis.eigenvectors.conj().T @ state2
+    probability.
+
+    Only real products are formed. The q eigenvectors v are real, so a q
+    projection is the one product vᵀM, real for a real M. The p eigenvectors
+    are iᵏ·v_k, so row i of a p projection is Σ_k (−i)ᵏ v_ki M_kl = E − iO,
+    where E and O are the half-size products over the even and the odd k,
+    each with its sign (−1)^⌊k/2⌋; a real M thus gives complex amplitudes. A
+    complex M = A + iB goes through the same products by linearity.
+    """
+    split = np.iscomplexobj(state2)
+    parts = np.stack([state2.real, state2.imag]) if split else state2
+    if basis.axis == "q":
+        product = basis.eigenvectors.T @ parts
+        return product[0] + 1j * product[1] if split else product
+    signed = basis.eigenvectors.real + basis.eigenvectors.imag  # (−1)^⌊k/2⌋ v_ki
+    even = signed[0::2].T @ parts[..., 0::2, :]
+    odd = signed[1::2].T @ parts[..., 1::2, :]
+    if split:  # (E_A − iO_A) + i(E_B − iO_B)
+        return (even[0] + odd[1]) + 1j * (even[1] - odd[0])
+    return even - 1j * odd
 
 
 def _negative_local_maxima(probabilities: np.ndarray, half: int) -> list[int]:

@@ -37,8 +37,13 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
 
 @lru_cache(maxsize=None)
 def _probe(cfg: FockConfig, direction: str) -> np.ndarray:
-    beta = SQRT_PI if direction == "q" else 1j * SQRT_PI
-    op = displacement(cfg, beta)
+    """The probe displacement of :func:`effective_squeezing`. Along q it is
+    D(√π) = exp(√π(a† − a)), whose generator is real antisymmetric, so the
+    matrix is real: only its real part is kept, the imaginary part being
+    rounding (at most 2.9e-15 at dim 50). Along p it is complex."""
+    op = displacement(cfg, SQRT_PI if direction == "q" else 1j * SQRT_PI)
+    if direction == "q":
+        op = np.ascontiguousarray(op.real)
     op.setflags(write=False)
     return op
 
@@ -50,11 +55,12 @@ def effective_squeezing(cfg: FockConfig, state: np.ndarray, direction: str = "q"
     for 'q', imaginary for 'p'); for an ideal grid state of squeezing Δ both
     directions give δ = Δ. Gives 0.0 where the overlap magnitude reaches 1
     numerically and inf where it vanishes. ``state`` is one state, giving a
-    float, or a (..., dim) stack, giving an array of δ.
+    float, or a (..., dim) stack, giving an array of δ. The q probe is a real
+    matrix, so a real state is probed in real arithmetic.
     """
     if direction not in ("q", "p"):
         raise ValueError(f"direction must be 'q' or 'p', got {direction!r}")
-    overlap = np.abs(np.einsum("...j,...j->...", np.conj(state), state @ _probe(cfg, direction).T))
+    overlap = np.abs(np.vecdot(state, state @ _probe(cfg, direction).T))
     with np.errstate(divide="ignore"):
         delta = np.sqrt(-2.0 * np.log(np.minimum(overlap, 1.0))) / SQRT_PI
     delta = np.where(overlap >= 1.0, 0.0, delta)

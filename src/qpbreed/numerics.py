@@ -1,8 +1,10 @@
-"""Dense complex linear-algebra substrate.
+"""Dense linear-algebra substrate.
 
 Everything here is a pure function of immutable inputs, so results can be
-shared freely. Vectors and matrices are plain numpy arrays (complex128
-unless stated otherwise).
+shared freely. Vectors and matrices are plain numpy arrays, float64 where
+the quantity is real (tridiagonal eigenvectors, real orthogonal
+exponentials) and complex128 otherwise. Across the package a real state
+stays real as long as every operator it meets is real.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ def eig_hermitian_tridiagonal(diag, offdiag):
     """Eigendecomposition of a real symmetric tridiagonal matrix.
 
     Returns eigenvalues in ascending order and eigenvectors as the columns
-    of a complex matrix. The global phase of each eigenvector is fixed by
-    making its largest-magnitude entry real and positive, so repeated runs
-    are bit-for-bit reproducible.
+    of a real (float64) matrix. The sign of each eigenvector is fixed by
+    making its largest-magnitude entry positive, so repeated runs are
+    bit-for-bit reproducible.
     """
     diag = np.asarray(diag, dtype=float)
     offdiag = np.asarray(offdiag, dtype=float)
@@ -39,7 +41,7 @@ def eig_hermitian_tridiagonal(diag, offdiag):
     except np.linalg.LinAlgError as exc:  # pragma: no cover - hard to trigger
         raise NumericalError(f"tridiagonal eigensolver did not converge: {exc}") from exc
     largest = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(len(values))]
-    return values, (vectors * np.where(largest < 0, -1.0, 1.0)).astype(complex)
+    return values, vectors * np.where(largest < 0, -1.0, 1.0)
 
 
 def expm_skew_hermitian(g: np.ndarray) -> np.ndarray:
@@ -110,8 +112,8 @@ def expm_skew_tridiagonal(coupling) -> np.ndarray:
 def _symmetric_tridiagonal(offdiag, corner=0.0):
     """Zero-diagonal symmetric tridiagonal matrix, but for ``corner`` as its
     last diagonal entry. It goes to ``np.linalg.eigh`` directly: a function
-    of the matrix needs neither the complex cast nor the fixed eigenvector
-    phases of :func:`eig_hermitian_tridiagonal`."""
+    of the matrix needs none of the fixed eigenvector signs of
+    :func:`eig_hermitian_tridiagonal`."""
     size = len(offdiag) + 1
     matrix = np.zeros((size, size))
     j = np.arange(size - 1)

@@ -23,6 +23,7 @@ in this module store the single-sequence probability; multiply by 2^m, via
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,18 +128,18 @@ def breed_step(left: np.ndarray, right: np.ndarray, axis: str, cfg: FockConfig):
     (n, dim) and (n, dim, dim) for a stack. ``posts[..., i, :]`` is the
     normalized kept-mode state after outcome i, or a zero row where the
     outcome probability is at or below the underflow floor.
+
+    Real inputs are bred in real arithmetic throughout, since the
+    beamsplitter blocks and the q eigenvectors are real: measured in q they
+    give real (float64) posts, and measured in p complex posts, from the
+    phases iⁿ of the p eigenvectors. Complex inputs give complex posts.
     """
     mixed = apply_beamsplitter(cfg, left[:, None] * right[..., None, :])
     amplitudes = projection_amplitudes(mixed, quadrature_basis(cfg, axis))
     probabilities = np.sum(np.abs(amplitudes) ** 2, axis=-1)
     kept = probabilities > PROBABILITY_FLOOR
-    posts = np.divide(
-        amplitudes,
-        np.sqrt(probabilities)[..., None],
-        out=np.zeros_like(amplitudes),
-        where=kept[..., None],
-    )
-    return probabilities, posts
+    scale = np.divide(1.0, np.sqrt(probabilities), out=np.zeros_like(probabilities), where=kept)
+    return probabilities, amplitudes * scale[..., None]
 
 
 def chain_prefixes(
@@ -248,12 +249,25 @@ def enumerate_two_iterations(cfg: FockConfig, target: np.ndarray | None = None):
     are bred, about 3/8 of all; each array is one gather of their values
     through its ``fold``, so the leaves that the fold relates by exchange of
     the two arms or by parity (global mirror) are bit-identical.
+
+    The fold is exact only while every populated beamsplitter sector is
+    whole. The second-level joint state reaches 4·T photons, T the top Fock
+    level of the input (4 for the default input), so below dim 4·T + 1 a
+    UserWarning says that the copied leaves only approximate their own.
     """
     dim = cfg.dim
     check_enumeration_budget(dim)
     if target is None:
         target = default_target(cfg)
     psi0 = default_input(cfg)
+    bound = 4 * int(np.flatnonzero(psi0)[-1]) + 1
+    if dim < bound:
+        warnings.warn(
+            f"enumeration at dim {dim} is below dim {bound}: truncated beamsplitter sectors "
+            f"break the exchange and parity symmetries, so leaves copied through the fold "
+            f"differ from their own values",
+            stacklevel=2,
+        )
     probs, posts = breed_step(psi0, psi0, "q", cfg)
     fold, canonical = leaf_fold(dim)
     blocks = []

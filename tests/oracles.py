@@ -15,7 +15,9 @@ sectors), and Wigner values by assembling the displaced-parity
 expectation directly.
 :func:`direct_two_iteration_enumeration` breeds every first-level pair,
 where the library breeds a quarter of them and fills in the rest by
-exchange and parity symmetry.
+exchange and parity symmetry. :func:`tree_log_probability` breeds every
+node of a uniformly post-selected tree, where the library follows one
+branch and weighs each level's log-probability by its number of nodes.
 :func:`dense_beamsplitter` is not an oracle: it writes out, as a dense
 matrix, the operator the library applies. The quadrature operators, the
 constant schedule and the tolerances below are used only by the tests.
@@ -221,3 +223,18 @@ def direct_two_iteration_enumeration(cfg, target):
         kept = cond > PROBABILITY_FLOOR
         fid[q1] = np.where(kept, np.abs(second @ target.conj()), np.nan)
     return probability, fid
+
+
+def tree_log_probability(cfg, schedule, selected, state):
+    """``(log probability, root state)`` of the full breeding tree of
+    ``state``: each of its 2^k − 1 measurements selects its level's index in
+    ``selected``. Every node is bred from its own two children, and the tree
+    probability is the product of its 2^k − 1 outcome probabilities."""
+    nodes = [(0.0, state)] * 2**schedule.iterations
+    for axis, index in zip(schedule.axes, selected):
+        parents = []
+        for (log_left, left), (log_right, right) in zip(nodes[0::2], nodes[1::2]):
+            probs, posts = breed_step(left, right, axis, cfg)
+            parents.append((log_left + log_right + math.log(probs[index]), posts[index]))
+        nodes = parents
+    return nodes[0]

@@ -133,6 +133,16 @@ def test_warning_is_one_stderr_line(tmp_path, capsys):
     assert not any("op =" in line for line in err)
 
 
+def test_enumerate_fold_warning_is_one_stderr_line(tmp_path, capsys):
+    out = tmp_path / "enum.csv"
+    assert run_cli(["enumerate", "--dim", "12", "--output-path", str(out)]) == EXIT_OK
+    err = capsys.readouterr().err.splitlines()
+    fold_lines = [line for line in err if "below dim 17" in line]
+    assert len(fold_lines) == 1
+    assert fold_lines[0].startswith("warning: enumeration at dim 12 is below dim 17")
+    assert not any("warnings.warn(" in line for line in err)
+
+
 def test_enumerate_small_dim(tmp_path):
     out = tmp_path / "enum.csv"
     assert run_cli(["enumerate", "--dim", "10", "--output-path", str(out)]) == EXIT_OK

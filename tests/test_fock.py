@@ -99,6 +99,7 @@ def test_binomial_psi0_amplitudes(cfg):
     expected = np.zeros(cfg.dim)
     expected[0] = 0.5
     expected[4] = math.sqrt(3) / 2
+    assert psi0.dtype == np.float64
     assert np.max(np.abs(psi0 - expected)) < 1e-14
 
 
@@ -136,6 +137,7 @@ def test_squeezed_vacuum_position_variance(cfg):
 
 def test_squeezed_vacuum_even_support(cfg):
     state = squeezed_vacuum(cfg, 0.4)
+    assert state.dtype == np.float64
     assert np.max(np.abs(state[1::2])) == 0
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qpbreed import label_peaks, quadrature_basis
+from qpbreed import FockConfig, label_peaks, quadrature_basis
 from qpbreed.homodyne import RESCALE, OutcomeDistribution, projection_amplitudes
 from oracles import DISTRIBUTION_SUM, EIG_RESIDUAL, parity_operator, quadrature
 
@@ -39,6 +39,27 @@ def test_p_basis_diagonalizes_p(cfg, basis_p):
     p_op = quadrature(cfg, math.pi / 2)
     residual = p_op @ basis_p.eigenvectors - basis_p.eigenvectors * basis_p.eigenvalues[None, :]
     assert np.max(np.abs(residual)) < EIG_RESIDUAL
+
+
+def test_p_basis_is_the_phased_real_q_basis(basis_q, basis_p):
+    assert basis_q.eigenvectors.dtype == np.float64
+    phases = 1j ** np.arange(basis_q.dim)
+    np.testing.assert_array_equal(basis_p.eigenvectors, phases[:, None] * basis_q.eigenvectors)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 12, 13])
+def test_projection_is_the_conjugate_basis_product(dim):
+    # the real products, and the even/odd split of a p projection, must give
+    # the plain complex product for real and complex inputs, odd dims too
+    rng = np.random.default_rng(dim)
+    real = rng.normal(size=(3, dim, dim))
+    for state2 in (real, real[0], real + 1j * rng.normal(size=real.shape)):
+        for axis in "qp":
+            basis = quadrature_basis(FockConfig(dim), axis)
+            amplitudes = projection_amplitudes(state2, basis)
+            assert amplitudes.dtype == (state2.dtype if axis == "q" else np.complex128)
+            expected = basis.eigenvectors.conj().T @ state2
+            np.testing.assert_allclose(amplitudes, expected, rtol=0, atol=1e-14)
 
 
 def test_invalid_axis(cfg):

@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qpbreed import (
@@ -23,9 +24,14 @@ from qpbreed import (
     sweep_binomial_inputs,
 )
 from qpbreed.numerics import PROBABILITY_FLOOR
-from qpbreed.protocol import leaf_fold, measurements_in_tree, sign_aggregation_log
+from qpbreed.protocol import chain_prefixes, leaf_fold, measurements_in_tree, sign_aggregation_log
 
-from oracles import constant_schedule, direct_two_iteration_enumeration, quadrature
+from oracles import (
+    constant_schedule,
+    direct_two_iteration_enumeration,
+    quadrature,
+    tree_log_probability,
+)
 
 
 def test_schedule_constructors():
@@ -100,6 +106,57 @@ def test_breed_step_exchange_symmetric_for_binomial_inputs(params, axes, data):
     forward, _ = breed_step(posts[i], posts[j], axes[1], cfg)
     backward, _ = breed_step(posts[j], posts[i], axes[1], cfg)
     assert np.max(np.abs(forward - backward)) < 1e-12
+
+
+@settings(database=None, derandomize=True, deadline=None)
+@given(
+    dim=st.integers(2, 40),
+    axis=st.sampled_from("qp"),
+    n=st.one_of(st.none(), st.integers(1, 4)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_breed_step_real_input_matches_its_complex_cast(dim, axis, n, seed):
+    """A real input is bred in real arithmetic: measured in q it stays real.
+    Its outcomes must be those of the same input cast to complex. The
+    amplitudes post·√p are compared, since a normalized post of an outcome
+    with a tiny probability magnifies rounding."""
+    rng = np.random.default_rng(seed)
+    left, right = rng.normal(size=dim), rng.normal(size=(dim,) if n is None else (n, dim))
+    left /= np.linalg.norm(left)
+    right /= np.linalg.norm(right, axis=-1, keepdims=True)
+    cfg = FockConfig(dim)
+    probs, posts = breed_step(left, right, axis, cfg)
+    cast_probs, cast_posts = breed_step(left.astype(complex), right.astype(complex), axis, cfg)
+    assert probs.dtype == np.float64
+    assert posts.dtype == (np.float64 if axis == "q" else np.complex128)
+    assert posts.shape == cast_posts.shape
+    assert np.max(np.abs(probs - cast_probs)) < 1e-13
+    amplitudes = posts * np.sqrt(probs)[..., None]
+    assert np.max(np.abs(amplitudes - cast_posts * np.sqrt(cast_probs)[..., None])) < 1e-13
+
+
+@settings(database=None, derandomize=True, deadline=None)
+@given(
+    params=st.builds(BinomialParams, N=st.integers(1, 4), K=st.integers(1, 9)),
+    axes=st.text("qp", min_size=1, max_size=3),
+    data=st.data(),
+)
+def test_chain_probability_is_the_tree_probability(params, axes, data):
+    """A uniformly post-selected chain weighs level j's log-probability by
+    the 2^{k−j} measurements of that level; breeding every node of the tree
+    must give the same probability and the same output state."""
+    dim = data.draw(st.integers(max(2, params.top_level + 1), 40), label="dim")
+    selected = data.draw(st.lists(st.integers(0, dim - 1), min_size=len(axes), max_size=len(axes)))
+    cfg = FockConfig(dim)
+    schedule = Schedule.from_string(axes)
+    psi = binomial_state(cfg, params)
+    try:
+        *_, (_, log_probability, state) = chain_prefixes(cfg, schedule, selected, psi)
+    except NumericalError:  # a selected outcome underflowed
+        assume(False)
+    tree_log, tree_state = tree_log_probability(cfg, schedule, selected, psi)
+    assert log_probability == pytest.approx(tree_log, rel=1e-12, abs=1e-12)
+    assert abs(abs(np.vdot(tree_state, state)) - 1) < 1e-12
 
 
 def test_breed_step_vacuum_invariant(cfg, vacuum):
@@ -241,6 +298,20 @@ def test_enumeration_is_a_gather_through_the_fold():
     for leaves in enumerate_two_iterations(FockConfig(dim=18)):
         gathered = leaves[canonical].ravel()[fold]
         np.testing.assert_array_equal(gathered.view(np.uint64), leaves.view(np.uint64))
+
+
+def test_enumeration_warns_below_the_exact_fold():
+    # the default input's top level is 4, so the fold is exact from dim 17 on
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        enumerate_two_iterations(FockConfig(dim=12))
+    fold_warnings = [w for w in caught if "below dim 17" in str(w.message)]
+    assert len(fold_warnings) == 1
+    assert fold_warnings[0].category is UserWarning
+    assert "enumeration at dim 12" in str(fold_warnings[0].message)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        enumerate_two_iterations(FockConfig(dim=17))
 
 
 def test_enumeration_budget_guard():
