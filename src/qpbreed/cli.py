@@ -189,12 +189,16 @@ def cmd_enumerate(cfg: RunConfig) -> int:
     """Full two-iteration outcome enumeration: leaf table plus the two
     cumulative curves, written as sibling CSV files."""
     check_enumeration_budget(cfg.dim)  # before the target is built
-    probability, fid, delta = enumerate_two_iterations(cfg.fock(), target=cfg.target())
-    # each canonical leaf is formatted once; the other leaves repeat its values
+    # each canonical leaf is formatted and scored once; the other leaves of
+    # its orbit repeat its values
     fold, canonical = leaf_fold(cfg.dim)
+    probability, fid, delta = (
+        leaves[canonical].ravel()
+        for leaves in enumerate_two_iterations(cfg.fock(), target=cfg.target())
+    )
     m = 3  # measurements in the two-iteration tree
     columns = [probability, sign_aggregated(probability, m), fid, delta]
-    rows = zip(*(column[canonical].ravel().tolist() for column in columns))
+    rows = zip(*(column.tolist() for column in columns))
     values = np.array(["%.12g,%.12g,%.12g,%.12g" % row for row in rows], dtype=object)
     index = np.array([f"{i}," for i in range(cfg.dim)], dtype=object)
     slabs = (  # one q1 at a time, so that no more than dim² row strings are held
@@ -203,8 +207,9 @@ def cmd_enumerate(cfg: RunConfig) -> int:
     )
     head = "q1,q2,p,probability,aggregated_probability,fidelity,effective_squeezing"
     _write_table(cfg, "enumerate", head, slabs)
-    curve_f = probability_fidelity_curve(probability, fid, DEFAULT_FIDELITY_THRESHOLDS)
-    curve_s = effective_squeezing_curve(probability, delta, DEFAULT_SQUEEZING_BOUNDS)
+    weighted = probability * np.bincount(fold.ravel())  # by orbit size
+    curve_f = probability_fidelity_curve(weighted, fid, DEFAULT_FIDELITY_THRESHOLDS)
+    curve_s = effective_squeezing_curve(weighted, delta, DEFAULT_SQUEEZING_BOUNDS)
     for suffix, column, points in (
         ("fidelity_curve", "fidelity_threshold", curve_f),
         ("squeezing_curve", "squeezing_bound", curve_s),

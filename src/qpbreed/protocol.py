@@ -136,7 +136,7 @@ def breed_step(left: np.ndarray, right: np.ndarray, axis: str, cfg: FockConfig):
     """
     mixed = apply_beamsplitter(cfg, left[:, None] * right[..., None, :])
     amplitudes = projection_amplitudes(mixed, quadrature_basis(cfg, axis))
-    probabilities = np.sum(np.abs(amplitudes) ** 2, axis=-1)
+    probabilities = np.vecdot(amplitudes, amplitudes).real
     kept = probabilities > PROBABILITY_FLOOR
     scale = np.divide(1.0, np.sqrt(probabilities), out=np.zeros_like(probabilities), where=kept)
     return probabilities, amplitudes * scale[..., None]
@@ -217,24 +217,25 @@ def check_enumeration_budget(dim: int) -> None:
 
 
 def leaf_fold(dim: int):
-    """The exchange/parity fold of the dim³ two-iteration leaves ``[q1, q2, p]``.
+    """The exchange × parity fold of the dim³ two-iteration leaves ``[q1, q2, p]``.
 
     Returns ``(fold, canonical)``. ``canonical`` is the (dim, dim) mask of the
-    pairs with q1 below ceil(dim/2) and q2 ≥ q1; their leaves, in
-    lexicographic order, are the canonical leaves. ``fold[q1, q2, p]`` is the
-    position of the canonical leaf that a leaf equals by exchange of the two
-    arms and, where both q's are on the positive half, by parity (each index
-    i → dim − 1 − i).
+    pairs with q1 ≤ q2 and q1 + q2 ≤ dim − 1, one per orbit of the group that
+    exchanges the two arms and applies parity (each index i → dim − 1 − i);
+    their leaves, in lexicographic order, are the canonical leaves.
+    ``fold[q1, q2, p]`` is the position of the leaf's orbit representative:
+    (dim − 1 − max, dim − 1 − min, dim − 1 − p) where q1 + q2 > dim − 1, and
+    (min, max, p) elsewhere. A self-conjugate pair, q1 + q2 = dim − 1, is its
+    own parity image up to exchange; its leaves p and dim − 1 − p stay apart.
     """
-    half = (dim + 1) // 2
     q1, q2 = np.indices((dim, dim))
     low, high = np.sort([q1, q2], axis=0)
-    mirrored = low >= half
+    mirrored = low + high > dim - 1
     low, high = np.where(mirrored, [dim - 1 - high, dim - 1 - low], [low, high])
-    pair = low * dim - low * (low - 1) // 2 + high - low  # rank among canonical pairs
+    pair = low * dim - low * (low - 1) + high - low  # rank among canonical pairs
     fold = np.where(mirrored[..., None], np.arange(dim)[::-1], np.arange(dim))
     fold += dim * pair[..., None]
-    return fold, (q1 < half) & (q2 >= q1)
+    return fold, (q1 <= q2) & (q1 + q2 <= dim - 1)
 
 
 def enumerate_two_iterations(cfg: FockConfig, target: np.ndarray | None = None):
@@ -246,14 +247,18 @@ def enumerate_two_iterations(cfg: FockConfig, target: np.ndarray | None = None):
     (dim, dim, dim) arrays indexed ``[q1, q2, p]``: the single-sequence
     probability, and the quality measures of each leaf, nan where the leaf
     probability underflows. Only the canonical leaves of :func:`leaf_fold`
-    are bred, about 3/8 of all; each array is one gather of their values
-    through its ``fold``, so the leaves that the fold relates by exchange of
-    the two arms or by parity (global mirror) are bit-identical.
+    are bred, about a quarter of all (32,500 of 125,000 at dim 50); each
+    array is one gather of their values through its ``fold``, so the leaves
+    that exchange of the two arms or parity (global mirror) relate are
+    bit-identical, but for the leaves p and dim − 1 − p of a self-conjugate
+    pair, which are bred apart and agree up to rounding.
 
-    The fold is exact only while every populated beamsplitter sector is
-    whole. The second-level joint state reaches 4·T photons, T the top Fock
-    level of the input (4 for the default input), so below dim 4·T + 1 a
-    UserWarning says that the copied leaves only approximate their own.
+    Parity is exact in the truncated model: Π⊗Π is the scalar (−1)^t on
+    every beamsplitter sector t, whole or cut. Exchange is exact only while
+    every populated sector is whole. The second-level joint state reaches
+    4·T photons, T the top Fock level of the input (4 for the default
+    input), so below dim 4·T + 1 a UserWarning says that the copied leaves
+    only approximate their own.
     """
     dim = cfg.dim
     check_enumeration_budget(dim)
@@ -281,12 +286,17 @@ def enumerate_two_iterations(cfg: FockConfig, target: np.ndarray | None = None):
 
 
 def probability_fidelity_curve(probability, fidelities, thresholds) -> list[tuple[float, float]]:
-    """Cumulative success probability of reaching at least each fidelity."""
+    """Cumulative success probability of reaching at least each fidelity.
+
+    ``probability`` and ``fidelities`` are matching arrays of leaves: every
+    leaf, or the canonical leaves of :func:`leaf_fold` with each probability
+    weighted by its orbit size."""
     return [(float(t), float(np.sum(probability[fidelities >= t]))) for t in thresholds]
 
 
 def effective_squeezing_curve(probability, deltas, bounds) -> list[tuple[float, float]]:
-    """Cumulative success probability of effective squeezing at or below each bound."""
+    """Cumulative success probability of effective squeezing at or below each
+    bound, over leaves given as for :func:`probability_fidelity_curve`."""
     return [(float(b), float(np.sum(probability[deltas <= b]))) for b in bounds]
 
 

@@ -11,13 +11,16 @@ two-mode generator assembled from Kronecker products, or of each
 photon-number sector's generator assembled from single-mode matrix elements
 (vs the d^j recursion for whole sectors and a half-size real eigensolve for
 truncated ones; mpmath's 40-digit exponential for the small truncated
-sectors), and Wigner values by assembling the displaced-parity
-expectation directly.
+sectors; and, for the worst truncated sectors, the 40-digit exponential
+of each sector's symmetric tridiagonal form through mpmath's ``eigsy``),
+and Wigner values by assembling the displaced-parity expectation directly.
 :func:`direct_two_iteration_enumeration` breeds every first-level pair,
 where the library breeds a quarter of them and fills in the rest by
-exchange and parity symmetry. :func:`tree_log_probability` breeds every
-node of a uniformly post-selected tree, where the library follows one
-branch and weighs each level's log-probability by its number of nodes.
+exchange and parity symmetry. :func:`half_group_leaf_fold` is the earlier
+fold, which used parity only where both q's are on the positive half.
+:func:`tree_log_probability` breeds every node of a uniformly post-selected
+tree, where the library follows one branch and weighs each level's
+log-probability by its number of nodes.
 :func:`dense_beamsplitter` is not an oracle: it writes out, as a dense
 matrix, the operator the library applies. The quadrature operators, the
 constant schedule and the tolerances below are used only by the tests.
@@ -201,6 +204,37 @@ def sector_expm_beamsplitter(cfg):
     return blocks
 
 
+def eigsy_sector_beamsplitter(cfg, total):
+    """Block ``total`` of ``fock.beamsplitter`` at 40 digits, by mpmath's
+    ``eigsy`` of the sector's symmetric tridiagonal form.
+
+    On the levels k of the sector, the generator θ(a†b − ab†) has
+    G[j + 1, j] = −G[j, j + 1] = θ·√((k_j + 1)(t − k_j)). So G = −i·D·S·D†,
+    D = diag(iʲ), where S is symmetric tridiagonal with the same couplings,
+    and with S = V·diag(λ)·Vᵀ, exp(G) = D·V·diag(e^{−iλ})·Vᵀ·D†. Entry
+    [m, k] of that is C, S, −C, −S for (m − k) mod 4 = 0, 1, 2, 3, with
+    C = V·diag(cos λ)·Vᵀ and S = V·diag(sin λ)·Vᵀ."""
+    ks = range(max(0, total - cfg.dim + 1), min(total, cfg.dim - 1) + 1)
+    n = len(ks)
+    block = np.zeros((cfg.dim, cfg.dim))
+    with mpmath.workdps(40):
+        tridiagonal = mpmath.zeros(n, n)
+        for j, k in enumerate(ks[:-1]):
+            tridiagonal[j, j + 1] = tridiagonal[j + 1, j] = (
+                mpmath.pi / 4 * mpmath.sqrt((k + 1) * (total - k))
+            )
+        values, vectors = mpmath.eigsy(tridiagonal)
+        parts = [
+            vectors * mpmath.diag([f(value) for value in values]) * vectors.T
+            for f in (mpmath.cos, mpmath.sin)
+        ]
+        for m in range(n):
+            for k in range(n):
+                sign = -1 if (m - k) % 4 >= 2 else 1
+                block[ks[m], ks[k]] = sign * parts[(m - k) % 2][m, k]
+    return block
+
+
 def dense_beamsplitter(cfg):
     """The dim²×dim² matrix of ``fock.apply_beamsplitter``, column k·dim + l
     being its image of |k⟩|l⟩, so that the dense checks run on the code the
@@ -223,6 +257,24 @@ def direct_two_iteration_enumeration(cfg, target):
         kept = cond > PROBABILITY_FLOOR
         fid[q1] = np.where(kept, np.abs(second @ target.conj()), np.nan)
     return probability, fid
+
+
+def half_group_leaf_fold(dim):
+    """``(fold, canonical)`` as ``protocol.leaf_fold`` gave them when parity
+    folded only the pairs with both q's on the positive half: canonical
+    pairs q1 < ceil(dim/2), q2 ≥ q1, about 3/8 of all leaves. Enumerating
+    through it breeds every pair of the full exchange × parity fold, in
+    longer stacks, and the parity images of the pairs with q1 below and q2
+    at or above ceil(dim/2) on their own."""
+    half = (dim + 1) // 2
+    q1, q2 = np.indices((dim, dim))
+    low, high = np.sort([q1, q2], axis=0)
+    mirrored = low >= half
+    low, high = np.where(mirrored, [dim - 1 - high, dim - 1 - low], [low, high])
+    pair = low * dim - low * (low - 1) // 2 + high - low
+    fold = np.where(mirrored[..., None], np.arange(dim)[::-1], np.arange(dim))
+    fold += dim * pair[..., None]
+    return fold, (q1 < half) & (q2 >= q1)
 
 
 def tree_log_probability(cfg, schedule, selected, state):

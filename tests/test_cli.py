@@ -7,10 +7,18 @@ import numpy as np
 import pytest
 
 import qpbreed
-from qpbreed import FockConfig, enumerate_two_iterations, sign_aggregated
+from qpbreed import (
+    FockConfig,
+    effective_squeezing_curve,
+    enumerate_two_iterations,
+    probability_fidelity_curve,
+    sign_aggregated,
+)
 from qpbreed.cli import (
     _FIELDS,
     COMMANDS,
+    DEFAULT_FIDELITY_THRESHOLDS,
+    DEFAULT_SQUEEZING_BOUNDS,
     EXIT_CONFIG,
     EXIT_OK,
     READS,
@@ -172,6 +180,25 @@ def test_enumerate_rows_are_the_per_row_format(tmp_path, capsys, dim):
         lines = text.splitlines()
         start = lines.index("q1,q2,p,probability,aggregated_probability,fidelity,effective_squeezing") + 1
         assert lines[start : start + dim**3] == expected
+
+
+@pytest.mark.parametrize("dim", [19, 20])
+def test_enumerate_curves_are_the_curves_of_every_leaf(tmp_path, dim):
+    # the CLI sums orbit-weighted canonical leaves; the curves must be those
+    # of the whole table
+    probability, fid, delta = enumerate_two_iterations(FockConfig(dim))
+    expected = {
+        "fidelity_curve": probability_fidelity_curve(probability, fid, DEFAULT_FIDELITY_THRESHOLDS),
+        "squeezing_curve": effective_squeezing_curve(probability, delta, DEFAULT_SQUEEZING_BOUNDS),
+    }
+    out = tmp_path / "e.csv"
+    assert run_cli(["enumerate", "--dim", str(dim), "--output-path", str(out)]) == EXIT_OK
+    for suffix, points in expected.items():
+        lines = (tmp_path / f"e_{suffix}.csv").read_text().splitlines()
+        data = [line for line in lines if not line.startswith("#")][1:]
+        rows = [tuple(map(float, line.split(","))) for line in data]
+        assert [row[0] for row in rows] == [point[0] for point in points]
+        assert [row[1] for row in rows] == pytest.approx([point[1] for point in points], rel=1e-11)
 
 
 def test_enumerate_over_budget_exits_before_the_target(monkeypatch, capsys):

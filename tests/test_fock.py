@@ -23,6 +23,7 @@ from oracles import (
     UNITARITY,
     dense_beamsplitter,
     displacement_matrix,
+    eigsy_sector_beamsplitter,
     generator_beamsplitter,
     padded_expm_displacement,
     parity_operator,
@@ -199,6 +200,16 @@ def test_beamsplitter_matches_sector_expm(dim):
     # and truncated ones of both parities of size (the half-size eigensolve)
     cfg = FockConfig(dim)
     assert np.max(np.abs(beamsplitter(cfg) - sector_expm_beamsplitter(cfg))) < 1e-12
+
+
+@pytest.mark.parametrize("dim, total", [(101, 172), (50, 85)])
+def test_beamsplitter_matches_extended_precision_sector(dim, total):
+    # the truncated sectors where scipy's expm is furthest off: the 29 levels
+    # of t = 172 at dim 101 (6.2e-13) and the 14 of t = 85 at dim 50
+    # (2.9e-13); the library is within 1.7e-14 of the 40-digit oracle
+    cfg = FockConfig(dim)
+    exact = eigsy_sector_beamsplitter(cfg, total)
+    assert np.max(np.abs(beamsplitter(cfg)[total] - exact)) < 1e-13
 
 
 def test_beamsplitter_photon_number_blocks():

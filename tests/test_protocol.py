@@ -29,6 +29,7 @@ from qpbreed.protocol import chain_prefixes, leaf_fold, measurements_in_tree, si
 from oracles import (
     constant_schedule,
     direct_two_iteration_enumeration,
+    half_group_leaf_fold,
     quadrature,
     tree_log_probability,
 )
@@ -280,17 +281,52 @@ def test_symmetry_reduction_matches_direct_enumeration():
 def test_leaf_fold(dim):
     fold, canonical = leaf_fold(dim)
     half = (dim + 1) // 2
-    n = sum((dim - q1) * dim for q1 in range(half))
+    n = dim * sum(dim - 2 * q1 for q1 in range(half))
     np.testing.assert_array_equal(np.unique(fold), np.arange(n))
-    leaves = [(q1, q2, p) for q1 in range(half) for q2 in range(q1, dim) for p in range(dim)]
+    leaves = [(q1, q2, p) for q1 in range(half) for q2 in range(q1, dim - q1) for p in range(dim)]
     assert [fold[leaf] for leaf in leaves] == list(range(n))
     q1, q2 = np.indices((dim, dim))
-    np.testing.assert_array_equal(canonical, (q1 < half) & (q2 >= q1))
+    np.testing.assert_array_equal(canonical, (q1 <= q2) & (q1 + q2 <= dim - 1))
+    # the fold is constant on every orbit of exchange × parity, but for the
+    # self-conjugate pairs q1 + q2 = dim − 1: parity and exchange take their
+    # leaf p to p' = dim − 1 − p of the same pair, and both are bred
     np.testing.assert_array_equal(fold, fold.transpose(1, 0, 2))
-    # parity folds the pairs with both q's on the positive half; elsewhere a
-    # leaf's mirror image is, up to exchange, a canonical leaf bred on its own
-    positive = np.minimum(q1, q2) >= half
-    np.testing.assert_array_equal(fold[positive], fold[::-1, ::-1, ::-1][positive])
+    self_conjugate = (q1 + q2 == dim - 1)[..., None]
+    mirror = fold[::-1, ::-1, ::-1]
+    np.testing.assert_array_equal(mirror, np.where(self_conjugate, fold[..., ::-1], fold))
+
+
+def test_atlas_is_exchange_and_parity_invariant(atlas):
+    q1, q2 = np.indices((50, 50))
+    self_conjugate = q1 + q2 == 49
+    for leaves in atlas:
+        bits = leaves.view(np.uint64)
+        np.testing.assert_array_equal(bits, bits.transpose(1, 0, 2))
+        mirror = bits[::-1, ::-1, ::-1]
+        np.testing.assert_array_equal(bits[~self_conjugate], mirror[~self_conjugate])
+    # the self-conjugate rows are bred whole, and palindromic up to rounding
+    probabilities = atlas[0][self_conjugate]
+    assert np.max(np.abs(probabilities - probabilities[:, ::-1])) < 1e-17
+    likely = probabilities > 1e-8
+    for leaves in atlas[1:]:
+        rows = leaves[self_conjugate]
+        assert np.max(np.abs(rows - rows[:, ::-1])[likely]) < 1e-12
+
+
+@pytest.mark.parametrize("dim", [18, 19])
+def test_fold_matches_the_half_group_enumeration(dim, monkeypatch):
+    """The full-group fold breeds a subset of the pairs that the half-group
+    fold bred, in shorter stacks, so the values it copies are the half-group
+    values up to the rounding of the stack length."""
+    import qpbreed.protocol as protocol
+
+    cfg = FockConfig(dim)
+    full = enumerate_two_iterations(cfg)
+    monkeypatch.setattr(protocol, "leaf_fold", half_group_leaf_fold)
+    half = enumerate_two_iterations(cfg)
+    fold, canonical = leaf_fold(dim)
+    for new, old in zip(full, half):
+        np.testing.assert_allclose(new, old[canonical].ravel()[fold], rtol=1e-13, atol=0)
 
 
 def test_enumeration_is_a_gather_through_the_fold():
