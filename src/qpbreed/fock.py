@@ -205,13 +205,15 @@ def qunaught_state(cfg: FockConfig, params: QunaughtParams) -> np.ndarray:
 @lru_cache(maxsize=None)
 def beamsplitter(cfg: FockConfig) -> np.ndarray:
     """Balanced (50:50) beamsplitter U = exp(θ(a†b − ab†)), θ = π/4, as its
-    total-photon-number blocks: slice t of the (2·dim − 1, dim, dim) result
-    is the real orthogonal block of sector k + l = t on |k⟩|l⟩ (k the
-    measured mode, l the kept one), indexed by k, with zero rows and columns
-    where l = t − k falls outside the truncation.
+    total-photon-number sectors, packed two to a block: slice b of the
+    (dim, dim, dim) result is a real orthogonal matrix on the photon numbers
+    k of the measured mode (the kept one has l = t − k). It holds the whole
+    sector t = b on rows and columns 0..b and, for b ≤ dim − 2, the cut
+    sector t = dim + b on rows and columns b + 1..dim − 1, the levels k
+    whose l stays inside the truncation; its other entries are zero.
 
     A sector t < dim fits the truncation whole, and its block is the Wigner
-    d^{t/2}(π/2) matrix of the Schwinger map. It is built from block t − 1
+    d^{t/2}(π/2) matrix of the Schwinger map. It is built from sector t − 1
     by t·U|k, l⟩ = √k·A·U|k − 1, l⟩ + √l·B·U|k, l − 1⟩, with
     A = U a† U† = (a† − b†)/√2 and B = U b† U† = (a† + b†)/√2. Every
     coefficient of this averaged recursion is at most 1 in size, which keeps
@@ -220,10 +222,10 @@ def beamsplitter(cfg: FockConfig) -> np.ndarray:
     sector generator, from :func:`expm_skew_tridiagonal`.
     """
     dim = cfg.dim
-    blocks = np.zeros((2 * dim - 1, dim, dim))
+    blocks = np.zeros((dim, dim, dim))
     blocks[0, 0, 0] = 1.0
     for total in range(1, dim):
-        previous = blocks[total - 1, :total, : total + 1]  # its last column is zero
+        previous = blocks[total - 1, :total, : total + 1]  # its last column is off-diagonal, zero
         root = np.sqrt(np.arange(total + 1))
         # column k: √k·U|k − 1, l⟩ and √l·U|k, l − 1⟩, rows indexed as in sector t − 1
         from_a = np.zeros_like(previous)
@@ -237,37 +239,40 @@ def beamsplitter(cfg: FockConfig) -> np.ndarray:
         lo = total - dim + 1
         ks = np.arange(lo, dim - 1)
         coupling = math.pi / 4 * np.sqrt((ks + 1) * (total - ks))
-        blocks[total, lo:, lo:] = expm_skew_tridiagonal(coupling)
+        blocks[total - dim, lo:, lo:] = expm_skew_tridiagonal(coupling)
     blocks.setflags(write=False)
     return blocks
 
 
 @lru_cache(maxsize=None)
 def _sector_index(dim: int) -> np.ndarray:
-    """Row (k + l)·dim + k, in the (2·dim − 1)·dim rows of the stacked
-    sectors, of each entry [k, l] of a (dim, dim) coefficient matrix,
-    flattened in C order."""
+    """Row ((k + l) mod dim)·dim + k, in the dim² rows of the packed
+    sectors of :func:`beamsplitter`, of each entry [k, l] of a (dim, dim)
+    coefficient matrix, flattened in C order: a permutation of range(dim²)."""
     k, l = np.indices((dim, dim))
-    index = ((k + l) * dim + k).ravel()
+    index = ((k + l) % dim * dim + k).ravel()
     index.setflags(write=False)
     return index
 
 
 def apply_beamsplitter(cfg: FockConfig, coeff: np.ndarray) -> np.ndarray:
     """The beamsplitter on (..., dim, dim) coefficient matrices [k, l] of
-    |k⟩|l⟩. Entry [k, l] lies in sector k + l. The states go through the
-    real blocks in one batched matmul, one column per state, and a complex
-    stack adds one more column per state for its imaginary part. So a real
-    input gives a real (float64) result at half the cost of a complex one.
+    |k⟩|l⟩. Entry [k, l] lies in sector k + l. The entries are permuted into
+    the packed sectors' rows, go through the real blocks in one batched
+    matmul, one column per state, and are permuted back; a complex stack
+    adds one more column per state for its imaginary part. So a real input
+    gives a real (float64) result at half the cost of a complex one. The
+    zero entries of a block that pair one sector with its partner only add
+    exact zeros to each dot product.
     """
     dim = cfg.dim
     index = _sector_index(dim)
     flat = coeff.reshape(-1, dim * dim)
     split = np.iscomplexobj(flat)
     parts = np.concatenate([flat.real, flat.imag]) if split else flat
-    sectors = np.zeros(((2 * dim - 1) * dim, len(parts)))
+    sectors = np.empty((dim * dim, len(parts)))
     sectors[index] = parts.T
-    mixed = (beamsplitter(cfg) @ sectors.reshape(2 * dim - 1, dim, -1)).reshape(sectors.shape)
+    mixed = (beamsplitter(cfg) @ sectors.reshape(dim, dim, -1)).reshape(sectors.shape)
     mixed = mixed[index].T
     if split:
         mixed = mixed[: len(flat)] + 1j * mixed[len(flat) :]

@@ -76,8 +76,10 @@ def expm_skew_tridiagonal(coupling) -> np.ndarray:
     tridiagonal matrix with the same couplings. So exp(G)[m, k] is
     ±(V·diag(cos λ + sin λ)·Vᵀ)[m, k], with + where (m − k) mod 4 is 0 or 1.
     S commutes with the reversal of the index, so each of its eigenvectors is
-    mirror-symmetric or mirror-antisymmetric, and V comes from two real
-    eigensolves of half the size.
+    mirror-symmetric or mirror-antisymmetric, and V comes from real
+    eigensolves of half the size: two for odd n, one for even n, where the
+    antisymmetric half-size matrix is −P·(the symmetric one)·P with
+    P = diag((−1)ʲ), so its eigenpairs are (−λ, P·v).
     """
     coupling = np.asarray(coupling, dtype=float)
     if coupling.ndim != 1:
@@ -92,13 +94,14 @@ def expm_skew_tridiagonal(coupling) -> np.ndarray:
         return np.ones((1, 1))
     inner, middle = coupling[: half - 1], coupling[half - 1]
     if odd:  # the middle level couples only to the mirror-symmetric combinations
-        plus = _symmetric_tridiagonal(np.append(inner, np.sqrt(2) * middle))
-        minus = _symmetric_tridiagonal(inner)
+        plus = np.linalg.eigh(_symmetric_tridiagonal(np.append(inner, np.sqrt(2) * middle)))
+        minus = np.linalg.eigh(_symmetric_tridiagonal(inner))
     else:
-        plus, minus = _symmetric_tridiagonal(inner, middle), _symmetric_tridiagonal(inner, -middle)
+        plus = np.linalg.eigh(_symmetric_tridiagonal(inner, middle))
+        signs = (-1.0) ** np.arange(half)
+        minus = (-plus[0], signs[:, None] * plus[1])
     rotation = np.zeros((n, n))
-    for mirror, matrix in ((1.0, plus), (-1.0, minus)):
-        values, vectors = np.linalg.eigh(matrix)
+    for mirror, (values, vectors) in ((1.0, plus), (-1.0, minus)):
         lifted = np.zeros((n, len(values)))
         lifted[:half] = vectors[:half] / np.sqrt(2)
         lifted[n - half :] = mirror * vectors[half - 1 :: -1] / np.sqrt(2)

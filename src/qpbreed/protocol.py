@@ -269,7 +269,7 @@ def enumerate_two_iterations(cfg: FockConfig, target: np.ndarray | None = None):
     if dim < bound:
         warnings.warn(
             f"enumeration at dim {dim} is below dim {bound}: truncated beamsplitter sectors "
-            f"break the exchange and parity symmetries, so leaves copied through the fold "
+            f"break the exchange symmetry, so leaves copied through the fold "
             f"differ from their own values",
             stacklevel=2,
         )

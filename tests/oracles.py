@@ -183,14 +183,15 @@ MPMATH_SECTOR_LEVELS = 8
 
 
 def sector_expm_beamsplitter(cfg):
-    """The ``(2·dim − 1, dim, dim)`` blocks of ``fock.beamsplitter``, each
-    as the exponential of its sector's own truncated generator: the matrix
+    """The packed ``(dim, dim, dim)`` blocks of ``fock.beamsplitter``: each
+    sector t as the exponential of its own truncated generator, the matrix
     elements ⟨k, t − k|θ(a†b − ab†)|k', t − k'⟩ over the levels k with both
-    photon numbers inside the truncation. Whole sectors and the larger
-    truncated ones use scipy's Padé ``expm``; truncated sectors of at most
+    photon numbers inside the truncation, written to block t mod dim on
+    those rows and columns. Whole sectors and the larger truncated ones use
+    scipy's Padé ``expm``; truncated sectors of at most
     :data:`MPMATH_SECTOR_LEVELS` levels use mpmath's at 40 digits."""
     adag = annihilation(cfg).real.T
-    blocks = np.zeros((2 * cfg.dim - 1, cfg.dim, cfg.dim))
+    blocks = np.zeros((cfg.dim, cfg.dim, cfg.dim))
     for total in range(2 * cfg.dim - 1):
         ks = np.arange(max(0, total - cfg.dim + 1), min(total, cfg.dim - 1) + 1)
         k, l = np.ix_(ks, ks), np.ix_(total - ks, total - ks)
@@ -198,17 +199,18 @@ def sector_expm_beamsplitter(cfg):
         if total >= cfg.dim and len(ks) <= MPMATH_SECTOR_LEVELS:
             with mpmath.workdps(40):
                 exact = mpmath.expm(mpmath.matrix(generator.tolist()))
-                blocks[total, k[0], k[1]] = np.array(exact.tolist(), dtype=float)
+                blocks[total % cfg.dim, k[0], k[1]] = np.array(exact.tolist(), dtype=float)
         else:
-            blocks[total, k[0], k[1]] = scipy.linalg.expm(generator)
+            blocks[total % cfg.dim, k[0], k[1]] = scipy.linalg.expm(generator)
     return blocks
 
 
 def eigsy_sector_beamsplitter(cfg, total):
-    """Block ``total`` of ``fock.beamsplitter`` at 40 digits, by mpmath's
-    ``eigsy`` of the sector's symmetric tridiagonal form.
+    """Sector ``total`` of ``fock.beamsplitter`` at 40 digits, by mpmath's
+    ``eigsy`` of the sector's symmetric tridiagonal form, as a square matrix
+    on the sector's own levels k, max(0, total − dim + 1)..min(total, dim − 1).
 
-    On the levels k of the sector, the generator θ(a†b − ab†) has
+    On those levels, the generator θ(a†b − ab†) has
     G[j + 1, j] = −G[j, j + 1] = θ·√((k_j + 1)(t − k_j)). So G = −i·D·S·D†,
     D = diag(iʲ), where S is symmetric tridiagonal with the same couplings,
     and with S = V·diag(λ)·Vᵀ, exp(G) = D·V·diag(e^{−iλ})·Vᵀ·D†. Entry
@@ -216,7 +218,7 @@ def eigsy_sector_beamsplitter(cfg, total):
     C = V·diag(cos λ)·Vᵀ and S = V·diag(sin λ)·Vᵀ."""
     ks = range(max(0, total - cfg.dim + 1), min(total, cfg.dim - 1) + 1)
     n = len(ks)
-    block = np.zeros((cfg.dim, cfg.dim))
+    block = np.zeros((n, n))
     with mpmath.workdps(40):
         tridiagonal = mpmath.zeros(n, n)
         for j, k in enumerate(ks[:-1]):
@@ -231,7 +233,7 @@ def eigsy_sector_beamsplitter(cfg, total):
         for m in range(n):
             for k in range(n):
                 sign = -1 if (m - k) % 4 >= 2 else 1
-                block[ks[m], ks[k]] = sign * parts[(m - k) % 2][m, k]
+                block[m, k] = sign * parts[(m - k) % 2][m, k]
     return block
 
 

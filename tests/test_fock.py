@@ -16,7 +16,7 @@ from qpbreed import (
     qunaught_state,
     squeezed_vacuum,
 )
-from qpbreed.fock import QUNAUGHT_TAIL
+from qpbreed.fock import QUNAUGHT_TAIL, _sector_index
 from oracles import (
     BEAMSPLITTER_ROUTES,
     HERMITIAN,
@@ -183,21 +183,30 @@ def test_qunaught_delta_limits_to_squeezed_vacuum(cfg):
 
 
 def test_beamsplitter_orthogonal_blocks(cfg):
-    for dim in (cfg.dim, 51):
+    for dim in (cfg.dim, 51, 101):
         blocks = beamsplitter(FockConfig(dim))
-        assert blocks.shape == (2 * dim - 1, dim, dim)
-        # block t is orthogonal on the photon numbers k with 0 <= t - k < dim
-        # and zero elsewhere
-        kept = np.arange(2 * dim - 1)[:, None] - np.arange(dim)[None, :]
-        padded_identity = ((kept >= 0) & (kept < dim))[:, :, None] * np.eye(dim)
+        assert blocks.shape == (dim, dim, dim)
+        # each block pairs a whole sector with the complementary cut one, so
+        # every block is orthogonal on all dim levels
         gram = blocks @ blocks.transpose(0, 2, 1)
-        assert np.max(np.abs(gram - padded_identity)) < UNITARITY
+        assert np.max(np.abs(gram - np.eye(dim))) < UNITARITY
+
+
+def test_beamsplitter_packs_sectors_into_dim_blocks():
+    # dim full blocks of float64, no padded sector blocks: 8 MB at dim 100
+    assert beamsplitter(FockConfig(100)).nbytes == 8 * 100**3
+
+
+@pytest.mark.parametrize("dim", [2, 3, 50, 51])
+def test_sector_index_is_a_permutation(dim):
+    assert np.array_equal(np.sort(_sector_index(dim)), np.arange(dim * dim))
 
 
 @pytest.mark.parametrize("dim", [2, 3, 50, 51, 101])
 def test_beamsplitter_matches_sector_expm(dim):
-    # every sector: whole ones (t < dim, the d^j recursion, up to t = 100)
-    # and truncated ones of both parities of size (the half-size eigensolve)
+    # every sector at its packed place: whole ones (t < dim, the d^j
+    # recursion, up to t = 100) and truncated ones of both parities of size
+    # (the half-size eigensolves), and the zeros between the two of a block
     cfg = FockConfig(dim)
     assert np.max(np.abs(beamsplitter(cfg) - sector_expm_beamsplitter(cfg))) < 1e-12
 
@@ -206,10 +215,12 @@ def test_beamsplitter_matches_sector_expm(dim):
 def test_beamsplitter_matches_extended_precision_sector(dim, total):
     # the truncated sectors where scipy's expm is furthest off: the 29 levels
     # of t = 172 at dim 101 (6.2e-13) and the 14 of t = 85 at dim 50
-    # (2.9e-13); the library is within 1.7e-14 of the 40-digit oracle
+    # (2.9e-13); the library is within 1.7e-14 of the 40-digit oracle.
+    # Sector t ≥ dim sits in block t − dim on its own levels t − dim + 1..dim − 1.
     cfg = FockConfig(dim)
+    lowest = total - dim + 1
     exact = eigsy_sector_beamsplitter(cfg, total)
-    assert np.max(np.abs(beamsplitter(cfg)[total] - exact)) < 1e-13
+    assert np.max(np.abs(beamsplitter(cfg)[total - dim, lowest:, lowest:] - exact)) < 1e-13
 
 
 def test_beamsplitter_photon_number_blocks():
@@ -242,8 +253,9 @@ def test_beamsplitter_builds_no_full_size_eigensolve(monkeypatch):
     dim = 50
     beamsplitter.__wrapped__(FockConfig(dim))
     # only the truncated sectors t >= dim, of sizes n = 2·dim − 1 − t, call
-    # it: twice each for n >= 2, on ⌈n/2⌉ and ⌊n/2⌋ rows
-    expected = [size for n in range(2, dim) for size in ((n + 1) // 2, n // 2)]
+    # it: once on n/2 rows for even n, twice on ⌈n/2⌉ and ⌊n/2⌋ for odd n
+    expected = [n // 2 for n in range(2, dim, 2)]
+    expected += [size for n in range(3, dim, 2) for size in ((n + 1) // 2, n // 2)]
     assert sorted(rows) == sorted(expected)
     assert max(rows) <= math.ceil(dim / 2)
 

@@ -344,7 +344,10 @@ def test_enumeration_warns_below_the_exact_fold():
     fold_warnings = [w for w in caught if "below dim 17" in str(w.message)]
     assert len(fold_warnings) == 1
     assert fold_warnings[0].category is UserWarning
-    assert "enumeration at dim 12" in str(fold_warnings[0].message)
+    message = str(fold_warnings[0].message)
+    assert "enumeration at dim 12" in message
+    # parity holds on every sector, whole or cut; only exchange is broken
+    assert "exchange symmetry" in message and "parity" not in message
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         enumerate_two_iterations(FockConfig(dim=17))
