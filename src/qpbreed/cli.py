@@ -193,8 +193,7 @@ def cmd_enumerate(cfg: RunConfig) -> int:
     # its orbit repeat its values
     fold, canonical = leaf_fold(cfg.dim)
     probability, fid, delta = (
-        leaves[canonical].ravel()
-        for leaves in enumerate_two_iterations(cfg.fock(), target=cfg.target())
+        leaves[canonical] for leaves in enumerate_two_iterations(cfg.fock(), target=cfg.target())
     )
     m = 3  # measurements in the two-iteration tree
     columns = [probability, sign_aggregated(probability, m), fid, delta]

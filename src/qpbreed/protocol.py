@@ -17,7 +17,9 @@ aggregate a sequence together with all of its per-measurement mirror images
 (the opposite-sign eigenvalue at each of the m measurements), which all
 occur with the same probability and yield equivalent output states. Records
 in this module store the single-sequence probability; multiply by 2^m, via
-:func:`sign_aggregated`, to compare with the aggregated convention.
+:func:`sign_aggregated`, to compare with the aggregated convention. The
+two-iteration enumeration copies leaves by these same mirror images (with
+arm exchange); :func:`leaf_fold` states where each one is exact.
 """
 
 from __future__ import annotations
@@ -217,25 +219,42 @@ def check_enumeration_budget(dim: int) -> None:
 
 
 def leaf_fold(dim: int):
-    """The exchange × parity fold of the dim³ two-iteration leaves ``[q1, q2, p]``.
+    """The fold of the dim³ two-iteration leaves ``[q1, q2, p]`` by arm
+    exchange and the three single-outcome mirrors.
 
-    Returns ``(fold, canonical)``. ``canonical`` is the (dim, dim) mask of the
-    pairs with q1 ≤ q2 and q1 + q2 ≤ dim − 1, one per orbit of the group that
-    exchanges the two arms and applies parity (each index i → dim − 1 − i);
-    their leaves, in lexicographic order, are the canonical leaves.
-    ``fold[q1, q2, p]`` is the position of the leaf's orbit representative:
-    (dim − 1 − max, dim − 1 − min, dim − 1 − p) where q1 + q2 > dim − 1, and
-    (min, max, p) elsewhere. A self-conjugate pair, q1 + q2 = dim − 1, is its
-    own parity image up to exchange; its leaves p and dim − 1 − p stay apart.
+    The group, of order 16, is generated by the exchange of the two arms,
+    (q1, q2, p) → (q2, q1, p), and by the mirror of each outcome on its own:
+    q1 → dim − 1 − q1, q2 → dim − 1 − q2 and p → dim − 1 − p. With
+    c = ⌈dim/2⌉, each orbit holds one leaf with q1 ≤ q2 < c and p < c:
+    each index goes to min(i, dim − 1 − i), and the two q's are sorted.
+
+    Returns ``(fold, canonical)``. ``canonical`` is the (dim, dim, dim) mask
+    of those leaves, the product of a pair mask and an outcome mask; in
+    lexicographic order they are the c²(c + 1)/2 canonical leaves.
+    ``fold[q1, q2, p]`` is the position of the leaf's orbit representative
+    among them.
+
+    For the default input the group acts exactly on the enumeration as
+    follows; T is the input's top Fock level (4):
+    - q mirror, from dim 2T + 1: the input is parity-even and ψ0⊗ψ0 lies in
+      whole beamsplitter sectors, so every first-level post is parity-even
+      and q, dim − 1 − q herald the same state, up to sign, with the same
+      probability.
+    - p mirror, at every dim: the first-level posts are real, and the
+      conjugate of p eigenvector j is ± p eigenvector dim − 1 − j, so p and
+      dim − 1 − p give conjugate posts, with the same probability, fidelity
+      to a real target and q-probe δ.
+    - exchange, from dim 4T + 1: the second-level joint state reaches 4T
+      photons, and exchange holds only while every populated sector is
+      whole.
     """
-    q1, q2 = np.indices((dim, dim))
-    low, high = np.sort([q1, q2], axis=0)
-    mirrored = low + high > dim - 1
-    low, high = np.where(mirrored, [dim - 1 - high, dim - 1 - low], [low, high])
-    pair = low * dim - low * (low - 1) + high - low  # rank among canonical pairs
-    fold = np.where(mirrored[..., None], np.arange(dim)[::-1], np.arange(dim))
-    fold += dim * pair[..., None]
-    return fold, (q1 <= q2) & (q1 + q2 <= dim - 1)
+    half = (dim + 1) // 2
+    mirror = np.minimum(np.arange(dim), np.arange(dim)[::-1])  # i → min(i, dim − 1 − i)
+    low, high = np.minimum.outer(mirror, mirror), np.maximum.outer(mirror, mirror)
+    pair = low * half - low * (low - 1) // 2 + high - low  # rank among canonical pairs
+    fold = half * pair[..., None] + mirror
+    q1, q2, p = np.indices((dim, dim, dim), sparse=True)
+    return fold, (q1 <= q2) & (q2 < half) & (p < half)
 
 
 def enumerate_two_iterations(cfg: FockConfig, target: np.ndarray | None = None):
@@ -247,17 +266,16 @@ def enumerate_two_iterations(cfg: FockConfig, target: np.ndarray | None = None):
     (dim, dim, dim) arrays indexed ``[q1, q2, p]``: the single-sequence
     probability, and the quality measures of each leaf, nan where the leaf
     probability underflows. Only the canonical leaves of :func:`leaf_fold`
-    are bred, about a quarter of all (32,500 of 125,000 at dim 50); each
-    array is one gather of their values through its ``fold``, so the leaves
-    that exchange of the two arms or parity (global mirror) relate are
-    bit-identical, but for the leaves p and dim − 1 − p of a self-conjugate
-    pair, which are bred apart and agree up to rounding.
+    are bred and scored: for each q1 < ⌈dim/2⌉, one stack against
+    q2 ∈ [q1, ⌈dim/2⌉), scored on its first ⌈dim/2⌉ p outcomes. At dim 50
+    that is 325 of the 2,500 first-level pairs and 8,125 of the 125,000
+    leaves. Each array is one gather of their values through ``fold``, so
+    the leaves of an orbit are bit-identical.
 
-    Parity is exact in the truncated model: Π⊗Π is the scalar (−1)^t on
-    every beamsplitter sector t, whole or cut. Exchange is exact only while
-    every populated sector is whole. The second-level joint state reaches
-    4·T photons, T the top Fock level of the input (4 for the default
-    input), so below dim 4·T + 1 a UserWarning says that the copied leaves
+    The copies are exact where the group is (see :func:`leaf_fold`): the
+    p mirror at every dim, the q mirror from dim 2·T + 1 and exchange from
+    dim 4·T + 1, T the top Fock level of the input (4 for the default
+    input). Below dim 4·T + 1 a UserWarning says that the copied leaves
     only approximate their own.
     """
     dim = cfg.dim
@@ -265,21 +283,24 @@ def enumerate_two_iterations(cfg: FockConfig, target: np.ndarray | None = None):
     if target is None:
         target = default_target(cfg)
     psi0 = default_input(cfg)
-    bound = 4 * int(np.flatnonzero(psi0)[-1]) + 1
-    if dim < bound:
+    top = int(np.flatnonzero(psi0)[-1])
+    if dim < 4 * top + 1:
+        mirror = f" and, below dim {2 * top + 1}, the q-outcome mirror" if dim < 2 * top + 1 else ""
         warnings.warn(
-            f"enumeration at dim {dim} is below dim {bound}: truncated beamsplitter sectors "
-            f"break the exchange symmetry, so leaves copied through the fold "
+            f"enumeration at dim {dim} is below dim {4 * top + 1}: truncated beamsplitter "
+            f"sectors break the exchange symmetry{mirror}, so leaves copied through the fold "
             f"differ from their own values",
             stacklevel=2,
         )
     probs, posts = breed_step(psi0, psi0, "q", cfg)
     fold, canonical = leaf_fold(dim)
+    pairs, outcomes = canonical.any(axis=2), canonical.any(axis=(0, 1))
     blocks = []
-    for q1 in np.flatnonzero(canonical.any(axis=1)):
-        cond, second = breed_step(posts[q1], posts[canonical[q1]], "p", cfg)
+    for q1 in np.flatnonzero(pairs.any(axis=1)):
+        cond, second = breed_step(posts[q1], posts[pairs[q1]], "p", cfg)
+        cond, second = cond[:, outcomes], second[:, outcomes]
         quality = [np.abs(second @ target.conj()), effective_squeezing(cfg, second, "q")]
-        block = np.stack([probs[q1] * probs[canonical[q1], None] * cond, *quality])
+        block = np.stack([probs[q1] * probs[pairs[q1], None] * cond, *quality])
         block[1:, cond <= PROBABILITY_FLOOR] = math.nan  # underflowed leaves
         blocks.append(block)
     return tuple(np.concatenate(blocks, axis=1).reshape(3, -1)[:, fold])

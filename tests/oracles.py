@@ -15,9 +15,10 @@ sectors; and, for the worst truncated sectors, the 40-digit exponential
 of each sector's symmetric tridiagonal form through mpmath's ``eigsy``),
 and Wigner values by assembling the displaced-parity expectation directly.
 :func:`direct_two_iteration_enumeration` breeds every first-level pair,
-where the library breeds a quarter of them and fills in the rest by
-exchange and parity symmetry. :func:`half_group_leaf_fold` is the earlier
-fold, which used parity only where both q's are on the positive half.
+where the library breeds an eighth of them, scores half of their p
+outcomes and fills in the rest by exchange and the mirror of each
+outcome. :func:`exchange_parity_leaf_fold` is the earlier fold, by
+exchange and global parity only.
 :func:`tree_log_probability` breeds every node of a uniformly post-selected
 tree, where the library follows one branch and weighs each level's
 log-probability by its number of nodes.
@@ -261,22 +262,24 @@ def direct_two_iteration_enumeration(cfg, target):
     return probability, fid
 
 
-def half_group_leaf_fold(dim):
-    """``(fold, canonical)`` as ``protocol.leaf_fold`` gave them when parity
-    folded only the pairs with both q's on the positive half: canonical
-    pairs q1 < ceil(dim/2), q2 ≥ q1, about 3/8 of all leaves. Enumerating
-    through it breeds every pair of the full exchange × parity fold, in
-    longer stacks, and the parity images of the pairs with q1 below and q2
-    at or above ceil(dim/2) on their own."""
-    half = (dim + 1) // 2
+def exchange_parity_leaf_fold(dim):
+    """``(fold, canonical)`` as ``protocol.leaf_fold`` gave them when it
+    folded by arm exchange and global parity only, a group of order 4:
+    canonical pairs q1 ≤ q2 with q1 + q2 ≤ dim − 1, with every p, about a
+    quarter of all leaves. A leaf with q1 + q2 > dim − 1 goes to the parity
+    image of its sorted pair, p to dim − 1 − p. A self-conjugate pair,
+    q1 + q2 = dim − 1, is its own parity image up to exchange; its leaves
+    p and dim − 1 − p stay apart. ``canonical`` is given as a
+    (dim, dim, dim) mask, like the library's."""
     q1, q2 = np.indices((dim, dim))
     low, high = np.sort([q1, q2], axis=0)
-    mirrored = low >= half
+    mirrored = low + high > dim - 1
     low, high = np.where(mirrored, [dim - 1 - high, dim - 1 - low], [low, high])
-    pair = low * dim - low * (low - 1) // 2 + high - low
+    pair = low * dim - low * (low - 1) + high - low
     fold = np.where(mirrored[..., None], np.arange(dim)[::-1], np.arange(dim))
     fold += dim * pair[..., None]
-    return fold, (q1 < half) & (q2 >= q1)
+    pairs = (q1 <= q2) & (q1 + q2 <= dim - 1)
+    return fold, np.repeat(pairs[..., None], dim, axis=2)
 
 
 def tree_log_probability(cfg, schedule, selected, state):

@@ -175,6 +175,17 @@ def test_qunaught_rejects_delta_too_small_for_dim():
         assert abs(np.vdot(wide, state)) / np.linalg.norm(wide) > 0.99
 
 
+def test_qunaught_converged_in_dim_for_the_sweep_targets():
+    # the two targets of the sweep: from dim 50 on, the target is the dim-400
+    # target cut to dim, to 1 − F ≤ 1e-7 (5.1e-8 at Δ 0.35, dim 50)
+    for delta in (0.35, 0.4):
+        wide = qunaught_state(FockConfig(400), QunaughtParams(delta))
+        for dim in (50, 70, 100):
+            cut = wide[:dim] / np.linalg.norm(wide[:dim])
+            state = qunaught_state(FockConfig(dim), QunaughtParams(delta))
+            assert 1 - abs(np.vdot(cut, state)) <= 1e-7
+
+
 def test_qunaught_delta_limits_to_squeezed_vacuum(cfg):
     # At very small envelope (delta -> 1 would be vacuum-like) the state
     # stays normalized; sanity check another delta builds fine.

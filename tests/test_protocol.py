@@ -29,7 +29,7 @@ from qpbreed.protocol import chain_prefixes, leaf_fold, measurements_in_tree, si
 from oracles import (
     constant_schedule,
     direct_two_iteration_enumeration,
-    half_group_leaf_fold,
+    exchange_parity_leaf_fold,
     quadrature,
     tree_log_probability,
 )
@@ -277,56 +277,98 @@ def test_symmetry_reduction_matches_direct_enumeration():
     np.testing.assert_allclose(fast_fid[both], slow_fid[both], rtol=0, atol=1e-9)
 
 
+def _up_to_sign(a, b):
+    """Largest entry of a − b or of a + b, whichever is smaller, per row."""
+    return np.minimum(np.abs(a - b).max(axis=-1), np.abs(a + b).max(axis=-1))
+
+
+@pytest.mark.parametrize("dim", [9, 17, 50, 51])
+def test_first_level_q_mirror(dim):
+    # the default input is parity-even, and from dim 2T + 1 = 9 the joint
+    # input lies in whole beamsplitter sectors, so every post is parity-even:
+    # q and dim − 1 − q herald the same state with the same probability
+    cfg = FockConfig(dim)
+    psi0 = default_input(cfg)
+    probs, posts = breed_step(psi0, psi0, "q", cfg)
+    likely = probs > 1e-8
+    np.testing.assert_allclose(probs[::-1][likely], probs[likely], rtol=1e-12, atol=0)
+    assert np.max(_up_to_sign(posts[::-1], posts)[likely]) < 1e-12
+
+
+def test_first_level_q_mirror_needs_whole_sectors():
+    # at dim 8 the joint input reaches the cut sector 8, and a post is not
+    # its mirror's state: the q mirror of the fold is exact from dim 9 only
+    cfg = FockConfig(8)
+    psi0 = default_input(cfg)
+    probs, posts = breed_step(psi0, psi0, "q", cfg)
+    assert np.max(_up_to_sign(posts[::-1], posts)[probs > 1e-8]) > 0.5
+
+
+@pytest.mark.parametrize("dim", [12, 50])
+def test_second_level_p_mirror(dim):
+    # the first-level posts are real, and the conjugate of p eigenvector j
+    # is ± p eigenvector dim − 1 − j: p and dim − 1 − p give conjugate
+    # posts with the same probability, at every dim
+    cfg = FockConfig(dim)
+    psi0 = default_input(cfg)
+    probs, posts = breed_step(psi0, psi0, "q", cfg)
+    for q1 in range(dim):
+        cond, second = breed_step(posts[q1], posts, "p", cfg)
+        likely = probs[q1] * probs[:, None] * cond > 1e-8
+        mirror = second[:, ::-1].conj()
+        overlap = np.vecdot(mirror, second)
+        phase = overlap / np.where(overlap == 0, 1, np.abs(overlap))
+        deviation = np.abs(second - phase[..., None] * mirror).max(axis=-1)
+        assert np.all(deviation[likely] < 1e-12)
+        np.testing.assert_allclose(cond[:, ::-1][likely], cond[likely], rtol=1e-12, atol=0)
+
+
 @pytest.mark.parametrize("dim", range(2, 13))
 def test_leaf_fold(dim):
     fold, canonical = leaf_fold(dim)
     half = (dim + 1) // 2
-    n = dim * sum(dim - 2 * q1 for q1 in range(half))
+    n = half**2 * (half + 1) // 2
     np.testing.assert_array_equal(np.unique(fold), np.arange(n))
-    leaves = [(q1, q2, p) for q1 in range(half) for q2 in range(q1, dim - q1) for p in range(dim)]
+    leaves = [(q1, q2, p) for q1 in range(half) for q2 in range(q1, half) for p in range(half)]
     assert [fold[leaf] for leaf in leaves] == list(range(n))
-    q1, q2 = np.indices((dim, dim))
-    np.testing.assert_array_equal(canonical, (q1 <= q2) & (q1 + q2 <= dim - 1))
-    # the fold is constant on every orbit of exchange × parity, but for the
-    # self-conjugate pairs q1 + q2 = dim − 1: parity and exchange take their
-    # leaf p to p' = dim − 1 − p of the same pair, and both are bred
+    q1, q2, p = np.indices((dim, dim, dim))
+    np.testing.assert_array_equal(canonical, (q1 <= q2) & (q2 < half) & (p < half))
+    # the fold is constant on every orbit of exchange and the three
+    # single-outcome mirrors, everywhere
     np.testing.assert_array_equal(fold, fold.transpose(1, 0, 2))
-    self_conjugate = (q1 + q2 == dim - 1)[..., None]
-    mirror = fold[::-1, ::-1, ::-1]
-    np.testing.assert_array_equal(mirror, np.where(self_conjugate, fold[..., ::-1], fold))
+    for axis in range(3):
+        np.testing.assert_array_equal(fold, np.flip(fold, axis))
 
 
 def test_atlas_is_exchange_and_parity_invariant(atlas):
-    q1, q2 = np.indices((50, 50))
-    self_conjugate = q1 + q2 == 49
+    # exchange and each single-outcome mirror; global parity is their product
     for leaves in atlas:
         bits = leaves.view(np.uint64)
         np.testing.assert_array_equal(bits, bits.transpose(1, 0, 2))
-        mirror = bits[::-1, ::-1, ::-1]
-        np.testing.assert_array_equal(bits[~self_conjugate], mirror[~self_conjugate])
-    # the self-conjugate rows are bred whole, and palindromic up to rounding
-    probabilities = atlas[0][self_conjugate]
-    assert np.max(np.abs(probabilities - probabilities[:, ::-1])) < 1e-17
-    likely = probabilities > 1e-8
-    for leaves in atlas[1:]:
-        rows = leaves[self_conjugate]
-        assert np.max(np.abs(rows - rows[:, ::-1])[likely]) < 1e-12
+        for axis in range(3):
+            np.testing.assert_array_equal(bits, np.flip(bits, axis))
 
 
 @pytest.mark.parametrize("dim", [18, 19])
 def test_fold_matches_the_half_group_enumeration(dim, monkeypatch):
-    """The full-group fold breeds a subset of the pairs that the half-group
-    fold bred, in shorter stacks, so the values it copies are the half-group
-    values up to the rounding of the stack length."""
+    """The fold breeds a subset of the pairs that the exchange × parity fold
+    bred, in shorter stacks, and scores half of their p outcomes, so the
+    values it copies are that fold's values up to the rounding of the stack
+    length. The leaves it copies by a q or p mirror, which that fold bred on
+    their own, are checked as well by the mirror tests above."""
     import qpbreed.protocol as protocol
 
     cfg = FockConfig(dim)
-    full = enumerate_two_iterations(cfg)
-    monkeypatch.setattr(protocol, "leaf_fold", half_group_leaf_fold)
-    half = enumerate_two_iterations(cfg)
+    folded = enumerate_two_iterations(cfg)
+    monkeypatch.setattr(protocol, "leaf_fold", exchange_parity_leaf_fold)
+    reference = enumerate_two_iterations(cfg)
     fold, canonical = leaf_fold(dim)
-    for new, old in zip(full, half):
+    likely = reference[0] > 1e-8
+    for new, old in zip(folded, reference):
         np.testing.assert_allclose(new, old[canonical].ravel()[fold], rtol=1e-13, atol=0)
+        # leaf by leaf, the copies differ from the values that fold bred on
+        # their own by rounding only
+        np.testing.assert_allclose(new[likely], old[likely], rtol=0, atol=1e-12)
 
 
 def test_enumeration_is_a_gather_through_the_fold():
@@ -337,17 +379,21 @@ def test_enumeration_is_a_gather_through_the_fold():
 
 
 def test_enumeration_warns_below_the_exact_fold():
-    # the default input's top level is 4, so the fold is exact from dim 17 on
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        enumerate_two_iterations(FockConfig(dim=12))
-    fold_warnings = [w for w in caught if "below dim 17" in str(w.message)]
-    assert len(fold_warnings) == 1
-    assert fold_warnings[0].category is UserWarning
-    message = str(fold_warnings[0].message)
-    assert "enumeration at dim 12" in message
-    # parity holds on every sector, whole or cut; only exchange is broken
-    assert "exchange symmetry" in message and "parity" not in message
+    # the default input's top level is 4, so the fold is exact from dim 17
+    # on, and its q mirror from dim 9 on
+    for dim in (8, 12):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            enumerate_two_iterations(FockConfig(dim=dim))
+        fold_warnings = [w for w in caught if "below dim 17" in str(w.message)]
+        assert len(fold_warnings) == 1
+        assert fold_warnings[0].category is UserWarning
+        message = str(fold_warnings[0].message)
+        assert f"enumeration at dim {dim}" in message
+        # parity holds on every sector, whole or cut; only exchange is
+        # broken, and the q mirror below dim 9
+        assert "exchange symmetry" in message and "parity" not in message
+        assert ("below dim 9, the q-outcome mirror" in message) == (dim < 9)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         enumerate_two_iterations(FockConfig(dim=17))
