@@ -198,10 +198,19 @@ def cmd_enumerate(cfg: RunConfig) -> int:
     m = 3  # measurements in the two-iteration tree
     columns = [probability, sign_aggregated(probability, m), fid, delta]
     rows = zip(*(column.tolist() for column in columns))
-    values = np.array(["%.12g,%.12g,%.12g,%.12g" % row for row in rows], dtype=object)
-    index = np.array([f"{i}," for i in range(cfg.dim)], dtype=object)
+    values = ["%.12g,%.12g,%.12g,%.12g" % row for row in rows]
+    # the text after "q1,q2," depends only on the pair's orbit, named by its
+    # leaf at p = 0: its dim "p,values" strings are made once per orbit
+    tails = {
+        leaves[0]: [f"{p},{values[leaf]}" for p, leaf in enumerate(leaves)]
+        for leaves in fold[canonical.any(axis=2)].tolist()
+    }
+    orbit = fold[:, :, 0].tolist()
     slabs = (  # one q1 at a time, so that no more than dim² row strings are held
-        "\n".join((index[q1] + index[:, None] + index + values[fold[q1]]).ravel().tolist()) + "\n"
+        "".join(
+            f"{q1},{q2}," + f"\n{q1},{q2},".join(tails[orbit[q1][q2]]) + "\n"
+            for q2 in range(cfg.dim)
+        )
         for q1 in range(cfg.dim)
     )
     head = "q1,q2,p,probability,aggregated_probability,fidelity,effective_squeezing"

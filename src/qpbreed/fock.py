@@ -203,6 +203,29 @@ def qunaught_state(cfg: FockConfig, params: QunaughtParams) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _packed_sectors(dim: int) -> np.ndarray:
+    """The (dim, dim, dim) packed blocks of :func:`beamsplitter` with only
+    the whole sectors t < dim filled in. Each is the Wigner d^{t/2}(π/2)
+    matrix, and its recursion does not depend on dim. The cut sectors stay
+    zero until :func:`beamsplitter` writes them into this same array."""
+    blocks = np.zeros((dim, dim, dim))
+    blocks[0, 0, 0] = 1.0
+    for total in range(1, dim):
+        previous = blocks[total - 1, :total, : total + 1]  # its last column is off-diagonal, zero
+        root = np.sqrt(np.arange(total + 1))
+        # column k: √k·U|k − 1, l⟩ and √l·U|k, l − 1⟩, rows indexed as in sector t − 1
+        from_a = np.zeros_like(previous)
+        from_a[:, 1:] = root[1:] * previous[:, :-1]
+        from_b = root[::-1] * previous
+        block = blocks[total, : total + 1, : total + 1]
+        block[1:] = root[1:, None] * (from_a + from_b)  # the a† parts of A and B
+        block[:-1] += root[:0:-1, None] * (from_b - from_a)  # their b† parts
+        block /= total * math.sqrt(2)
+    blocks.setflags(write=False)
+    return blocks
+
+
+@lru_cache(maxsize=None)
 def beamsplitter(cfg: FockConfig) -> np.ndarray:
     """Balanced (50:50) beamsplitter U = exp(θ(a†b − ab†)), θ = π/4, as its
     total-photon-number sectors, packed two to a block: slice b of the
@@ -220,27 +243,24 @@ def beamsplitter(cfg: FockConfig) -> np.ndarray:
     it stable where the one-term ladder recursion is not. A sector t ≥ dim
     is cut by the truncation; its block is the exponential of the truncated
     sector generator, from :func:`expm_skew_tridiagonal`.
+
+    The cut sectors are written into the array of the whole ones
+    (:func:`_packed_sectors`), on levels that array leaves zero, so a dim
+    holds one packed array however it is reached. They are built on the
+    first call; :func:`apply_beamsplitter` makes that call only for a state
+    that reaches sector dim.
     """
     dim = cfg.dim
-    blocks = np.zeros((dim, dim, dim))
-    blocks[0, 0, 0] = 1.0
-    for total in range(1, dim):
-        previous = blocks[total - 1, :total, : total + 1]  # its last column is off-diagonal, zero
-        root = np.sqrt(np.arange(total + 1))
-        # column k: √k·U|k − 1, l⟩ and √l·U|k, l − 1⟩, rows indexed as in sector t − 1
-        from_a = np.zeros_like(previous)
-        from_a[:, 1:] = root[1:] * previous[:, :-1]
-        from_b = root[::-1] * previous
-        block = blocks[total, : total + 1, : total + 1]
-        block[1:] = root[1:, None] * (from_a + from_b)  # the a† parts of A and B
-        block[:-1] += root[:0:-1, None] * (from_b - from_a)  # their b† parts
-        block /= total * math.sqrt(2)
-    for total in range(dim, 2 * dim - 1):
-        lo = total - dim + 1
-        ks = np.arange(lo, dim - 1)
-        coupling = math.pi / 4 * np.sqrt((ks + 1) * (total - ks))
-        blocks[total - dim, lo:, lo:] = expm_skew_tridiagonal(coupling)
-    blocks.setflags(write=False)
+    blocks = _packed_sectors(dim)
+    blocks.setflags(write=True)
+    try:
+        for total in range(dim, 2 * dim - 1):
+            lo = total - dim + 1
+            ks = np.arange(lo, dim - 1)
+            coupling = math.pi / 4 * np.sqrt((ks + 1) * (total - ks))
+            blocks[total - dim, lo:, lo:] = expm_skew_tridiagonal(coupling)
+    finally:
+        blocks.setflags(write=False)
     return blocks
 
 
@@ -256,23 +276,33 @@ def _sector_index(dim: int) -> np.ndarray:
 
 
 def apply_beamsplitter(cfg: FockConfig, coeff: np.ndarray) -> np.ndarray:
-    """The beamsplitter on (..., dim, dim) coefficient matrices [k, l] of
-    |k⟩|l⟩. Entry [k, l] lies in sector k + l. The entries are permuted into
-    the packed sectors' rows, go through the real blocks in one batched
-    matmul, one column per state, and are permuted back; a complex stack
-    adds one more column per state for its imaginary part. So a real input
-    gives a real (float64) result at half the cost of a complex one. The
-    zero entries of a block that pair one sector with its partner only add
-    exact zeros to each dot product.
+    """The beamsplitter on (..., w, w) coefficient matrices [k, l] of
+    |k⟩|l⟩, w ≤ dim. Entry [k, l] lies in sector k + l. The entries are
+    permuted into the packed sectors' rows, go through the real blocks in
+    one batched matmul, one column per state, and are permuted back; a
+    complex stack adds one more column per state for its imaginary part. So
+    a real input gives a real (float64) result at half the cost of a complex
+    one. The zero entries of a block that pair one sector with its partner
+    only add exact zeros to each dot product.
+
+    A corner w < dim must hold exact zeros in every sector t ≥ w, as a
+    joint state of two states with top levels summing to w − 1 does. It is
+    mixed by the corner [:w, :w, :w] of the packed blocks, the whole sectors
+    t < w at their places for ``_sector_index(w)``, and needs no cut sector:
+    those are built only when w = dim.
     """
-    dim = cfg.dim
-    index = _sector_index(dim)
-    flat = coeff.reshape(-1, dim * dim)
+    width = coeff.shape[-1]
+    if width == cfg.dim:
+        blocks = beamsplitter(cfg)
+    else:
+        blocks = _packed_sectors(cfg.dim)[:width, :width, :width]
+    index = _sector_index(width)
+    flat = coeff.reshape(-1, width * width)
     split = np.iscomplexobj(flat)
     parts = np.concatenate([flat.real, flat.imag]) if split else flat
-    sectors = np.empty((dim * dim, len(parts)))
+    sectors = np.empty((width * width, len(parts)))
     sectors[index] = parts.T
-    mixed = (beamsplitter(cfg) @ sectors.reshape(dim, dim, -1)).reshape(sectors.shape)
+    mixed = (blocks @ sectors.reshape(width, width, -1)).reshape(sectors.shape)
     mixed = mixed[index].T
     if split:
         mixed = mixed[: len(flat)] + 1j * mixed[len(flat) :]

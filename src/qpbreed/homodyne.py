@@ -34,9 +34,11 @@ class OutcomeDistribution:
 
 def projection_amplitudes(state2: np.ndarray, basis: QuadratureBasis) -> np.ndarray:
     """Unnormalized mode-2 amplitudes for every mode-1 outcome of a
-    two-mode state's (dim, dim) coefficient matrix M, or of a (..., dim, dim)
-    stack. Row i is (⟨v_i| ⊗ I)|state2⟩; its squared norm is the outcome
-    probability.
+    two-mode state's (w, w) coefficient matrix M, or of a (..., w, w)
+    stack, w ≤ dim: the state on its first w levels of each mode, zero
+    above. Row i, of dim, is (⟨v_i| ⊗ I)|state2⟩ on the first w levels of
+    mode 2; its squared norm is the outcome probability. Only the first w
+    rows of the eigenvectors meet M, so w is read from its shape.
 
     Only real products are formed. The q eigenvectors v are real, so a q
     projection is the one product vᵀM, real for a real M. The p eigenvectors
@@ -45,12 +47,13 @@ def projection_amplitudes(state2: np.ndarray, basis: QuadratureBasis) -> np.ndar
     each with its sign (−1)^⌊k/2⌋; a real M thus gives complex amplitudes. A
     complex M = A + iB goes through the same products by linearity.
     """
+    rows = basis.eigenvectors[: state2.shape[-1]]
     split = np.iscomplexobj(state2)
     parts = np.stack([state2.real, state2.imag]) if split else state2
     if basis.axis == "q":
-        product = basis.eigenvectors.T @ parts
+        product = rows.T @ parts
         return product[0] + 1j * product[1] if split else product
-    signed = basis.eigenvectors.real + basis.eigenvectors.imag  # (−1)^⌊k/2⌋ v_ki
+    signed = rows.real + rows.imag  # (−1)^⌊k/2⌋ v_ki
     even = signed[0::2].T @ parts[..., 0::2, :]
     odd = signed[1::2].T @ parts[..., 1::2, :]
     if split:  # (E_A − iO_A) + i(E_B − iO_B)

@@ -121,6 +121,13 @@ def default_target(cfg: FockConfig) -> np.ndarray:
     return qunaught_state(cfg, QunaughtParams(delta=0.4))
 
 
+def _top_level(state: np.ndarray) -> int:
+    """Last nonzero Fock level of a state, or of any row of a stack; −1 if
+    every entry is zero."""
+    occupied = np.flatnonzero(np.any(state.reshape(-1, state.shape[-1]), axis=0))
+    return int(occupied[-1]) if occupied.size else -1
+
+
 def breed_step(left: np.ndarray, right: np.ndarray, axis: str, cfg: FockConfig):
     """One breeding step, over every outcome of the measured quadrature.
 
@@ -131,17 +138,29 @@ def breed_step(left: np.ndarray, right: np.ndarray, axis: str, cfg: FockConfig):
     normalized kept-mode state after outcome i, or a zero row where the
     outcome probability is at or below the underflow floor.
 
+    The beamsplitter conserves total photon number, so inputs with top
+    Fock levels T_L and T_R (the largest over a stack's rows) give a joint
+    state in sectors t ≤ T_L + T_R, and posts that are zero above level
+    T_L + T_R. The step works on the occupied corner of w = min(dim,
+    T_L + T_R + 1) levels of each mode: the (…, w, w) joint coefficients
+    are mixed, projected onto all dim outcomes, and the posts padded with
+    zeros to dim. Levels are read from the arrays, so from a binomial input
+    of top level T the level-k posts stay within 2ᵏ·T photons.
+
     Real inputs are bred in real arithmetic throughout, since the
     beamsplitter blocks and the q eigenvectors are real: measured in q they
     give real (float64) posts, and measured in p complex posts, from the
     phases iⁿ of the p eigenvectors. Complex inputs give complex posts.
     """
-    mixed = apply_beamsplitter(cfg, left[:, None] * right[..., None, :])
+    width = max(1, min(cfg.dim, _top_level(left) + _top_level(right) + 1))
+    mixed = apply_beamsplitter(cfg, left[:width, None] * right[..., None, :width])
     amplitudes = projection_amplitudes(mixed, quadrature_basis(cfg, axis))
     probabilities = np.vecdot(amplitudes, amplitudes).real
     kept = probabilities > PROBABILITY_FLOOR
     scale = np.divide(1.0, np.sqrt(probabilities), out=np.zeros_like(probabilities), where=kept)
-    return probabilities, amplitudes * scale[..., None]
+    posts = np.zeros(amplitudes.shape[:-1] + (cfg.dim,), amplitudes.dtype)  # zero above the corner
+    np.multiply(amplitudes, scale[..., None], out=posts[..., :width])
+    return probabilities, posts
 
 
 def chain_prefixes(
@@ -283,7 +302,7 @@ def enumerate_two_iterations(cfg: FockConfig, target: np.ndarray | None = None):
     if target is None:
         target = default_target(cfg)
     psi0 = default_input(cfg)
-    top = int(np.flatnonzero(psi0)[-1])
+    top = _top_level(psi0)
     if dim < 4 * top + 1:
         mirror = f" and, below dim {2 * top + 1}, the q-outcome mirror" if dim < 2 * top + 1 else ""
         warnings.warn(

@@ -19,6 +19,8 @@ where the library breeds an eighth of them, scores half of their p
 outcomes and fills in the rest by exchange and the mirror of each
 outcome. :func:`exchange_parity_leaf_fold` is the earlier fold, by
 exchange and global parity only.
+:func:`full_breed_step` breeds on all dim levels of each mode, where the
+library breeds on the corner of levels its inputs occupy.
 :func:`tree_log_probability` breeds every node of a uniformly post-selected
 tree, where the library follows one branch and weighs each level's
 log-probability by its number of nodes.
@@ -41,6 +43,7 @@ from qpbreed.fock import (
     apply_beamsplitter,
     squeezed_vacuum,
 )
+from qpbreed.homodyne import projection_amplitudes, quadrature_basis
 from qpbreed.numerics import PROBABILITY_FLOOR
 from qpbreed.protocol import Schedule, breed_step, default_input
 
@@ -244,6 +247,18 @@ def dense_beamsplitter(cfg):
     breeding step uses."""
     basis = np.eye(cfg.dim**2).reshape(cfg.dim**2, cfg.dim, cfg.dim)
     return apply_beamsplitter(cfg, basis).reshape(cfg.dim**2, cfg.dim**2).T
+
+
+def full_breed_step(left, right, axis, cfg):
+    """``protocol.breed_step`` on the full (…, dim, dim) joint coefficients:
+    every sector mixed, projected and normalized on all dim levels, whatever
+    levels the inputs occupy."""
+    mixed = apply_beamsplitter(cfg, left[:, None] * right[..., None, :])
+    amplitudes = projection_amplitudes(mixed, quadrature_basis(cfg, axis))
+    probabilities = np.vecdot(amplitudes, amplitudes).real
+    kept = probabilities > PROBABILITY_FLOOR
+    scale = np.divide(1.0, np.sqrt(probabilities), out=np.zeros_like(probabilities), where=kept)
+    return probabilities, amplitudes * scale[..., None]
 
 
 def direct_two_iteration_enumeration(cfg, target):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import qpbreed
+from qpbreed import fock
 from qpbreed import (
     FockConfig,
     effective_squeezing_curve,
@@ -210,6 +211,30 @@ def test_enumerate_over_budget_exits_before_the_target(monkeypatch, capsys):
     assert run_cli(["enumerate", "--dim", "127"]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "over the budget of 2000000" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "args, cut_sectors",
+    [
+        (["distribution"], 0),
+        (["distribution", "--postselect", "C,S2"], 0),
+        (["enumerate"], 0),
+        (["chain", "--schedule", "pqpqpqpq", "--postselect", "C,C,C,C,C,C,C,C"], 49),
+    ],
+)
+def test_cut_sectors_are_built_only_for_states_that_reach_them(
+    tmp_path, monkeypatch, args, cut_sectors
+):
+    # at dim 50 the default input (top level 4) reaches 8 photons after one
+    # breeding step, 16 after two and 64 after four: only the chain's fourth
+    # level needs the dim − 1 = 49 cut sectors t ≥ dim
+    built = []
+    expm = fock.expm_skew_tridiagonal
+    monkeypatch.setattr(fock, "expm_skew_tridiagonal", lambda c: built.append(c) or expm(c))
+    fock.beamsplitter.cache_clear()
+    fock._packed_sectors.cache_clear()
+    assert run_cli([*args, "--dim", "50", "--output-path", str(tmp_path / "out.csv")]) == EXIT_OK
+    assert len(built) == cut_sectors
 
 
 def test_sibling_path_keeps_directories():

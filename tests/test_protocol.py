@@ -30,6 +30,7 @@ from oracles import (
     constant_schedule,
     direct_two_iteration_enumeration,
     exchange_parity_leaf_fold,
+    full_breed_step,
     quadrature,
     tree_log_probability,
 )
@@ -134,6 +135,50 @@ def test_breed_step_real_input_matches_its_complex_cast(dim, axis, n, seed):
     assert np.max(np.abs(probs - cast_probs)) < 1e-13
     amplitudes = posts * np.sqrt(probs)[..., None]
     assert np.max(np.abs(amplitudes - cast_posts * np.sqrt(cast_probs)[..., None])) < 1e-13
+
+
+@settings(database=None, derandomize=True, deadline=None)
+@given(
+    dim=st.integers(2, 40),
+    axis=st.sampled_from("qp"),
+    n=st.one_of(st.none(), st.integers(1, 4)),
+    complex_input=st.booleans(),
+    data=st.data(),
+)
+def test_breed_step_matches_the_full_dim_breed(dim, axis, n, complex_input, data):
+    """breed_step mixes and projects only the levels its inputs occupy; the
+    full-dim breed of the same inputs must give the same outcomes. Each
+    state (each row of a stack) gets a random top level, dim − 1 for full
+    support and −1 for a zero row."""
+    rows = 1 if n is None else n
+    tops = data.draw(st.lists(st.integers(-1, dim - 1), min_size=rows + 1, max_size=rows + 1))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    states = rng.normal(size=(rows + 1, dim))
+    if complex_input:
+        states = states + 1j * rng.normal(size=states.shape)
+    states[np.arange(dim) > np.array(tops)[:, None]] = 0
+    norms = np.linalg.norm(states, axis=1, keepdims=True)
+    states /= np.where(norms > 0, norms, 1)
+    left, right = states[0], states[1] if n is None else states[1:]
+    cfg = FockConfig(dim)
+    probs, posts = breed_step(left, right, axis, cfg)
+    full_probs, full_posts = full_breed_step(left, right, axis, cfg)
+    assert (probs.dtype, posts.dtype) == (full_probs.dtype, full_posts.dtype)
+    assert posts.shape == full_posts.shape
+    assert np.max(np.abs(probs - full_probs)) < 1e-13
+    assert np.max(np.abs(posts - full_posts)) < 1e-13
+
+
+@pytest.mark.parametrize("axis", "qp")
+def test_first_level_posts_stay_within_twice_the_input_top(cfg, psi0, axis):
+    # the beamsplitter conserves total photon number: two copies of the
+    # input, top level T = 4, give posts exactly zero above level 2T = 8,
+    # and some outcome reaches level 8
+    top = int(np.flatnonzero(psi0)[-1])
+    _, posts = breed_step(psi0, psi0, axis, cfg)
+    assert top == 4
+    assert not np.any(posts[:, 2 * top + 1 :])
+    assert np.any(posts[:, 2 * top])
 
 
 @settings(database=None, derandomize=True, deadline=None)
