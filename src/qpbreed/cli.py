@@ -256,9 +256,29 @@ def cmd_wigner(cfg: RunConfig) -> int:
     axis = default_grid()
     grid = wigner(state, axis, axis)
     head = "# rows: q from %.12g to %.12g; columns: p likewise" % (axis[0], axis[-1])
-    row_format = ",".join(["%.12g"] * len(axis)) + "\n"
-    _write_table(cfg, "wigner", head, [row_format % tuple(row) for row in grid.values.tolist()])
+    _write_table(cfg, "wigner", head, _matrix_lines(grid.values))
     return EXIT_OK
+
+
+def _matrix_lines(values: np.ndarray) -> list[str]:
+    """The rows of a matrix as comma-separated ``%.12g`` text lines. A row
+    bitwise equal to its mirror row is not formatted again, and a row that
+    is bitwise its own reverse is formatted from its first half, so a grid
+    mirrored in both axes formats a quarter of its cells."""
+    n_rows, n_columns = values.shape
+    half = (n_columns + 1) // 2
+    half_format = "%.12g," * half
+    lines = []
+    for i, row in enumerate(values):
+        mirror = n_rows - 1 - i
+        if mirror < i and row.tobytes() == values[mirror].tobytes():
+            lines.append(lines[mirror])
+        elif row.tobytes() == row[::-1].tobytes():
+            cells = (half_format % tuple(row[:half].tolist())).split(",")[:half]
+            lines.append(",".join(cells + cells[: n_columns // 2][::-1]) + "\n")
+        else:
+            lines.append(",".join(["%.12g"] * n_columns) % tuple(row.tolist()) + "\n")
+    return lines
 
 
 COMMANDS = {

@@ -104,14 +104,19 @@ def quadrature_basis(cfg: FockConfig, axis: str) -> QuadratureBasis:
     are real (float64). p shares its spectrum and its eigenvectors are
     obtained through the Fock-diagonal phase map |n⟩ → iⁿ|n⟩, under which
     p = F q F†: row n of the complex p eigenvectors is iⁿ times row n of the
-    q eigenvectors, exactly.
+    q eigenvectors, exactly. So the p basis is built from the cached q
+    basis, and a dim makes one eigensolve for both axes; they share the
+    eigenvalue array.
     """
     if axis not in ("q", "p"):
         raise ValueError(f"axis must be 'q' or 'p', got {axis!r}")
+    if axis == "p":
+        q = quadrature_basis(cfg, "q")
+        vectors = (1j ** np.arange(cfg.dim))[:, None] * q.eigenvectors
+        vectors.setflags(write=False)
+        return QuadratureBasis(axis=axis, dim=cfg.dim, eigenvalues=q.eigenvalues, eigenvectors=vectors)
     offdiag = np.sqrt(np.arange(1, cfg.dim) / 2.0)
     values, vectors = eig_hermitian_tridiagonal(np.zeros(cfg.dim), offdiag)
-    if axis == "p":
-        vectors = (1j ** np.arange(cfg.dim))[:, None] * vectors
     vectors.setflags(write=False)
     values.setflags(write=False)
     return QuadratureBasis(axis=axis, dim=cfg.dim, eigenvalues=values, eigenvectors=vectors)
@@ -179,13 +184,21 @@ def qunaught_state(cfg: FockConfig, params: QunaughtParams) -> np.ndarray:
 
     Σ_t exp(−πΔ²t²) D(t√π) S(Δ)|0⟩, normalized in the truncated space.
     Peak spacing in position is √(2π), so the state encodes no qubit. Every
-    D(t√π) = exp(−i√(2π)t·p), so the sum is one comb function of p applied
-    in the padded p eigenbasis used by :func:`displacement`. The comb's peak
-    at p = 0 has width Δ; a Δ below half the spacing of the padded p
-    eigenvalues at p = 0 leaves it to one eigenvector or none, so the
-    truncation cannot resolve the comb, and raises ValueError.
+    D(t√π) = exp(−i√(2π)t·p), so the sum is one comb function of p on the
+    space of dim + DISPLACEMENT_PAD levels used by :func:`displacement`,
+    cut back to dim. The comb's peak at p = 0 has width Δ; a Δ below half
+    the spacing of the padded p eigenvalues at p = 0 leaves it to one
+    eigenvector or none, so the truncation cannot resolve the comb, and
+    raises ValueError.
+
+    The comb is applied in the real padded q eigenbasis, through the frame
+    F = diag(iⁿ) with p = F q F†: comb(p)|s⟩ = F comb(q) F†|s⟩. The squeezed
+    vacuum s lives on the even levels, where F and F† are the real sign
+    (−1)^{n/2}; comb(q) is even in q, so it keeps the parity. The state is
+    thus real (float64), and its odd levels are set to exactly zero rather
+    than left at rounding.
     """
-    basis = quadrature_basis(FockConfig(cfg.dim + DISPLACEMENT_PAD), "p")
+    basis = quadrature_basis(FockConfig(cfg.dim + DISPLACEMENT_PAD), "q")
     center = basis.center_index
     spacing = basis.eigenvalues[center + 1] - basis.eigenvalues[center]
     if params.delta < spacing / 2:
@@ -197,8 +210,10 @@ def qunaught_state(cfg: FockConfig, params: QunaughtParams) -> np.ndarray:
     for t in range(1, params.t_max):
         weight = math.exp(-math.pi * params.delta**2 * t**2)
         comb += 2 * weight * np.cos(math.sqrt(2 * math.pi) * t * basis.eigenvalues)  # peaks +t and −t
+    frame = np.zeros(cfg.dim)
+    frame[0::2] = (-1.0) ** np.arange((cfg.dim + 1) // 2)  # iⁿ on the even levels
     rows = basis.eigenvectors[: cfg.dim]
-    state = rows @ (comb * (rows.conj().T @ squeezed_vacuum(cfg, params.delta)))
+    state = frame * (rows @ (comb * (rows.T @ (frame * squeezed_vacuum(cfg, params.delta)))))
     return state / np.linalg.norm(state)
 
 

@@ -13,6 +13,9 @@ from .fock import VACUUM_VARIANCE, FockConfig, displacement
 
 SQRT_PI = math.sqrt(math.pi)
 
+#: q rows of a :func:`wigner` grid whose products are formed at a time.
+WIGNER_CHUNK_ROWS = 64
+
 
 @dataclass(frozen=True)
 class WignerGrid:
@@ -94,9 +97,21 @@ def wigner(state: np.ndarray, q_axis: np.ndarray, p_axis: np.ndarray) -> WignerG
     one-point q axis takes the bound itself as its step. ``q_axis`` must
     therefore be evenly spaced; ``p_axis`` may be any set of points. Since
     the integrand at −y is the conjugate of that at y, only y ≥ 0 is
-    summed, with the y > 0 terms doubled and the real part taken.
+    summed, with the y > 0 terms doubled, and only the real part is formed:
+    Re(P·e^{2ipy}) = Re P·cos 2py − Im P·sin 2py for the products
+    P = ψ*(q+y)ψ(q−y), as real matrix products over chunks of q rows. The
+    cosine part is even in p and the sine part odd, so both are evaluated
+    at the distinct |p| only.
+
+    A real ψ has real P: W is the cosine part alone, even in p, and its
+    cells at ±p are copies. A real ψ of one parity (its odd or its even
+    Fock levels all zero) also has ψ(−x) = ±ψ(x), so W is even in q as
+    well: on an exactly antisymmetric q axis only the rows q ≥ 0 are
+    evaluated and the rows q < 0 are copies. Such a grid is bitwise
+    mirror-symmetric.
     """
-    state = np.asarray(state, dtype=complex)
+    state = np.asarray(state)
+    real = not np.iscomplexobj(state)
     dim = state.shape[0]
     q_axis = np.asarray(q_axis, dtype=float)
     p_axis = np.asarray(p_axis, dtype=float)
@@ -122,21 +137,52 @@ def wigner(state: np.ndarray, q_axis: np.ndarray, p_axis: np.ndarray) -> WignerG
         h = spacing / stride
     skip = max(1, int(bound // abs(h)))  # x-grid points per y step
     m = math.ceil(y_max / (skip * abs(h)))  # y steps on each side of 0
-    x = q_axis[0] + h * np.arange(-m * skip, (n_q - 1) * stride + m * skip + 1)
+
+    # cell [i, j] of the grid is cell [rows[i], columns[j]] of those evaluated
+    p_eval, columns = np.unique(np.abs(p_axis), return_inverse=True)
+    rows = np.arange(n_q)
+    one_parity = not state[1::2].any() or not state[0::2].any()
+    if real and one_parity and np.array_equal(q_axis, -q_axis[::-1]):
+        rows = np.maximum(rows, n_q - 1 - rows) - n_q // 2
+    first = n_q - 1 - int(rows.max())  # the evaluated rows are q_axis[first:]
+    n_eval = n_q - first
+    x = q_axis[0] + h * np.arange(first * stride - m * skip, (n_q - 1) * stride + m * skip + 1)
     psi = state @ hermite_functions(dim, x)
 
-    # row i, column k: ψ(q_i + y_k) and ψ(q_i − y_k), strided views of psi
-    windows = np.lib.stride_tricks.sliding_window_view(psi, m * skip + 1)[:, ::skip]
-    plus = windows[m * skip :: stride]
-    minus = windows[: n_q * stride : stride, ::-1]
-    products = plus.conj()
-    products *= minus
-
     y_step = skip * h
-    phases = np.multiply.outer(2j * y_step * np.arange(m + 1), p_axis)
-    np.exp(phases, out=phases)
-    phases[1:] *= 2
-    values = (products @ phases).real * (abs(y_step) / math.pi)
+    angles = np.multiply.outer(2 * y_step * np.arange(m + 1), p_eval)
+    doubled = np.full((m + 1, 1), 2.0)  # a y > 0 term stands for ±y
+    doubled[0] = 1.0
+    cosines = np.cos(angles) * doubled
+    sines = None if real else np.sin(angles) * doubled
+    del angles
+
+    # row i, column k: ψ(q_i + y_k) and ψ(q_i − y_k), strided views of ψ's parts
+    plus, minus = [], []
+    for part in [psi] if real else [psi.real, psi.imag]:
+        windows = np.lib.stride_tricks.sliding_window_view(part, m * skip + 1)[:, ::skip]
+        plus.append(windows[m * skip :: stride])
+        minus.append(windows[: n_eval * stride : stride, ::-1])
+    even = np.empty((n_eval, len(p_eval)))
+    odd = None if real else np.empty_like(even)
+    for lo in range(0, n_eval, WIGNER_CHUNK_ROWS):
+        chunk = slice(lo, lo + WIGNER_CHUNK_ROWS)
+        if real:
+            even[chunk] = (plus[0][chunk] * minus[0][chunk]) @ cosines
+            continue
+        a, b = (view[chunk] for view in plus)
+        c, d = (view[chunk] for view in minus)
+        # P = (a − ib)(c + id): Re P = ac + bd, Im P = ad − bc
+        products = a * c
+        products += b * d
+        even[chunk] = products @ cosines
+        np.multiply(a, d, out=products)
+        products -= b * c
+        odd[chunk] = products @ sines
+    values = even[np.ix_(rows, columns)]
+    if not real:
+        values -= np.sign(p_axis) * odd[:, columns]
+    values *= abs(y_step) / math.pi
     return WignerGrid(q_axis=q_axis, p_axis=p_axis, values=values)
 
 
@@ -157,13 +203,15 @@ def hermite_functions(max_n: int, x: np.ndarray) -> np.ndarray:
 
 
 def position_density(state: np.ndarray, q_axis: np.ndarray) -> np.ndarray:
-    """|ψ(q)|² for the wavefunction ψ(q) = Σₙ cₙ φₙ(q)."""
-    state = np.asarray(state, dtype=complex)
-    phi = hermite_functions(state.shape[0], np.asarray(q_axis, dtype=float))
-    psi = state @ phi
+    """|ψ(q)|² for the wavefunction ψ(q) = Σₙ cₙ φₙ(q); a real state is
+    evaluated in real arithmetic."""
+    state = np.asarray(state)
+    psi = state @ hermite_functions(state.shape[0], np.asarray(q_axis, dtype=float))
     return np.abs(psi) ** 2
 
 
 def default_grid() -> np.ndarray:
-    """The package's phase-space plotting axis: 201 points over [−5, 5]."""
-    return np.linspace(-5.0, 5.0, 201)
+    """The package's phase-space plotting axis: 201 points 0.05·k over
+    [−5, 5], k = −100..100, exactly antisymmetric, so that :func:`wigner`
+    can mirror a grid in q."""
+    return 0.05 * np.arange(-100, 101)

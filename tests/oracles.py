@@ -14,6 +14,11 @@ truncated ones; mpmath's 40-digit exponential for the small truncated
 sectors; and, for the worst truncated sectors, the 40-digit exponential
 of each sector's symmetric tridiagonal form through mpmath's ``eigsy``),
 and Wigner values by assembling the displaced-parity expectation directly.
+:func:`unreduced_wigner` is the library's Wigner sum on every grid point in
+complex arithmetic, where the library evaluates the symmetry-reduced part
+of the grid in real arithmetic and mirrors it.
+:func:`p_basis_qunaught_state` builds the grid state in the complex p
+eigenbasis, where the library uses the real q eigenbasis.
 :func:`direct_two_iteration_enumeration` breeds every first-level pair,
 where the library breeds an eighth of them, scores half of their p
 outcomes and fills in the rest by exchange and the mirror of each
@@ -152,6 +157,20 @@ def qunaught_peak_sum(dim, params):
     return state / np.linalg.norm(state)
 
 
+def p_basis_qunaught_state(cfg, params):
+    """``fock.qunaught_state`` as a complex state: the comb function of p
+    applied in the complex padded p eigenbasis itself, where the library
+    applies it in the real q eigenbasis through the frame iⁿ."""
+    basis = quadrature_basis(FockConfig(cfg.dim + DISPLACEMENT_PAD), "p")
+    comb = np.ones(basis.dim)
+    for t in range(1, params.t_max):
+        weight = math.exp(-math.pi * params.delta**2 * t**2)
+        comb += 2 * weight * np.cos(math.sqrt(2 * math.pi) * t * basis.eigenvalues)
+    rows = basis.eigenvectors[: cfg.dim]
+    state = rows @ (comb * (rows.conj().T @ squeezed_vacuum(cfg, params.delta)))
+    return state / np.linalg.norm(state)
+
+
 def parity_operator(dim):
     return np.diag((-1.0) ** np.arange(dim))
 
@@ -166,6 +185,41 @@ def wigner_point(state, q, p, pad=30):
     d = displacement_matrix(dim + pad, -alpha)
     shifted = d @ big
     return float(np.sum((-1.0) ** np.arange(dim + pad) * np.abs(shifted) ** 2) / math.pi)
+
+
+def unreduced_wigner(state, q_axis, p_axis):
+    """``metrics.wigner`` evaluated on every grid point in complex
+    arithmetic, with no symmetry used: the same x grid, y step and sums,
+    but the products ψ*(q+y)ψ(q−y) of every q row are complex and meet the
+    complex phases e^{2ipy} of every p in one complex matrix product."""
+    state = np.asarray(state, dtype=complex)
+    dim = state.shape[0]
+    q_axis = np.asarray(q_axis, dtype=float)
+    p_axis = np.asarray(p_axis, dtype=float)
+    x_max = math.sqrt(2 * dim + 1) + 3.0
+    p_extreme = float(np.max(np.abs(p_axis))) if p_axis.size else 0.0
+    bandwidth = 2 * math.sqrt(2 * dim + 1) + 2 * p_extreme
+    bound = math.pi / (2.5 * bandwidth)
+    y_max = x_max + float(np.max(np.abs(q_axis)))
+    n_q = len(q_axis)
+    stride = 1
+    if n_q == 1:
+        h = bound
+    else:
+        spacing = (q_axis[-1] - q_axis[0]) / (n_q - 1)
+        while abs(spacing) / stride > bound:
+            stride *= 2
+        h = spacing / stride
+    skip = max(1, int(bound // abs(h)))
+    m = math.ceil(y_max / (skip * abs(h)))
+    x = q_axis[0] + h * np.arange(-m * skip, (n_q - 1) * stride + m * skip + 1)
+    psi = state @ hermite_phi(dim - 1, x)
+    windows = np.lib.stride_tricks.sliding_window_view(psi, m * skip + 1)[:, ::skip]
+    products = windows[m * skip :: stride].conj() * windows[: n_q * stride : stride, ::-1]
+    y_step = skip * h
+    phases = np.exp(np.multiply.outer(2j * y_step * np.arange(m + 1), p_axis))
+    phases[1:] *= 2
+    return (products @ phases).real * (abs(y_step) / math.pi)
 
 
 def generator_beamsplitter(cfg):

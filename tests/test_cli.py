@@ -10,10 +10,13 @@ import qpbreed
 from qpbreed import fock
 from qpbreed import (
     FockConfig,
+    QunaughtParams,
     effective_squeezing_curve,
     enumerate_two_iterations,
     probability_fidelity_curve,
+    qunaught_state,
     sign_aggregated,
+    wigner,
 )
 from qpbreed.cli import (
     _FIELDS,
@@ -25,11 +28,13 @@ from qpbreed.cli import (
     READS,
     RunConfig,
     _build_parser,
+    _matrix_lines,
     _read_config_file,
     _resolve_config,
     _sibling_path,
     main,
 )
+from qpbreed.metrics import default_grid
 
 
 def run_cli(args):
@@ -259,6 +264,35 @@ def test_wigner_matrix_text(tmp_path):
     rows = [line for line in out.read_text().splitlines() if not line.startswith("#")]
     assert len(rows) == 201
     assert len(rows[0].split(",")) == 201
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 2), (2, 1), (4, 5), (5, 4), (5, 5)])
+def test_matrix_lines_format_mirrored_rows_once(shape):
+    # rows that repeat their mirror row and rows that are their own reverse
+    # are formatted from a part of the matrix; the text is the plain text,
+    # signed zeros and nan included
+    rng = np.random.default_rng(shape[0] * 10 + shape[1])
+    plain = rng.normal(size=shape)
+    mirrored = plain + plain[::-1]
+    mirrored += mirrored[:, ::-1]
+    signed = mirrored.copy()
+    signed[0, 0], signed[0, -1] = 0.0, -0.0
+    signed[-1, :] = signed[0, ::-1]
+    signed[shape[0] // 2, shape[1] // 2] = np.nan
+    for values in (plain, mirrored, signed):
+        expected = [",".join("%.12g" % cell for cell in row) + "\n" for row in values]
+        assert _matrix_lines(values) == expected
+
+
+def test_wigner_text_is_the_grid_to_12_digits(tmp_path):
+    out = tmp_path / "wigner.csv"
+    assert run_cli(["wigner", "--n", "0", "--dim", "20", "--output-path", str(out)]) == EXIT_OK
+    rows = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    values = np.array([[float(cell) for cell in row.split(",")] for row in rows])
+    axis = default_grid()
+    grid = wigner(qunaught_state(FockConfig(20), QunaughtParams(0.4)), axis, axis).values
+    np.testing.assert_allclose(values, grid, rtol=1e-11, atol=1e-16)
+    np.testing.assert_array_equal(values, values[::-1, ::-1])
 
 
 def test_config_file_and_flag_override(tmp_path):

@@ -13,10 +13,11 @@ from qpbreed import (
     beamsplitter,
     binomial_state,
     displacement,
+    quadrature_basis,
     qunaught_state,
     squeezed_vacuum,
 )
-from qpbreed.fock import QUNAUGHT_TAIL, _sector_index
+from qpbreed.fock import DISPLACEMENT_PAD, QUNAUGHT_TAIL, _sector_index
 from oracles import (
     BEAMSPLITTER_ROUTES,
     HERMITIAN,
@@ -25,6 +26,7 @@ from oracles import (
     displacement_matrix,
     eigsy_sector_beamsplitter,
     generator_beamsplitter,
+    p_basis_qunaught_state,
     padded_expm_displacement,
     parity_operator,
     quadrature,
@@ -155,6 +157,24 @@ def test_qunaught_params_auto_t_max():
 def test_qunaught_normalized_and_even(cfg, target):
     assert abs(np.linalg.norm(target) - 1) < 1e-12
     assert np.max(np.abs(target[1::2])) < 1e-12  # parity-even comb
+
+
+@pytest.mark.parametrize("dim", [13, 50, 100])
+def test_qunaught_is_the_real_frame_of_the_p_basis_comb(dim):
+    # float64, odd levels exactly zero, and the complex p-basis construction
+    # to 1e-14, at the sweep targets and at a Δ just above the resolution floor
+    basis = quadrature_basis(FockConfig(dim + DISPLACEMENT_PAD), "p")
+    center = basis.center_index
+    floor = (basis.eigenvalues[center + 1] - basis.eigenvalues[center]) / 2
+    for delta in (0.4, 0.35, floor * 1.001):
+        params = QunaughtParams(delta)
+        state = qunaught_state(FockConfig(dim), params)
+        assert state.dtype == np.float64
+        assert not state[1::2].any()
+        expected = p_basis_qunaught_state(FockConfig(dim), params)
+        np.testing.assert_allclose(state, expected, rtol=0, atol=1e-14)
+    with pytest.raises(ValueError, match="too small"):
+        qunaught_state(FockConfig(dim), QunaughtParams(floor * 0.999))
 
 
 def test_qunaught_rejects_delta_too_small_for_dim():

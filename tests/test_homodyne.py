@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from qpbreed import FockConfig, label_peaks, quadrature_basis
+from qpbreed import FockConfig, fock, label_peaks, quadrature_basis
+from qpbreed.cli import main
+from qpbreed.fock import DISPLACEMENT_PAD
 from qpbreed.homodyne import RESCALE, OutcomeDistribution, projection_amplitudes
+from qpbreed.numerics import eig_hermitian_tridiagonal
 from oracles import DISTRIBUTION_SUM, EIG_RESIDUAL, parity_operator, quadrature
 
 
@@ -45,6 +48,30 @@ def test_p_basis_is_the_phased_real_q_basis(basis_q, basis_p):
     assert basis_q.eigenvectors.dtype == np.float64
     phases = 1j ** np.arange(basis_q.dim)
     np.testing.assert_array_equal(basis_p.eigenvectors, phases[:, None] * basis_q.eigenvectors)
+
+
+def test_one_eigensolve_per_dim_for_both_axes(monkeypatch, tmp_path):
+    # the p basis is the phased q basis, so a dim is diagonalized once
+    # whichever axis asks first; a chain needs its dim and the padded dim
+    # of its target, no more
+    sizes = []
+
+    def counted(diag, offdiag):
+        sizes.append(len(diag))
+        return eig_hermitian_tridiagonal(diag, offdiag)
+
+    monkeypatch.setattr(fock, "eig_hermitian_tridiagonal", counted)
+    quadrature_basis.cache_clear()
+    for dim, axes in ((17, "pq"), (18, "qp")):
+        for axis in axes * 2:
+            quadrature_basis(FockConfig(dim), axis)
+    assert sizes == [17, 18]
+    p, q = (quadrature_basis(FockConfig(17), axis) for axis in "pq")
+    assert p.eigenvalues is q.eigenvalues
+    sizes.clear()
+    args = ["chain", "--schedule", "qpqp", "--dim", "19", "--output-path", str(tmp_path / "c.json")]
+    assert main(args) == 0
+    assert sorted(sizes) == [19, 19 + DISPLACEMENT_PAD]
 
 
 @pytest.mark.parametrize("dim", [2, 3, 12, 13])

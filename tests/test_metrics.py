@@ -17,7 +17,7 @@ from qpbreed import (
 from qpbreed import metrics
 from qpbreed.metrics import default_grid, hermite_functions
 
-from oracles import hermite_phi, wigner_point
+from oracles import hermite_phi, unreduced_wigner, wigner_point
 
 
 def test_fidelity_self_and_orthogonal(cfg, psi0, vacuum):
@@ -112,6 +112,74 @@ def test_wigner_matches_brute_force_oracle(cfg, psi0):
             assert grid.values[i, j] == pytest.approx(expected, abs=1e-10)
 
 
+@pytest.fixture(scope="module")
+def wigner_states(cfg, psi0, target):
+    """Real parity-even states (both mirrors), a real q-measured post (the
+    p mirror only: its odd levels hold rounding, not exact zeros) and a
+    complex qp post (no mirror: its cosine and sine parts are evaluated at
+    the distinct |p| and combined)."""
+    *_, (_, _, q_post) = chain_prefixes(cfg, Schedule.from_string("q"), ["S1"], psi0)
+    *_, (_, _, qp_post) = chain_prefixes(cfg, Schedule.from_string("qp"), ["C", "S"], psi0)
+    assert q_post.dtype == np.float64 and q_post[1::2].any() and q_post[0::2].any()
+    assert qp_post.dtype == np.complex128
+    return {"input": psi0, "target": target, "q_post": q_post, "qp_post": qp_post}
+
+
+def test_wigner_reduced_paths_match_the_unreduced_kernel(monkeypatch, wigner_states):
+    # the default axes, an even-length antisymmetric q axis with an
+    # asymmetric p axis, an asymmetric q axis, and one-point q axes. On an
+    # antisymmetric q axis of several points the parity-even states are
+    # evaluated on an x grid over the rows q ≥ 0 only, shorter than the
+    # other states' grid over the whole axis.
+    x_lengths = []
+
+    def counted(max_n, x):
+        x_lengths.append(len(x))
+        return hermite_functions(max_n, x)
+
+    monkeypatch.setattr(metrics, "hermite_functions", counted)
+    axes = [
+        (default_grid(), default_grid()),
+        (np.linspace(-4, 4, 20), np.linspace(-3, 3.5, 17)),
+        (np.linspace(-2, 4, 31), default_grid()),
+        (np.array([0.0]), np.array([-0.3, 0.3])),
+        (np.array([1.0]), np.linspace(-2, 1, 7)),
+    ]
+    for q_axis, p_axis in axes:
+        lengths = {}
+        for name, state in wigner_states.items():
+            values = wigner(state, q_axis, p_axis).values
+            expected = unreduced_wigner(state, q_axis, p_axis)
+            np.testing.assert_allclose(values, expected, rtol=0, atol=1e-13)
+            lengths[name] = x_lengths[-1]
+        halved = len(q_axis) > 1 and np.array_equal(q_axis, -q_axis[::-1])
+        for name in ("input", "target"):
+            assert (lengths[name] < lengths["q_post"]) == halved
+        assert lengths["q_post"] == lengths["qp_post"]
+
+
+def test_wigner_reduced_paths_match_brute_force_oracle(wigner_states):
+    axis = default_grid()
+    for name, state in wigner_states.items():
+        grid = wigner(state, axis, axis)
+        for i, j in [(100, 100), (37, 160), (160, 37), (130, 80)]:
+            expected = wigner_point(state, axis[i], axis[j], pad=60)
+            assert grid.values[i, j] == pytest.approx(expected, abs=1e-10), (name, i, j)
+
+
+def test_default_grid_wigner_is_bitwise_mirror_symmetric(wigner_states):
+    axis = default_grid()
+    np.testing.assert_array_equal(axis, -axis[::-1])
+    np.testing.assert_array_equal(axis, 0.05 * np.arange(-100, 101))
+    for name in ("input", "target"):
+        values = wigner(wigner_states[name], axis, axis).values
+        np.testing.assert_array_equal(values, values[::-1])
+        np.testing.assert_array_equal(values, values[:, ::-1])
+    # a real state with nonzero levels of both parities is mirrored in p
+    values = wigner(wigner_states["q_post"], axis, axis).values
+    np.testing.assert_array_equal(values, values[:, ::-1])
+
+
 def test_wigner_rejects_uneven_q_axis(psi0):
     axis = np.linspace(-3, 3, 31)
     for q_axis in (np.append(axis, 3.5), np.zeros(3)):
@@ -152,6 +220,14 @@ def test_position_density_normalized(psi0, target):
     for state in (psi0, target):
         density = position_density(state, axis)
         assert np.trapezoid(density, axis) == pytest.approx(1.0, abs=1e-4)
+
+
+def test_position_density_of_a_real_state_matches_its_complex_cast(psi0, target):
+    axis = np.linspace(-8, 8, 401)
+    for state in (psi0, target):
+        density = position_density(state, axis)
+        expected = position_density(state.astype(complex), axis)
+        np.testing.assert_allclose(density, expected, rtol=0, atol=1e-15)
 
 
 def test_position_density_grid_spacing(target):
