@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import eig_hermitian_tridiagonal, expm_skew_tridiagonal
+from .numerics import eig_hermitian_tridiagonal, expm_skew_tridiagonals
 
 VACUUM_VARIANCE = 0.5
 
@@ -257,7 +257,9 @@ def beamsplitter(cfg: FockConfig) -> np.ndarray:
     coefficient of this averaged recursion is at most 1 in size, which keeps
     it stable where the one-term ladder recursion is not. A sector t ≥ dim
     is cut by the truncation; its block is the exponential of the truncated
-    sector generator, from :func:`expm_skew_tridiagonal`.
+    sector generator. All dim − 1 of them come from one call of
+    :func:`expm_skew_tridiagonals`, which diagonalizes their half-size
+    mirror parts with one stacked eigensolve per size, ⌈dim/2⌉ at most.
 
     The cut sectors are written into the array of the whole ones
     (:func:`_packed_sectors`), on levels that array leaves zero, so a dim
@@ -266,14 +268,16 @@ def beamsplitter(cfg: FockConfig) -> np.ndarray:
     that reaches sector dim.
     """
     dim = cfg.dim
+    ks = np.arange(dim - 1)
+    # sector t = dim + b couples levels k and k + 1 for k = b + 1..dim − 2
+    coupling = math.pi / 4 * np.sqrt((ks + 1) * (dim + ks[:, None] - ks))
     blocks = _packed_sectors(dim)
     blocks.setflags(write=True)
     try:
-        for total in range(dim, 2 * dim - 1):
-            lo = total - dim + 1
-            ks = np.arange(lo, dim - 1)
-            coupling = math.pi / 4 * np.sqrt((ks + 1) * (total - ks))
-            blocks[total - dim, lo:, lo:] = expm_skew_tridiagonal(coupling)
+        expm_skew_tridiagonals(
+            [coupling[b, b + 1 :] for b in range(dim - 1)],
+            [blocks[b, b + 1 :, b + 1 :] for b in range(dim - 1)],
+        )
     finally:
         blocks.setflags(write=False)
     return blocks

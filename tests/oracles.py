@@ -29,6 +29,12 @@ library breeds on the corner of levels its inputs occupy.
 :func:`tree_log_probability` breeds every node of a uniformly post-selected
 tree, where the library follows one branch and weighs each level's
 log-probability by its number of nodes.
+:func:`expm_skew_tridiagonal` exponentiates one truncated sector at a time
+and assembles it at full size from its lifted half-size eigenvectors, where
+the library diagonalizes the half-size parts of all truncated sectors
+grouped by size and assembles each sector at half size in the mirror
+basis; :func:`per_sector_beamsplitter` writes its sectors into the packed
+blocks.
 :func:`dense_beamsplitter` is not an oracle: it writes out, as a dense
 matrix, the operator the library applies. The quadrature operators, the
 constant schedule and the tolerances below are used only by the tests.
@@ -45,11 +51,12 @@ from qpbreed.fock import (
     DISPLACEMENT_PAD,
     FockConfig,
     annihilation,
+    _packed_sectors,
     apply_beamsplitter,
     squeezed_vacuum,
 )
 from qpbreed.homodyne import projection_amplitudes, quadrature_basis
-from qpbreed.numerics import PROBABILITY_FLOOR
+from qpbreed.numerics import PROBABILITY_FLOOR, SKEW_HERMITIAN_TOL
 from qpbreed.protocol import Schedule, breed_step, default_input
 
 HERMITIAN = 1e-12
@@ -293,6 +300,77 @@ def eigsy_sector_beamsplitter(cfg, total):
                 sign = -1 if (m - k) % 4 >= 2 else 1
                 block[m, k] = sign * parts[(m - k) % 2][m, k]
     return block
+
+
+def expm_skew_tridiagonal(coupling):
+    """Real orthogonal exponential of the skew-symmetric tridiagonal
+    generator G with G[j + 1, j] = −G[j, j + 1] = coupling[j], for
+    persymmetric couplings (equal to their own reverse), one generator per
+    call.
+
+    With D = diag(iʲ), G = −i·D·S·D†, where S = VΛVᵀ is the real symmetric
+    tridiagonal matrix with the same couplings. So exp(G)[m, k] is
+    ±(V·diag(cos λ + sin λ)·Vᵀ)[m, k], with + where (m − k) mod 4 is 0 or 1.
+    S commutes with the reversal of the index, so each of its eigenvectors is
+    mirror-symmetric or mirror-antisymmetric, and V comes from real
+    eigensolves of half the size: two for odd n, one for even n, where the
+    antisymmetric half-size matrix is −P·(the symmetric one)·P with
+    P = diag((−1)ʲ), so its eigenpairs are (−λ, P·v). The eigenvectors are
+    lifted to full size and the exponential is summed there.
+    """
+    coupling = np.asarray(coupling, dtype=float)
+    if coupling.ndim != 1:
+        raise ValueError("coupling must be a vector")
+    scale = max(1.0, float(np.max(np.abs(coupling)))) if coupling.size else 1.0
+    defect = float(np.max(np.abs(coupling - coupling[::-1]))) if coupling.size else 0.0
+    if defect > SKEW_HERMITIAN_TOL * scale:
+        raise ValueError(f"coupling is not persymmetric (defect {defect:.3e} at scale {scale:.3e})")
+    n = coupling.size + 1
+    half, odd = divmod(n, 2)
+    if half == 0:
+        return np.ones((1, 1))
+    inner, middle = coupling[: half - 1], coupling[half - 1]
+    if odd:  # the middle level couples only to the mirror-symmetric combinations
+        plus = np.linalg.eigh(_symmetric_tridiagonal(np.append(inner, np.sqrt(2) * middle)))
+        minus = np.linalg.eigh(_symmetric_tridiagonal(inner))
+    else:
+        plus = np.linalg.eigh(_symmetric_tridiagonal(inner, middle))
+        signs = (-1.0) ** np.arange(half)
+        minus = (-plus[0], signs[:, None] * plus[1])
+    rotation = np.zeros((n, n))
+    for mirror, (values, vectors) in ((1.0, plus), (-1.0, minus)):
+        lifted = np.zeros((n, len(values)))
+        lifted[:half] = vectors[:half] / np.sqrt(2)
+        lifted[n - half :] = mirror * vectors[half - 1 :: -1] / np.sqrt(2)
+        if len(values) > half:
+            lifted[half] = vectors[half]
+        rotation += (lifted * (np.cos(values) + np.sin(values))) @ lifted.T
+    levels = np.arange(n)
+    return np.where((levels[:, None] - levels) & 2, -rotation, rotation)  # (m − k) mod 4 is 2 or 3
+
+
+def _symmetric_tridiagonal(offdiag, corner=0.0):
+    """Zero-diagonal symmetric tridiagonal matrix, but for ``corner`` as its
+    last diagonal entry."""
+    size = len(offdiag) + 1
+    matrix = np.zeros((size, size))
+    j = np.arange(size - 1)
+    matrix[j, j + 1] = matrix[j + 1, j] = offdiag
+    matrix[-1, -1] = corner
+    return matrix
+
+
+def per_sector_beamsplitter(cfg):
+    """The packed ``(dim, dim, dim)`` blocks of ``fock.beamsplitter``, with
+    the library's whole sectors and each cut sector t = dim + b from its own
+    :func:`expm_skew_tridiagonal` call, written to block b on its levels
+    b + 1..dim − 1."""
+    blocks = _packed_sectors(cfg.dim).copy()
+    for b in range(cfg.dim - 1):
+        ks = np.arange(b + 1, cfg.dim - 1)
+        coupling = math.pi / 4 * np.sqrt((ks + 1) * (cfg.dim + b - ks))
+        blocks[b, b + 1 :, b + 1 :] = expm_skew_tridiagonal(coupling)
+    return blocks
 
 
 def dense_beamsplitter(cfg):

@@ -34,6 +34,8 @@ from qpbreed.cli import (
     _sibling_path,
     main,
 )
+from qpbreed.fock import DISPLACEMENT_PAD
+from qpbreed.homodyne import quadrature_basis
 from qpbreed.metrics import default_grid
 
 
@@ -234,8 +236,13 @@ def test_cut_sectors_are_built_only_for_states_that_reach_them(
     # breeding step, 16 after two and 64 after four: only the chain's fourth
     # level needs the dim − 1 = 49 cut sectors t ≥ dim
     built = []
-    expm = fock.expm_skew_tridiagonal
-    monkeypatch.setattr(fock, "expm_skew_tridiagonal", lambda c: built.append(c) or expm(c))
+    expm = fock.expm_skew_tridiagonals
+
+    def counted(couplings, out):
+        built.extend(couplings)
+        expm(couplings, out)
+
+    monkeypatch.setattr(fock, "expm_skew_tridiagonals", counted)
     fock.beamsplitter.cache_clear()
     fock._packed_sectors.cache_clear()
     assert run_cli([*args, "--dim", "50", "--output-path", str(tmp_path / "out.csv")]) == EXIT_OK
@@ -366,6 +373,26 @@ def test_numerical_failure_exit_code(monkeypatch):
 
     monkeypatch.setitem(cli.COMMANDS, "distribution", boom)
     assert run_cli(["distribution"]) == cli.EXIT_NUMERICAL
+
+
+def test_failed_cut_sector_eigensolve_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
+    # with the q bases of dim 10 and of the target's padded space built
+    # first, the cut-sector build is the chain's only eigensolve left
+    import qpbreed.cli as cli
+
+    for dim in (10, 10 + DISPLACEMENT_PAD):
+        quadrature_basis(FockConfig(dim), "q")
+    fock.beamsplitter.cache_clear()
+
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    args = ["chain", "--dim", "10", "--schedule", "qp", "--output-path", str(tmp_path / "c.json")]
+    assert run_cli(args) == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "Traceback" not in err
+    assert not fock._packed_sectors(10).flags.writeable
 
 
 def test_memory_error_exit_code(monkeypatch, capsys):

@@ -29,6 +29,7 @@ from oracles import (
     p_basis_qunaught_state,
     padded_expm_displacement,
     parity_operator,
+    per_sector_beamsplitter,
     quadrature,
     qunaught_peak_sum,
     sector_expm_beamsplitter,
@@ -272,23 +273,35 @@ def test_beamsplitter_matches_generator_exponential():
         assert np.max(np.abs(direct - dense_beamsplitter(cfg))) < BEAMSPLITTER_ROUTES
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 17, 50, 51, 101])
+def test_batched_cut_sectors_match_per_sector_exponentials(dim):
+    # the cut sectors of both parities of size, from the stacked half-size
+    # eigensolves and the half-size assembly, against one exponential per
+    # sector lifted to full size; the whole sectors are shared
+    cfg = FockConfig(dim)
+    assert np.max(np.abs(beamsplitter(cfg) - per_sector_beamsplitter(cfg))) < 1e-15
+
+
 def test_beamsplitter_builds_no_full_size_eigensolve(monkeypatch):
     eigh = np.linalg.eigh
-    rows = []
+    calls = []
 
-    def counted(matrix, *args, **kwargs):
-        rows.append(len(matrix))
-        return eigh(matrix, *args, **kwargs)
+    def counted(matrices, *args, **kwargs):
+        calls.append([matrices.shape[-1]] * math.prod(matrices.shape[:-2]))  # one size per matrix
+        return eigh(matrices, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     dim = 50
     beamsplitter.__wrapped__(FockConfig(dim))
-    # only the truncated sectors t >= dim, of sizes n = 2·dim − 1 − t, call
-    # it: once on n/2 rows for even n, twice on ⌈n/2⌉ and ⌊n/2⌋ for odd n
+    sizes = [size for call in calls for size in call]
+    # only the truncated sectors t >= dim, of sizes n = 2·dim − 1 − t, need
+    # eigensolves: one of n/2 rows for even n, two of ⌈n/2⌉ and ⌊n/2⌋ rows
+    # for odd n, all of one size in one stacked call
     expected = [n // 2 for n in range(2, dim, 2)]
     expected += [size for n in range(3, dim, 2) for size in ((n + 1) // 2, n // 2)]
-    assert sorted(rows) == sorted(expected)
-    assert max(rows) <= math.ceil(dim / 2)
+    assert sorted(sizes) == sorted(expected)
+    assert max(sizes) <= math.ceil(dim / 2)
+    assert len(calls) <= math.ceil(dim / 2)
 
 
 def test_beamsplitter_single_photon_routing():
