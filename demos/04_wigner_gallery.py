@@ -24,14 +24,15 @@ states = {
 
 for name, state in states.items():
     grid = wigner(state, axis, axis)
-    np.savetxt(f"wigner_{name}.csv", grid.values, delimiter=",")
+    np.savetxt(f"wigner_{name}.csv", grid, delimiter=",")
     np.savetxt(
         f"position_density_{name}.csv",
         np.column_stack([axis, position_density(state, axis)]),
         delimiter=",",
     )
-    print(f"{name}: wigner integral {grid.integral():.4f}, "
-          f"W(0,0) = {grid.values[100, 100]:+.4f} "
+    integral = np.trapezoid(np.trapezoid(grid, axis, axis=1), axis)
+    print(f"{name}: wigner integral {integral:.4f}, "
+          f"W(0,0) = {grid[100, 100]:+.4f} "
           f"-> wigner_{name}.csv, position_density_{name}.csv")
 
 print("\nlook for the comb: the output's position density shows peaks "

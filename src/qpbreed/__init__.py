@@ -6,7 +6,6 @@ from .fock import (
     BinomialParams,
     FockConfig,
     QunaughtParams,
-    annihilation,
     beamsplitter,
     binomial_state,
     displacement,
@@ -20,10 +19,8 @@ from .homodyne import (
     quadrature_basis,
 )
 from .metrics import (
-    WignerGrid,
     effective_squeezing,
     fidelity,
-    position_density,
     sgkp_db,
     wigner,
 )
@@ -56,8 +53,6 @@ __all__ = [
     "QunaughtParams",
     "Schedule",
     "SweepRecord",
-    "WignerGrid",
-    "annihilation",
     "beamsplitter",
     "binomial_state",
     "breed_step",
@@ -70,7 +65,6 @@ __all__ = [
     "enumerate_two_iterations",
     "fidelity",
     "label_peaks",
-    "position_density",
     "probability_fidelity_curve",
     "quadrature_basis",
     "qunaught_state",

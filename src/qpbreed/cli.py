@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 import warnings
@@ -23,9 +24,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .fock import BinomialParams, FockConfig, QunaughtParams, binomial_state, qunaught_state
-from .homodyne import OutcomeDistribution, label_peaks, quadrature_basis, resolve_outcome
+from .homodyne import OutcomeDistribution, label_peaks, quadrature_basis, select_outcome
 from .metrics import default_grid, wigner
-from .numerics import PROBABILITY_FLOOR, NumericalError
+from .numerics import NumericalError
 from .protocol import (
     BranchResult,
     Schedule,
@@ -37,6 +38,7 @@ from .protocol import (
     leaf_fold,
     probability_fidelity_curve,
     sign_aggregated,
+    sign_aggregation_log,
     sweep_binomial_inputs,
 )
 
@@ -45,6 +47,10 @@ SCHEMA_VERSION = 2
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+
+#: Refuse a dim whose packed beamsplitter, a (dim, dim, dim) float64 array,
+#: would exceed this many bytes; it bounds dim at 645.
+MAX_BEAMSPLITTER_BYTES = 2 * 2**30
 
 
 @dataclass
@@ -60,6 +66,11 @@ class RunConfig:
     def validate(self):
         if self.dim < 2:
             raise ValueError(f"dim must be at least 2, got {self.dim}")
+        if 8 * self.dim**3 > MAX_BEAMSPLITTER_BYTES:
+            raise ValueError(
+                f"dim {self.dim} is too large: its packed beamsplitter, dim³ float64 entries, "
+                f"would exceed the budget of {MAX_BEAMSPLITTER_BYTES} bytes"
+            )
         if not 0 < self.delta_target < 1:
             raise ValueError(f"delta-target must be in (0, 1), got {self.delta_target}")
         if any(c not in "qp" for c in self.schedule) or not self.schedule:
@@ -118,10 +129,6 @@ def _sibling_path(path: str, suffix: str) -> str:
     return f"{root}_{suffix}{ext}"
 
 
-def _distribution(cfg: FockConfig, axis: str, probabilities) -> OutcomeDistribution:
-    return OutcomeDistribution(axis, quadrature_basis(cfg, axis).eigenvalues, probabilities)
-
-
 # ---------------------------------------------------------------- commands
 
 
@@ -136,13 +143,12 @@ def cmd_distribution(cfg: RunConfig) -> int:
     if cfg.postselect is not None:
         if len(cfg.postselect) != 2:
             raise ValueError("conditioned distribution needs exactly two postselect tokens")
-        first = _distribution(fock_cfg, axis, probabilities)
-        left, right = (resolve_outcome(first, token) for token in cfg.postselect)
-        if min(probabilities[left], probabilities[right]) <= PROBABILITY_FLOOR:
-            raise NumericalError("conditioning outcome has underflowed probability")
+        basis = quadrature_basis(fock_cfg, axis)
+        left, right = (select_outcome(basis, probabilities, token) for token in cfg.postselect)
         axis = cfg.schedule[-1]
         probabilities, _ = breed_step(posts[left], posts[right], axis, fock_cfg)
-    dist = label_peaks(_distribution(fock_cfg, axis, probabilities))
+    eigenvalues = quadrature_basis(fock_cfg, axis).eigenvalues
+    dist = label_peaks(OutcomeDistribution(axis, eigenvalues, probabilities))
     columns = zip(dist.eigenvalues, dist.rescaled_outcomes, dist.probabilities)
     rows = [(i, *values, dist.peak_labels.get(i, "")) for i, values in enumerate(columns)]
     head = "index,eigenvalue,rescaled_outcome,probability,label"
@@ -160,13 +166,16 @@ def cmd_chain(cfg: RunConfig) -> int:
     records = []
     for prefix in chain_prefixes(fock_cfg, schedule, tokens, cfg.input_state()):
         result = BranchResult.evaluate(fock_cfg, prefix, target)
+        k = len(result.outcome_path)  # a k-level tree makes 2^k − 1 measurements
         records.append(
             {
-                "iterations": len(result.outcome_path),
+                "iterations": k,
                 "outcome_path": [list(step) for step in result.outcome_path],
                 "log_probability": result.log_probability,
                 "probability": result.probability,
-                "aggregated_probability": result.sign_aggregated_probability(),
+                "aggregated_probability": math.exp(
+                    result.log_probability + sign_aggregation_log(2**k - 1)
+                ),
                 "fidelity": result.fidelity,
                 "effective_squeezing_q": result.effective_squeezing_q,
                 "effective_squeezing_p": result.effective_squeezing_p,
@@ -256,7 +265,7 @@ def cmd_wigner(cfg: RunConfig) -> int:
     axis = default_grid()
     grid = wigner(state, axis, axis)
     head = "# rows: q from %.12g to %.12g; columns: p likewise" % (axis[0], axis[-1])
-    _write_table(cfg, "wigner", head, _matrix_lines(grid.values))
+    _write_table(cfg, "wigner", head, _matrix_lines(grid))
     return EXIT_OK
 
 
@@ -296,7 +305,7 @@ COMMANDS = {
 def _read_config_file(path: str) -> dict:
     values = {}
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             for lineno, raw in enumerate(handle, start=1):
                 line = raw.strip()
                 if not line or line.startswith("#"):
@@ -305,7 +314,7 @@ def _read_config_file(path: str) -> dict:
                     raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
                 key, _, value = line.partition("=")
                 values[key.strip().replace("-", "_")] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read config file {path}: {exc}") from exc
     return values
 

@@ -3,6 +3,8 @@
 A quadrature observable restricted to dim Fock levels has a discrete
 spectrum; measuring it projects onto one of its dim eigenvectors. The
 measured mode is always mode 1, the row index of a (dim, dim) two-mode state.
+Post-selection keeps one outcome, named by an index or a peak label:
+:func:`select_outcome`.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fock import QuadratureBasis, quadrature_basis  # quadrature_basis: re-exported
+from .numerics import PROBABILITY_FLOOR, NumericalError
 
 RESCALE = math.sqrt(2 * math.pi)
 
@@ -99,20 +102,31 @@ def label_peaks(dist: OutcomeDistribution) -> OutcomeDistribution:
     return dataclasses.replace(dist, peak_labels=labels)
 
 
-def resolve_outcome(dist: OutcomeDistribution, token) -> int:
-    """Eigenvalue index selected by a post-selection token: an index in
-    [0, dim), or a peak label (C/S1/S2/S or a mirror-label) of ``dist``."""
-    dim = len(dist.probabilities)
+def select_outcome(basis: QuadratureBasis, probabilities: np.ndarray, token) -> int:
+    """Eigenvalue index that a post-selection token selects among the
+    outcome ``probabilities`` of a measurement in ``basis``: an index in
+    [0, dim), or a peak label (C/S1/S2/S or a mirror-label) of their
+    distribution. Raises NumericalError when the selected outcome's
+    probability is at or below the underflow floor."""
+    dim = len(probabilities)
     text = str(token)
-    if text.lstrip("-").isdigit():
+    if text.removeprefix("-").isdecimal():
         index = int(text)
         if not 0 <= index < dim:
             raise ValueError(f"outcome index {index} out of range for dim {dim}")
-        return index
-    by_label = {label: index for index, label in label_peaks(dist).peak_labels.items()}
-    if text not in by_label:
-        raise ValueError(
-            f"post-selection token {text!r} is not an index and no peak "
-            f"carries that label here (available: {sorted(by_label)})"
+    else:
+        dist = label_peaks(OutcomeDistribution(basis.axis, basis.eigenvalues, probabilities))
+        by_label = {label: index for index, label in dist.peak_labels.items()}
+        if text not in by_label:
+            raise ValueError(
+                f"post-selection token {text!r} is not an index and no peak "
+                f"carries that label here (available: {sorted(by_label)})"
+            )
+        index = by_label[text]
+    probability = float(probabilities[index])
+    if probability <= PROBABILITY_FLOOR:
+        raise NumericalError(
+            f"selected outcome {index} has probability {probability:.3e}, "
+            f"at or below the underflow floor"
         )
-    return by_label[text]
+    return index

@@ -4,7 +4,6 @@ conversion, Wigner functions, and position densities."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -15,16 +14,6 @@ SQRT_PI = math.sqrt(math.pi)
 
 #: q rows of a :func:`wigner` grid whose products are formed at a time.
 WIGNER_CHUNK_ROWS = 64
-
-
-@dataclass(frozen=True)
-class WignerGrid:
-    q_axis: np.ndarray
-    p_axis: np.ndarray
-    values: np.ndarray  # shape (len(q_axis), len(p_axis))
-
-    def integral(self) -> float:
-        return float(np.trapezoid(np.trapezoid(self.values, self.p_axis, axis=1), self.q_axis))
 
 
 def fidelity(a: np.ndarray, b: np.ndarray) -> float:
@@ -77,9 +66,10 @@ def sgkp_db(delta: float) -> float:
     return -10.0 * math.log10(delta**2 / VACUUM_VARIANCE)
 
 
-def wigner(state: np.ndarray, q_axis: np.ndarray, p_axis: np.ndarray) -> WignerGrid:
+def wigner(state: np.ndarray, q_axis: np.ndarray, p_axis: np.ndarray) -> np.ndarray:
     """Wigner function, W(q,p) = (1/π)·⟨ψ|D(α) Π D†(α)|ψ⟩ with α = (q+ip)/√2
-    and Π the Fock parity, normalized so that ∫∫ W dq dp = 1.
+    and Π the Fock parity, normalized so that ∫∫ W dq dp = 1, as the
+    (len(q_axis), len(p_axis)) array of its values on the grid.
 
     Evaluated through the equivalent autocorrelation integral
     W(q,p) = (1/π) ∫ ψ*(q+y) ψ(q−y) e^{2ipy} dy with the wavefunction from
@@ -183,7 +173,7 @@ def wigner(state: np.ndarray, q_axis: np.ndarray, p_axis: np.ndarray) -> WignerG
     if not real:
         values -= np.sign(p_axis) * odd[:, columns]
     values *= abs(y_step) / math.pi
-    return WignerGrid(q_axis=q_axis, p_axis=p_axis, values=values)
+    return values
 
 
 def hermite_functions(max_n: int, x: np.ndarray) -> np.ndarray:

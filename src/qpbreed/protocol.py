@@ -14,12 +14,14 @@ remain exact.
 
 Counting convention: reported reference values for outcome sequences
 aggregate a sequence together with all of its per-measurement mirror images
-(the opposite-sign eigenvalue at each of the m measurements), which all
-occur with the same probability and yield equivalent output states. Records
-in this module store the single-sequence probability; multiply by 2^m, via
-:func:`sign_aggregated`, to compare with the aggregated convention. The
-two-iteration enumeration copies leaves by these same mirror images (with
-arm exchange); :func:`leaf_fold` states where each one is exact.
+(the opposite-sign eigenvalue at each of the m measurements, m = 2^k − 1
+for k iterations), which all occur with the same probability and yield
+equivalent output states. Records in this module store the single-sequence
+probability; to compare with the aggregated convention, multiply it by 2^m
+with :func:`sign_aggregated`, or add m·ln 2 to its log with
+:func:`sign_aggregation_log`. The two-iteration enumeration copies leaves
+by these same mirror images (with arm exchange); :func:`leaf_fold` states
+where each one is exact.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 from .fock import (
     BinomialParams, FockConfig, QunaughtParams, apply_beamsplitter, binomial_state, qunaught_state
 )
-from .homodyne import OutcomeDistribution, projection_amplitudes, quadrature_basis, resolve_outcome
+from .homodyne import projection_amplitudes, quadrature_basis, select_outcome
 from .metrics import effective_squeezing, fidelity
 from .numerics import PROBABILITY_FLOOR, NumericalError
 
@@ -91,13 +93,6 @@ class BranchResult:
     def probability(self) -> float:
         return math.exp(self.log_probability)
 
-    def sign_aggregated_probability(self) -> float:
-        """Probability under the mirror-aggregated counting convention: a
-        k-iteration tree performs 2^k − 1 measurements, each of which has a
-        mirror-sign twin with identical statistics."""
-        measurements = measurements_in_tree(len(self.outcome_path))
-        return math.exp(self.log_probability + sign_aggregation_log(measurements))
-
 
 def sign_aggregation_log(measurements: int) -> float:
     """log of the 2^m factor between single-sequence and aggregated counting."""
@@ -106,11 +101,6 @@ def sign_aggregation_log(measurements: int) -> float:
 
 def sign_aggregated(probability, measurements: int):
     return probability * 2.0**measurements
-
-
-def measurements_in_tree(iterations: int) -> int:
-    """A k-iteration breeding tree contains 2^k − 1 homodyne measurements."""
-    return 2**iterations - 1
 
 
 def default_input(cfg: FockConfig) -> np.ndarray:
@@ -191,20 +181,11 @@ def chain_prefixes(
     yield path, log_prob, state
     for level, (axis, token) in enumerate(zip(schedule.axes, selected), start=1):
         probabilities, posts = breed_step(state, state, axis, cfg)
-        basis = quadrature_basis(cfg, axis)
         try:
-            index = resolve_outcome(
-                OutcomeDistribution(axis, basis.eigenvalues, probabilities), token
-            )
-        except ValueError as exc:
-            raise ValueError(f"level {level}: {exc}") from None
-        prob = float(probabilities[index])
-        if prob <= PROBABILITY_FLOOR:
-            raise NumericalError(
-                f"selected outcome {index} at level {level} has probability "
-                f"{prob:.3e}, below the underflow floor"
-            )
-        log_prob = 2.0 * log_prob + math.log(prob)
+            index = select_outcome(quadrature_basis(cfg, axis), probabilities, token)
+        except (ValueError, NumericalError) as exc:
+            raise type(exc)(f"level {level}: {exc}") from None
+        log_prob = 2.0 * log_prob + math.log(float(probabilities[index]))
         state = posts[index]
         path += ((level, index),)
         yield path, log_prob, state

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qpbreed
 from qpbreed import fock
@@ -24,6 +29,7 @@ from qpbreed.cli import (
     DEFAULT_FIDELITY_THRESHOLDS,
     DEFAULT_SQUEEZING_BOUNDS,
     EXIT_CONFIG,
+    EXIT_NUMERICAL,
     EXIT_OK,
     READS,
     RunConfig,
@@ -297,7 +303,7 @@ def test_wigner_text_is_the_grid_to_12_digits(tmp_path):
     rows = [line for line in out.read_text().splitlines() if not line.startswith("#")]
     values = np.array([[float(cell) for cell in row.split(",")] for row in rows])
     axis = default_grid()
-    grid = wigner(qunaught_state(FockConfig(20), QunaughtParams(0.4)), axis, axis).values
+    grid = wigner(qunaught_state(FockConfig(20), QunaughtParams(0.4)), axis, axis)
     np.testing.assert_allclose(values, grid, rtol=1e-11, atol=1e-16)
     np.testing.assert_array_equal(values, values[::-1, ::-1])
 
@@ -363,6 +369,48 @@ def test_bad_config_file(tmp_path):
     assert run_cli(["distribution", "--config", str(missing)]) == EXIT_CONFIG
 
 
+def test_config_file_that_is_not_utf8_is_named(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes("dim=20\n# café\n".encode("latin-1"))
+    assert run_cli(["chain", "--config", str(latin1)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config file {latin1}: ") and "Traceback" not in err
+
+
+def test_oversized_dim_exits_before_any_array(monkeypatch, capsys):
+    def unbuilt(cfg):
+        raise AssertionError("a Fock space was built for a refused dim")
+
+    monkeypatch.setattr(RunConfig, "fock", unbuilt)
+    for command in COMMANDS:
+        assert run_cli([command, "--dim", "1000000000"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: dim 1000000000 is too large") and "Traceback" not in err
+    RunConfig(dim=645).validate()
+    with pytest.raises(ValueError, match="dim 646 is too large"):
+        RunConfig(dim=646).validate()
+
+
+def test_conditioned_distribution_underflow_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
+    import qpbreed.cli as cli
+
+    real = cli.breed_step
+
+    def starved(left, right, axis, inner_cfg):
+        probs, posts = real(left, right, axis, inner_cfg)
+        return np.zeros_like(probs), np.zeros_like(posts)
+
+    monkeypatch.setattr(cli, "breed_step", starved)
+    out = tmp_path / "d.csv"
+    for tokens in ("C,C", "24,19"):
+        args = ["distribution", "--postselect", tokens, "--output-path", str(out)]
+        assert run_cli(args) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: selected outcome 24 has probability 0.000e+00")
+        assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_numerical_failure_exit_code(monkeypatch):
     import qpbreed.cli as cli
     from qpbreed.numerics import NumericalError
@@ -403,9 +451,9 @@ def test_memory_error_exit_code(monkeypatch, capsys):
         raise MemoryError("Unable to allocate 13.4 GiB")
 
     monkeypatch.setitem(cli.COMMANDS, "distribution", hungry)
-    assert run_cli(["distribution", "--dim", "30000"]) == EXIT_CONFIG
+    assert run_cli(["distribution", "--dim", "600"]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("error: dim=30000 ") and "13.4 GiB" in err
+    assert err.startswith("error: dim=600 ") and "13.4 GiB" in err
     assert "Traceback" not in err
 
 
@@ -502,3 +550,49 @@ def test_argparse_exits_become_return_codes(capsys):
     assert main(["nosuchcommand"]) == EXIT_CONFIG
     assert main(["chain", "--dim", "many"]) == EXIT_CONFIG
     assert "--dim" in capsys.readouterr().err
+
+
+#: Post-selection tokens: indices in and out of range at dims 2-12, peak
+#: labels and their mirrors, and junk.
+TOKENS = st.one_of(
+    st.integers(-2, 13).map(str),
+    st.sampled_from(["C", "S1", "S2", "S", "mirror-C", "mirror-S1", "mirror-S", "S9"]),
+    st.sampled_from(["x", "-", "--1", " 3", "\u00b2", "1e1", "C C"]),
+)
+
+#: Config-file lines, good and bad; the flags drawn beside them override them.
+CONFIG_LINES = st.sampled_from(
+    [
+        "N=0", "N=3", "N=-1", "K=0", "K=1", "K=4", "N=two", "schedule=pq", "postselect=C,C",
+        "delta_target=0.3", "dim=1", "# comment", "", "dim", "=", "nokey=1", "Postselect=C",
+    ]
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    command=st.sampled_from(sorted(COMMANDS)),
+    dim=st.integers(2, 12),
+    schedule=st.none() | st.text("qpx", max_size=4),
+    tokens=st.none() | st.lists(TOKENS, max_size=4),
+    delta=st.none() | st.sampled_from(["0.4", "0.2", "0.01", "0", "1", "nan", "inf", "-0.3", "x"]),
+    lines=st.lists(CONFIG_LINES, max_size=3),
+)
+def test_cli_failures_are_exit_codes(command, dim, schedule, tokens, delta, lines):
+    """Whatever the settings, a command succeeds, is refused as a
+    configuration error, or fails numerically: never a traceback."""
+    flags = {"schedule": schedule, "delta_target": delta}
+    flags["postselect"] = None if tokens is None else ",".join(tokens)
+    with tempfile.TemporaryDirectory() as tmp:
+        args = [command, "--dim", str(dim), "--output-path", str(Path(tmp) / "out.txt")]
+        for field, value in flags.items():
+            if value is not None and field in READS[command]:
+                args += ["--" + field.replace("_", "-"), value]
+        if lines:
+            (Path(tmp) / "run.cfg").write_text("\n".join(lines) + "\n")
+            args += ["--config", str(Path(tmp) / "run.cfg")]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(args)
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL), (args, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -9,7 +9,6 @@ from qpbreed import (
     BinomialParams,
     FockConfig,
     QunaughtParams,
-    annihilation,
     beamsplitter,
     binomial_state,
     displacement,
@@ -17,7 +16,7 @@ from qpbreed import (
     qunaught_state,
     squeezed_vacuum,
 )
-from qpbreed.fock import DISPLACEMENT_PAD, QUNAUGHT_TAIL, _sector_index
+from qpbreed.fock import DISPLACEMENT_PAD, QUNAUGHT_TAIL, _sector_index, annihilation
 from oracles import (
     BEAMSPLITTER_ROUTES,
     HERMITIAN,

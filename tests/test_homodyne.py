@@ -6,8 +6,8 @@ import pytest
 from qpbreed import FockConfig, fock, label_peaks, quadrature_basis
 from qpbreed.cli import main
 from qpbreed.fock import DISPLACEMENT_PAD
-from qpbreed.homodyne import RESCALE, OutcomeDistribution, projection_amplitudes
-from qpbreed.numerics import eig_hermitian_tridiagonal
+from qpbreed.homodyne import RESCALE, OutcomeDistribution, projection_amplitudes, select_outcome
+from qpbreed.numerics import PROBABILITY_FLOOR, NumericalError, eig_hermitian_tridiagonal
 from oracles import DISTRIBUTION_SUM, EIG_RESIDUAL, parity_operator, quadrature
 
 
@@ -181,3 +181,27 @@ def test_labels_mirror_exactly_on_symmetric_distribution(basis_q, first_level):
         if label.startswith("mirror-"):
             partner = dist.peak_labels.get(basis_q.dim - 1 - index)
             assert partner == label[len("mirror-") :]
+
+
+def test_select_outcome_by_index_or_label(basis_q, first_level):
+    probabilities, _ = first_level
+    assert select_outcome(basis_q, probabilities, "C") == 24
+    assert select_outcome(basis_q, probabilities, 24) == 24
+    assert select_outcome(basis_q, probabilities, "mirror-S1") == 30
+    with pytest.raises(ValueError, match="outcome index 50 out of range for dim 50"):
+        select_outcome(basis_q, probabilities, "50")
+    with pytest.raises(ValueError, match="'S' is not an index"):
+        select_outcome(basis_q, probabilities, "S")  # a p-type label
+    for junk in ("\u00b2", "--1", " 3"):  # a digit that is no decimal, two signs, a space
+        with pytest.raises(ValueError, match="is not an index"):
+            select_outcome(basis_q, probabilities, junk)
+
+
+def test_select_outcome_refuses_an_outcome_at_the_floor(basis_q, first_level):
+    floored = first_level[0].copy()
+    floored[24] = PROBABILITY_FLOOR
+    for token in ("C", "24"):
+        with pytest.raises(NumericalError, match="selected outcome 24 has probability 1.000e-300"):
+            select_outcome(basis_q, floored, token)
+    floored[24] = np.nextafter(PROBABILITY_FLOOR, 1.0)
+    assert select_outcome(basis_q, floored, "C") == 24

@@ -24,7 +24,7 @@ from qpbreed import (
     sweep_binomial_inputs,
 )
 from qpbreed.numerics import PROBABILITY_FLOOR
-from qpbreed.protocol import chain_prefixes, leaf_fold, measurements_in_tree, sign_aggregation_log
+from qpbreed.protocol import chain_prefixes, leaf_fold, sign_aggregation_log
 
 from oracles import (
     constant_schedule,
@@ -45,7 +45,6 @@ def test_schedule_constructors():
 
 
 def test_measurement_count():
-    assert [measurements_in_tree(k) for k in (1, 2, 3, 8)] == [1, 3, 7, 255]
     assert sign_aggregated(1.0, 3) == 8.0
     assert sign_aggregation_log(3) == pytest.approx(3 * math.log(2))
 
