@@ -88,6 +88,13 @@ class QunaughtParams:
         return math.ceil(math.sqrt(-math.log(QUNAUGHT_TAIL) / (math.pi * self.delta**2)))
 
 
+def top_level(state: np.ndarray) -> int:
+    """Last nonzero Fock level of a state, or of any row of a stack; −1 if
+    every entry is zero."""
+    occupied = np.flatnonzero(np.any(state.reshape(-1, state.shape[-1]), axis=0))
+    return int(occupied[-1]) if occupied.size else -1
+
+
 @lru_cache(maxsize=None)
 def annihilation(cfg: FockConfig) -> np.ndarray:
     a = np.zeros((cfg.dim, cfg.dim), dtype=complex)

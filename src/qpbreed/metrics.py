@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import VACUUM_VARIANCE, FockConfig, displacement
+from .fock import VACUUM_VARIANCE, FockConfig, displacement, top_level
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -79,7 +79,8 @@ def wigner(state: np.ndarray, q_axis: np.ndarray, p_axis: np.ndarray) -> np.ndar
     occupying the full truncated basis. The integrand is band-limited, so a
     trapezoid sum at a few times the Nyquist rate is exponentially accurate.
 
-    ψ is evaluated once, on one x grid that holds every q ± y. Its step h
+    ψ is evaluated once, from the Hermite functions up to the state's top
+    occupied level, on one x grid that holds every q ± y. Its step h
     is the q spacing divided by 2^j, for the smallest j ≥ 0 that puts h at
     or below the sampling bound π/(2.5·bandwidth); the y step is the
     largest multiple of h at or below that bound, so it is never coarser
@@ -137,7 +138,7 @@ def wigner(state: np.ndarray, q_axis: np.ndarray, p_axis: np.ndarray) -> np.ndar
     first = n_q - 1 - int(rows.max())  # the evaluated rows are q_axis[first:]
     n_eval = n_q - first
     x = q_axis[0] + h * np.arange(first * stride - m * skip, (n_q - 1) * stride + m * skip + 1)
-    psi = state @ hermite_functions(dim, x)
+    psi = _wavefunction(state, x)
 
     y_step = skip * h
     angles = np.multiply.outer(2 * y_step * np.arange(m + 1), p_eval)
@@ -192,12 +193,17 @@ def hermite_functions(max_n: int, x: np.ndarray) -> np.ndarray:
     return phi
 
 
+def _wavefunction(state: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """ψ(x) = Σₙ cₙ φₙ(x), summed up to the state's top occupied level; a
+    real state is evaluated in real arithmetic."""
+    levels = max(1, top_level(state) + 1)
+    return state[:levels] @ hermite_functions(levels, np.asarray(x, dtype=float))
+
+
 def position_density(state: np.ndarray, q_axis: np.ndarray) -> np.ndarray:
-    """|ψ(q)|² for the wavefunction ψ(q) = Σₙ cₙ φₙ(q); a real state is
-    evaluated in real arithmetic."""
-    state = np.asarray(state)
-    psi = state @ hermite_functions(state.shape[0], np.asarray(q_axis, dtype=float))
-    return np.abs(psi) ** 2
+    """|ψ(q)|² for the wavefunction ψ(q) = Σₙ cₙ φₙ(q) (:func:`_wavefunction`);
+    a real state is evaluated in real arithmetic."""
+    return np.abs(_wavefunction(np.asarray(state), q_axis)) ** 2
 
 
 def default_grid() -> np.ndarray:

@@ -33,7 +33,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import (
-    BinomialParams, FockConfig, QunaughtParams, apply_beamsplitter, binomial_state, qunaught_state
+    BinomialParams,
+    FockConfig,
+    QunaughtParams,
+    apply_beamsplitter,
+    binomial_state,
+    qunaught_state,
+    top_level,
 )
 from .homodyne import projection_amplitudes, quadrature_basis, select_outcome
 from .metrics import effective_squeezing, fidelity
@@ -111,13 +117,6 @@ def default_target(cfg: FockConfig) -> np.ndarray:
     return qunaught_state(cfg, QunaughtParams(delta=0.4))
 
 
-def _top_level(state: np.ndarray) -> int:
-    """Last nonzero Fock level of a state, or of any row of a stack; −1 if
-    every entry is zero."""
-    occupied = np.flatnonzero(np.any(state.reshape(-1, state.shape[-1]), axis=0))
-    return int(occupied[-1]) if occupied.size else -1
-
-
 def breed_step(left: np.ndarray, right: np.ndarray, axis: str, cfg: FockConfig):
     """One breeding step, over every outcome of the measured quadrature.
 
@@ -140,11 +139,31 @@ def breed_step(left: np.ndarray, right: np.ndarray, axis: str, cfg: FockConfig):
     Real inputs are bred in real arithmetic throughout, since the
     beamsplitter blocks and the q eigenvectors are real: measured in q they
     give real (float64) posts, and measured in p complex posts, from the
-    phases iⁿ of the p eigenvectors. Complex inputs give complex posts.
+    phases iⁿ of the p eigenvectors, except as below. Complex inputs give
+    complex posts.
+
+    A state bred with itself (``right`` equal to ``left``, top level T)
+    whose joint state lies in whole sectors (2T < dim) gives posts with
+    exactly zero odd levels. ψ⊗ψ is symmetric under exchange of the modes,
+    and the balanced beamsplitter turns that symmetry into the parity of
+    the kept mode: the joint wavefunction ψ((x + y)/√2)·ψ((x − y)/√2) is
+    even in the kept mode's coordinate y (Hong–Ou–Mandel interference).
+    The truncation keeps each whole sector's block, the d^{t/2}(π/2)
+    matrix, so the rule holds in the truncated model too; the odd levels,
+    rounding of order 1e-16, are set to zero. A cut sector breaks the rule.
+    If the amplitudes are then exactly real, the posts are float64. So a
+    real input of one parity gives real, parity-even posts on both axes:
+    its joint state lies in even sectors, so in p an even kept level meets
+    only even measured levels k, whose phases (−i)ᵏ are real.
     """
-    width = max(1, min(cfg.dim, _top_level(left) + _top_level(right) + 1))
+    top = top_level(left) + top_level(right)
+    width = max(1, min(cfg.dim, top + 1))
     mixed = apply_beamsplitter(cfg, left[:width, None] * right[..., None, :width])
     amplitudes = projection_amplitudes(mixed, quadrature_basis(cfg, axis))
+    if top < cfg.dim and np.array_equal(left, right):  # ψ⊗ψ in whole sectors
+        amplitudes[..., 1::2] = 0.0  # the kept mode is exactly parity-even
+        if np.iscomplexobj(amplitudes) and not amplitudes.imag.any():
+            amplitudes = amplitudes.real
     probabilities = np.vecdot(amplitudes, amplitudes).real
     kept = probabilities > PROBABILITY_FLOOR
     scale = np.divide(1.0, np.sqrt(probabilities), out=np.zeros_like(probabilities), where=kept)
@@ -237,8 +256,9 @@ def leaf_fold(dim: int):
     For the default input the group acts exactly on the enumeration as
     follows; T is the input's top Fock level (4):
     - q mirror, from dim 2T + 1: the input is parity-even and ψ0⊗ψ0 lies in
-      whole beamsplitter sectors, so every first-level post is parity-even
-      and q, dim − 1 − q herald the same state, up to sign, with the same
+      whole beamsplitter sectors, so every first-level post is exactly
+      parity-even (:func:`breed_step` sets its odd levels to zero) and
+      q, dim − 1 − q herald the same state, up to sign, with the same
       probability.
     - p mirror, at every dim: the first-level posts are real, and the
       conjugate of p eigenvector j is ± p eigenvector dim − 1 − j, so p and
@@ -283,7 +303,7 @@ def enumerate_two_iterations(cfg: FockConfig, target: np.ndarray | None = None):
     if target is None:
         target = default_target(cfg)
     psi0 = default_input(cfg)
-    top = _top_level(psi0)
+    top = top_level(psi0)
     if dim < 4 * top + 1:
         mirror = f" and, below dim {2 * top + 1}, the q-outcome mirror" if dim < 2 * top + 1 else ""
         warnings.warn(

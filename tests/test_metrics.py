@@ -6,14 +6,17 @@ import pytest
 from qpbreed import (
     FockConfig,
     Schedule,
+    breed_step,
     chain_prefixes,
     effective_squeezing,
     fidelity,
+    quadrature_basis,
     sgkp_db,
     squeezed_vacuum,
     wigner,
 )
 from qpbreed import metrics
+from qpbreed.homodyne import select_outcome
 from qpbreed.metrics import default_grid, hermite_functions, position_density
 
 from oracles import hermite_phi, unreduced_wigner, wigner_point
@@ -112,16 +115,30 @@ def test_wigner_matches_brute_force_oracle(cfg, psi0):
 
 
 @pytest.fixture(scope="module")
-def wigner_states(cfg, psi0, target):
-    """Real parity-even states (both mirrors), a real q-measured post (the
-    p mirror only: its odd levels hold rounding, not exact zeros) and a
-    complex qp post (no mirror: its cosine and sine parts are evaluated at
-    the distinct |p| and combined)."""
-    *_, (_, _, q_post) = chain_prefixes(cfg, Schedule.from_string("q"), ["S1"], psi0)
-    *_, (_, _, qp_post) = chain_prefixes(cfg, Schedule.from_string("qp"), ["C", "S"], psi0)
+def wigner_states(cfg, psi0, target, first_level):
+    """Real parity-even states (both mirrors), among them the uniform qp
+    chain post; a real post with nonzero levels of both parities (the p
+    mirror only) and a complex post (no mirror: its cosine and sine parts
+    are evaluated at the distinct |p| and combined). The last two breed the
+    different first-level posts C and S1, measured in q and in p, and keep
+    each step's likeliest outcome: with unequal arms the kept mode holds
+    both parities."""
+    *_, (_, _, qp_chain) = chain_prefixes(cfg, Schedule.from_string("qp"), ["C", "S"], psi0)
+    probs, posts = first_level
+    c, s1 = (select_outcome(quadrature_basis(cfg, "q"), probs, token) for token in ("C", "S1"))
+    q_probs, q_posts = breed_step(posts[c], posts[s1], "q", cfg)
+    p_probs, p_posts = breed_step(posts[c], posts[s1], "p", cfg)
+    q_post, qp_post = q_posts[np.argmax(q_probs)], p_posts[np.argmax(p_probs)]
+    assert qp_chain.dtype == np.float64 and not qp_chain[1::2].any()
     assert q_post.dtype == np.float64 and q_post[1::2].any() and q_post[0::2].any()
-    assert qp_post.dtype == np.complex128
-    return {"input": psi0, "target": target, "q_post": q_post, "qp_post": qp_post}
+    assert qp_post.dtype == np.complex128 and qp_post.imag.any()
+    return {
+        "input": psi0,
+        "target": target,
+        "qp_chain": qp_chain,
+        "q_post": q_post,
+        "qp_post": qp_post,
+    }
 
 
 def test_wigner_reduced_paths_match_the_unreduced_kernel(monkeypatch, wigner_states):
@@ -152,7 +169,7 @@ def test_wigner_reduced_paths_match_the_unreduced_kernel(monkeypatch, wigner_sta
             np.testing.assert_allclose(values, expected, rtol=0, atol=1e-13)
             lengths[name] = x_lengths[-1]
         halved = len(q_axis) > 1 and np.array_equal(q_axis, -q_axis[::-1])
-        for name in ("input", "target"):
+        for name in ("input", "target", "qp_chain"):
             assert (lengths[name] < lengths["q_post"]) == halved
         assert lengths["q_post"] == lengths["qp_post"]
 
@@ -170,7 +187,7 @@ def test_default_grid_wigner_is_bitwise_mirror_symmetric(wigner_states):
     axis = default_grid()
     np.testing.assert_array_equal(axis, -axis[::-1])
     np.testing.assert_array_equal(axis, 0.05 * np.arange(-100, 101))
-    for name in ("input", "target"):
+    for name in ("input", "target", "qp_chain"):
         values = wigner(wigner_states[name], axis, axis)
         np.testing.assert_array_equal(values, values[::-1])
         np.testing.assert_array_equal(values, values[:, ::-1])
@@ -187,15 +204,16 @@ def test_wigner_rejects_uneven_q_axis(psi0):
 
 
 def test_wigner_evaluates_the_wavefunction_once(monkeypatch, psi0):
+    # from the Hermite functions up to the top occupied level, 4 for psi0
     calls = []
 
     def counted(max_n, x):
-        calls.append(len(x))
+        calls.append(max_n)
         return hermite_functions(max_n, x)
 
     monkeypatch.setattr(metrics, "hermite_functions", counted)
     wigner(psi0, default_grid(), default_grid())
-    assert len(calls) == 1
+    assert calls == [5]
 
 
 def test_wigner_normalization_and_symmetry(psi0):

@@ -162,9 +162,68 @@ def test_breed_step_matches_the_full_dim_breed(dim, axis, n, complex_input, data
     cfg = FockConfig(dim)
     probs, posts = breed_step(left, right, axis, cfg)
     full_probs, full_posts = full_breed_step(left, right, axis, cfg)
-    assert (probs.dtype, posts.dtype) == (full_probs.dtype, full_posts.dtype)
+    assert probs.dtype == full_probs.dtype
+    if not np.array_equal(left, right):  # two draws may come out equal: see the next test
+        assert posts.dtype == full_posts.dtype
     assert posts.shape == full_posts.shape
     assert np.max(np.abs(probs - full_probs)) < 1e-13
+    assert np.max(np.abs(posts - full_posts)) < 1e-13
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=200)
+@given(
+    dim=st.integers(2, 40),
+    axis=st.sampled_from("qp"),
+    complex_input=st.booleans(),
+    one_parity=st.booleans(),
+    data=st.data(),
+)
+def test_breed_step_of_a_state_with_itself_matches_the_full_dim_breed(
+    dim, axis, complex_input, one_parity, data
+):
+    """A state bred with itself, top level T, gives the full-dim breed's
+    outcomes. While ψ⊗ψ lies in whole sectors (2T < dim) the posts' odd
+    levels must be exact zeros, and the posts real when ψ is real and, for
+    a p measurement, of one parity; in cut sectors their type is the
+    full-dim breed's."""
+    top = data.draw(st.integers(0, dim - 1), label="top")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    state = rng.normal(size=dim)
+    if complex_input:
+        state = state + 1j * rng.normal(size=dim)
+    state[top + 1 :] = 0
+    if one_parity:
+        state[(top + 1) % 2 : top : 2] = 0  # the levels below T of the other parity
+    state /= np.linalg.norm(state)
+    cfg = FockConfig(dim)
+    probs, posts = breed_step(state, state, axis, cfg)
+    full_probs, full_posts = full_breed_step(state, state, axis, cfg)
+    assert probs.dtype == np.float64
+    assert np.max(np.abs(probs - full_probs)) < 1e-13
+    assert np.max(np.abs(posts - full_posts)) < 1e-13
+    if 2 * top < dim:
+        real = not complex_input and (axis == "q" or one_parity or top == 0)
+        assert posts.dtype == (np.float64 if real else np.complex128)
+        assert not posts[:, 1::2].any()
+    else:
+        assert posts.dtype == full_posts.dtype
+
+
+@pytest.mark.parametrize("axis", "qp")
+def test_equal_arms_give_parity_even_posts_in_whole_sectors_only(axis):
+    # the default input, top level T = 4, bred with itself: from dim 2T + 1
+    # every post is real and exactly parity-even on both axes; at dim 2T
+    # the joint state reaches the cut sector 8, and the odd levels are not
+    # zero there
+    for dim in (9, 50):
+        cfg = FockConfig(dim)
+        _, posts = breed_step(default_input(cfg), default_input(cfg), axis, cfg)
+        assert posts.dtype == np.float64 and not posts[:, 1::2].any()
+    cfg = FockConfig(8)
+    psi0 = default_input(cfg)
+    _, posts = breed_step(psi0, psi0, axis, cfg)
+    _, full_posts = full_breed_step(psi0, psi0, axis, cfg)
+    assert np.abs(posts[:, 1::2]).max() > 0.1
     assert np.max(np.abs(posts - full_posts)) < 1e-13
 
 
