@@ -12,12 +12,7 @@ from .fock import (
     qunaught_state,
     squeezed_vacuum,
 )
-from .homodyne import (
-    OutcomeDistribution,
-    QuadratureBasis,
-    label_peaks,
-    quadrature_basis,
-)
+from .homodyne import label_peaks, quadrature_basis
 from .metrics import (
     effective_squeezing,
     fidelity,
@@ -26,9 +21,7 @@ from .metrics import (
 )
 from .numerics import NumericalError
 from .protocol import (
-    BranchResult,
     Schedule,
-    SweepRecord,
     breed_step,
     chain_prefixes,
     default_input,
@@ -43,35 +36,3 @@ from .protocol import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BinomialParams",
-    "BranchResult",
-    "FockConfig",
-    "NumericalError",
-    "OutcomeDistribution",
-    "QuadratureBasis",
-    "QunaughtParams",
-    "Schedule",
-    "SweepRecord",
-    "beamsplitter",
-    "binomial_state",
-    "breed_step",
-    "chain_prefixes",
-    "default_input",
-    "default_target",
-    "displacement",
-    "effective_squeezing",
-    "effective_squeezing_curve",
-    "enumerate_two_iterations",
-    "fidelity",
-    "label_peaks",
-    "probability_fidelity_curve",
-    "quadrature_basis",
-    "qunaught_state",
-    "run_chain",
-    "sgkp_db",
-    "sign_aggregated",
-    "squeezed_vacuum",
-    "sweep_binomial_inputs",
-    "wigner",
-]

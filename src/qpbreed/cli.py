@@ -18,8 +18,9 @@ import json
 import math
 import os
 import sys
+import typing
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .numerics import NumericalError
 from .protocol import (
     BranchResult,
     Schedule,
+    SweepRecord,
     breed_step,
     chain_prefixes,
     check_enumeration_budget,
@@ -166,21 +168,16 @@ def cmd_chain(cfg: RunConfig) -> int:
     records = []
     for prefix in chain_prefixes(fock_cfg, schedule, tokens, cfg.input_state()):
         result = BranchResult.evaluate(fock_cfg, prefix, target)
-        k = len(result.outcome_path)  # a k-level tree makes 2^k − 1 measurements
-        records.append(
-            {
-                "iterations": k,
-                "outcome_path": [list(step) for step in result.outcome_path],
-                "log_probability": result.log_probability,
-                "probability": result.probability,
-                "aggregated_probability": math.exp(
-                    result.log_probability + sign_aggregation_log(2**k - 1)
-                ),
-                "fidelity": result.fidelity,
-                "effective_squeezing_q": result.effective_squeezing_q,
-                "effective_squeezing_p": result.effective_squeezing_p,
-            }
-        )
+        k = len(result.outcome_path)
+        m = 2**k - 1  # measurements in a k-level tree
+        record = {
+            **vars(result),
+            "iterations": k,
+            "probability": result.probability,
+            "aggregated_probability": math.exp(result.log_probability + sign_aggregation_log(m)),
+        }
+        del record["state"]
+        records.append(record)  # json writes the outcome_path tuples as lists
     payload = {
         "schema_version": SCHEMA_VERSION,
         "config": cfg.as_dict("chain"),
@@ -243,10 +240,10 @@ def cmd_sweep(cfg: RunConfig) -> int:
     schedule = Schedule.from_string(cfg.schedule)
     deltas = sorted({cfg.delta_target, 0.35}, reverse=True)
     rows = [
-        (rec.target_delta, rec.N, rec.K, rec.iteration, rec.fidelity, str(rec.supported).lower())
+        tuple({**vars(rec), "supported": str(rec.supported).lower()}.values())
         for rec in sweep_binomial_inputs(cfg.fock(), [2, 3, 4], list(range(2, 8)), schedule, *deltas)
     ]
-    head = "target_delta,N,K,iteration,fidelity,supported"
+    head = ",".join(field.name for field in fields(SweepRecord))
     _write_table(cfg, "sweep", head, ["%.12g,%d,%d,%d,%.12g,%s\n" % row for row in rows])
     return EXIT_OK
 
@@ -305,7 +302,7 @@ COMMANDS = {
 def _read_config_file(path: str) -> dict:
     values = {}
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:  # a BOM is not part of the first key
             for lineno, raw in enumerate(handle, start=1):
                 line = raw.strip()
                 if not line or line.startswith("#"):
@@ -321,15 +318,10 @@ def _read_config_file(path: str) -> dict:
 
 #: How each RunConfig field is parsed from its text, alike for its flag
 #: (``--`` and the field name in lower kebab case) and its config-file key
-#: (the field name).
+#: (the field name): by its annotated type, but postselect by its tokens.
 _FIELDS = {
-    "dim": int,
-    "delta_target": float,
-    "N": int,
-    "K": int,
-    "schedule": str,
+    **typing.get_type_hints(RunConfig),
     "postselect": lambda text: [t for t in text.split(",") if t],
-    "output_path": str,
 }
 
 #: The RunConfig fields each command reads: its flags, its config-file keys

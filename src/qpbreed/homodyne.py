@@ -64,14 +64,6 @@ def projection_amplitudes(state2: np.ndarray, basis: QuadratureBasis) -> np.ndar
     return even - 1j * odd
 
 
-def _negative_local_maxima(probabilities: np.ndarray, half: int) -> list[int]:
-    peaks = []
-    for i in range(1, half):
-        if probabilities[i] > probabilities[i - 1] and probabilities[i] >= probabilities[i + 1]:
-            peaks.append(i)
-    return peaks
-
-
 def label_peaks(dist: OutcomeDistribution) -> OutcomeDistribution:
     """Attach the C/S1/S2/S peak labels used for post-selection.
 
@@ -81,21 +73,23 @@ def label_peaks(dist: OutcomeDistribution) -> OutcomeDistribution:
     closest to one grid spacing (rescaled outcome −1) is S. Mirror labels are
     attached to the reflected indices.
     """
-    dim = len(dist.probabilities)
+    p = dist.probabilities
+    dim = len(p)
     half = dim // 2
     center = half - 1
     labels = {center: "C", dim - 1 - center: "mirror-C"}
-    peaks = [i for i in _negative_local_maxima(dist.probabilities, half) if i != center]
+    # the local maxima of the negative half, the center excepted
+    peaks = [i for i in range(1, half) if p[i] > p[i - 1] and p[i] >= p[i + 1] and i != center]
     if peaks:
         if dist.axis == "q":
-            s1 = max(peaks, key=lambda i: dist.probabilities[i])
+            s1 = max(peaks, key=lambda i: p[i])
             labels[s1] = "S1"
             labels[dim - 1 - s1] = "mirror-S1"
             if s1 - 1 >= 0:
                 labels[s1 - 1] = "S2"
                 labels[dim - s1] = "mirror-S2"
         else:
-            rescaled = dist.eigenvalues / RESCALE
+            rescaled = dist.rescaled_outcomes
             s = min(peaks, key=lambda i: abs(rescaled[i] + 1.0))
             labels[s] = "S"
             labels[dim - 1 - s] = "mirror-S"

@@ -13,6 +13,7 @@ from .fock import VACUUM_VARIANCE, FockConfig, displacement, top_level
 SQRT_PI = math.sqrt(math.pi)
 
 #: q rows of a :func:`wigner` grid whose products are formed at a time.
+#: Keep it: BLAS blocks a matmul by row count, so it fixes the printed digits.
 WIGNER_CHUNK_ROWS = 64
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -271,6 +272,40 @@ def test_sweep_emits_both_targets(tmp_path):
     assert (2, 3) in pairs and (4, 7) in pairs
 
 
+def test_chain_record_and_sweep_header_are_pinned(tmp_path):
+    # both layouts are built from the BranchResult and SweepRecord fields; a
+    # new field must not change them unless this test and SCHEMA_VERSION do
+    out = tmp_path / "chain.json"
+    assert run_cli(["chain", "--dim", "20", "--output-path", str(out)]) == EXIT_OK
+    payload = json.loads(out.read_text())
+    assert payload["schema_version"] == 2
+    for k, record in enumerate(payload["records"]):
+        assert set(record) == {
+            "iterations",
+            "outcome_path",
+            "log_probability",
+            "probability",
+            "aggregated_probability",
+            "fidelity",
+            "effective_squeezing_q",
+            "effective_squeezing_p",
+        }
+        assert record["iterations"] == k
+        assert len(record["outcome_path"]) == k
+        for step in record["outcome_path"]:
+            assert isinstance(step, list) and len(step) == 2
+            assert all(isinstance(value, int) for value in step)
+        log_probability = record["log_probability"]
+        assert record["probability"] == math.exp(log_probability)
+        aggregated = math.exp(log_probability + (2**k - 1) * math.log(2))
+        assert record["aggregated_probability"] == aggregated
+    out = tmp_path / "sweep.csv"
+    assert run_cli(["sweep", "--dim", "20", "--output-path", str(out)]) == EXIT_OK
+    lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    assert lines[0] == "target_delta,N,K,iteration,fidelity,supported"
+    assert {line.rsplit(",", 1)[1] for line in lines[1:]} <= {"true", "false"}
+
+
 def test_wigner_matrix_text(tmp_path):
     out = tmp_path / "wigner.csv"
     assert run_cli(["wigner", "--dim", "30", "--output-path", str(out)]) == EXIT_OK
@@ -375,6 +410,19 @@ def test_config_file_that_is_not_utf8_is_named(tmp_path, capsys):
     assert run_cli(["chain", "--config", str(latin1)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot read config file {latin1}: ") and "Traceback" not in err
+
+
+def test_config_file_with_a_byte_order_mark_reads_as_without(tmp_path):
+    plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+    plain.write_text("dim=20\nschedule=pq\n", encoding="utf-8")
+    bom.write_text("dim=20\nschedule=pq\n", encoding="utf-8-sig")
+    assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+    configs = [
+        _resolve_config(_build_parser().parse_args(["chain", "--config", str(path)]))
+        for path in (plain, bom)
+    ]
+    assert configs[0] == configs[1]
+    assert configs[0].dim == 20 and configs[0].schedule == "pq"
 
 
 def test_oversized_dim_exits_before_any_array(monkeypatch, capsys):
