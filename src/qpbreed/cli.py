@@ -169,7 +169,9 @@ def cmd_chain(cfg: RunConfig) -> int:
     for prefix in chain_prefixes(fock_cfg, schedule, tokens, cfg.input_state()):
         result = BranchResult.evaluate(fock_cfg, prefix, target)
         k = len(result.outcome_path)
-        m = 2**k - 1  # measurements in a k-level tree
+        # measurements whose outcome has a distinct mirror: the 2^(k − j) of each level j
+        # whose index is not the middle one
+        m = sum(2 ** (k - level) for level, index in result.outcome_path if 2 * index != cfg.dim - 1)
         record = {
             **vars(result),
             "iterations": k,
@@ -201,7 +203,9 @@ def cmd_enumerate(cfg: RunConfig) -> int:
     probability, fid, delta = (
         leaves[canonical] for leaves in enumerate_two_iterations(cfg.fock(), target=cfg.target())
     )
-    m = 3  # measurements in the two-iteration tree
+    # per canonical leaf, how many of its three outcomes [q1, q2, p] have a distinct mirror
+    distinct = (2 * np.arange(cfg.dim) != cfg.dim - 1).astype(int)
+    m = (distinct[:, None, None] + distinct[:, None] + distinct)[canonical]
     columns = [probability, sign_aggregated(probability, m), fid, delta]
     rows = zip(*(column.tolist() for column in columns))
     values = ["%.12g,%.12g,%.12g,%.12g" % row for row in rows]

@@ -14,14 +14,16 @@ remain exact.
 
 Counting convention: reported reference values for outcome sequences
 aggregate a sequence together with all of its per-measurement mirror images
-(the opposite-sign eigenvalue at each of the m measurements, m = 2^k − 1
-for k iterations), which all occur with the same probability and yield
-equivalent output states. Records in this module store the single-sequence
-probability; to compare with the aggregated convention, multiply it by 2^m
-with :func:`sign_aggregated`, or add m·ln 2 to its log with
-:func:`sign_aggregation_log`. The two-iteration enumeration copies leaves
-by these same mirror images (with arm exchange); :func:`leaf_fold` states
-where each one is exact.
+(the opposite-sign eigenvalue at each measurement), which all occur with
+the same probability and yield equivalent output states. Records in this
+module store the single-sequence probability; to compare with the
+aggregated convention, multiply it by 2^m with :func:`sign_aggregated`, or
+add m·ln 2 to its log with :func:`sign_aggregation_log`, where m counts the
+measurements whose outcome has a distinct mirror: all m = 2^k − 1 of k
+iterations at an even dim, but at an odd dim not those of the middle
+outcome, index (dim − 1)/2, the zero eigenvalue and its own mirror. The
+two-iteration enumeration copies leaves by these same mirror images (with
+arm exchange); :func:`leaf_fold` states where each one is exact.
 """
 
 from __future__ import annotations

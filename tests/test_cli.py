@@ -183,7 +183,9 @@ def test_enumerate_rows_are_the_per_row_format(tmp_path, capsys, dim):
     # the CLI formats each canonical leaf once and gathers its text; every
     # row must still read as the %-format of that leaf's own values
     probability, fid, delta = enumerate_two_iterations(FockConfig(dim))
-    columns = [*np.indices(probability.shape), probability, sign_aggregated(probability, 3), fid, delta]
+    indices = np.indices(probability.shape)
+    mirrored = np.sum(2 * indices != dim - 1, axis=0)  # measurements with a distinct mirror outcome
+    columns = [*indices, probability, sign_aggregated(probability, mirrored), fid, delta]
     expected = [
         "%d,%d,%d,%.12g,%.12g,%.12g,%.12g" % row
         for row in zip(*(column.ravel().tolist() for column in columns))
@@ -234,6 +236,8 @@ def test_enumerate_over_budget_exits_before_the_target(monkeypatch, capsys):
         (["distribution", "--postselect", "C,S2"], 0),
         (["enumerate"], 0),
         (["chain", "--schedule", "pqpqpqpq", "--postselect", "C,C,C,C,C,C,C,C"], 49),
+        (["sweep", "--schedule", "pqpq"], 49),
+        (["wigner", "--schedule", "qp", "--postselect", "C,S"], 0),
     ],
 )
 def test_cut_sectors_are_built_only_for_states_that_reach_them(
@@ -243,17 +247,34 @@ def test_cut_sectors_are_built_only_for_states_that_reach_them(
     # breeding step, 16 after two and 64 after four: only the chain's fourth
     # level needs the dim − 1 = 49 cut sectors t ≥ dim
     built = []
-    expm = fock.expm_skew_tridiagonals
+    write = fock._write_cut_sectors
 
-    def counted(couplings, out):
-        built.extend(couplings)
-        expm(couplings, out)
+    def counted(blocks):
+        built.append(len(blocks) - 1)  # its dim − 1 cut sectors
+        write(blocks)
 
-    monkeypatch.setattr(fock, "expm_skew_tridiagonals", counted)
+    monkeypatch.setattr(fock, "_write_cut_sectors", counted)
     fock.beamsplitter.cache_clear()
     fock._packed_sectors.cache_clear()
     assert run_cli([*args, "--dim", "50", "--output-path", str(tmp_path / "out.csv")]) == EXIT_OK
-    assert len(built) == cut_sectors
+    assert sum(built) == cut_sectors
+
+
+def test_aggregated_probability_counts_only_outcomes_with_a_distinct_mirror(tmp_path):
+    # at an odd dim the middle outcome, index (dim − 1)/2, is its own mirror
+    # and adds no factor 2
+    out = tmp_path / "chain.json"
+    args = ["chain", "--dim", "51", "--schedule", "q", "--postselect", "25", "--output-path", str(out)]
+    assert run_cli(args) == EXIT_OK
+    record = json.loads(out.read_text())["records"][1]
+    assert record["outcome_path"] == [[1, 25]]
+    assert record["aggregated_probability"] == record["probability"]
+    # one leaf per mirror class, each counted with its mirror images, sums to 1
+    out = tmp_path / "enum.csv"
+    assert run_cli(["enumerate", "--dim", "17", "--output-path", str(out)]) == EXIT_OK
+    rows = [line.split(",") for line in out.read_text().splitlines() if not line.startswith("#")][1:]
+    total = sum(float(row[4]) for row in rows if all(int(i) < 9 for i in row[:3]))
+    assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sibling_path_keeps_directories():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qpbreed.numerics import eig_hermitian_tridiagonal, expm_skew_hermitian, expm_skew_tridiagonals
+from qpbreed.numerics import eig_hermitian_tridiagonal, expm_skew_hermitian
 
 from oracles import EIG_RESIDUAL, UNITARITY, gauss_hermite_nodes
 
@@ -68,32 +68,3 @@ def test_expm_rejects_non_skew_input():
 def test_expm_rejects_non_square():
     with pytest.raises(ValueError):
         expm_skew_hermitian(np.zeros((2, 3)))
-
-
-def test_expm_skew_tridiagonal_matches_pade_expm():
-    # all 40 generators in one call: sizes 1..40, both parities, so the
-    # half-size problems of several generators share each stacked eigensolve
-    rng = np.random.default_rng(11)
-    couplings = []
-    for n in range(1, 41):
-        half = rng.uniform(0, n, size=(n - 1) // 2)
-        couplings.append(np.concatenate([half, rng.uniform(0, n, size=(n - 1) % 2), half[::-1]]))
-    exponentials = [np.empty((n, n)) for n in range(1, 41)]
-    expm_skew_tridiagonals(couplings, exponentials)
-    for coupling, u in zip(couplings, exponentials):
-        generator = np.diag(coupling, -1) - np.diag(coupling, 1)
-        assert np.max(np.abs(u - scipy.linalg.expm(generator))) < UNITARITY
-        assert np.max(np.abs(u.T @ u - np.eye(len(u)))) < UNITARITY
-
-
-def test_expm_skew_tridiagonal_rejects_non_persymmetric_coupling():
-    with pytest.raises(ValueError, match="persymmetric"):
-        expm_skew_tridiagonals([[1.0, 2.0]], [np.empty((3, 3))])
-    # one bad coupling among good and empty ones is found
-    couplings = [[], [3.0], [1.0, 2.0, 1.0], [], [1.0, 2.0, 2.0]]
-    with pytest.raises(ValueError, match="persymmetric"):
-        expm_skew_tridiagonals(couplings, [np.empty((len(c) + 1,) * 2) for c in couplings])
-    with pytest.raises(ValueError, match="vector"):
-        expm_skew_tridiagonals([np.ones((2, 2))], [np.empty((3, 3))])
-    with pytest.raises(ValueError, match="out"):
-        expm_skew_tridiagonals([[1.0, 1.0]], [np.empty((2, 2))])
