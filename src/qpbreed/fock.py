@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import NumericalError, eig_hermitian_tridiagonal
+from .numerics import eig_hermitian_tridiagonal
 
 VACUUM_VARIANCE = 0.5
 
@@ -227,22 +227,11 @@ def qunaught_state(cfg: FockConfig, params: QunaughtParams) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _packed_sectors(dim: int) -> np.ndarray:
     """The (dim, dim, dim) packed blocks of :func:`beamsplitter` with only
-    the whole sectors t < dim filled in. Each is the Wigner d^{t/2}(π/2)
-    matrix, and its recursion does not depend on dim. The cut sectors stay
-    zero until :func:`beamsplitter` writes them into this same array."""
+    the whole sectors t < dim filled in. The cut sectors stay zero until
+    :func:`beamsplitter` writes them into this same array."""
     blocks = np.zeros((dim, dim, dim))
     blocks[0, 0, 0] = 1.0
-    for total in range(1, dim):
-        previous = blocks[total - 1, :total, : total + 1]  # its last column is off-diagonal, zero
-        root = np.sqrt(np.arange(total + 1))
-        # column k: √k·U|k − 1, l⟩ and √l·U|k, l − 1⟩, rows indexed as in sector t − 1
-        from_a = np.zeros_like(previous)
-        from_a[:, 1:] = root[1:] * previous[:, :-1]
-        from_b = root[::-1] * previous
-        block = blocks[total, : total + 1, : total + 1]
-        block[1:] = root[1:, None] * (from_a + from_b)  # the a† parts of A and B
-        block[:-1] += root[:0:-1, None] * (from_b - from_a)  # their b† parts
-        block /= total * math.sqrt(2)
+    _write_sectors(blocks, range(1, dim))
     blocks.setflags(write=False)
     return blocks
 
@@ -251,22 +240,18 @@ def _packed_sectors(dim: int) -> np.ndarray:
 def beamsplitter(cfg: FockConfig) -> np.ndarray:
     """Balanced (50:50) beamsplitter U = exp(θ(a†b − ab†)), θ = π/4, as its
     total-photon-number sectors, packed two to a block: slice b of the
-    (dim, dim, dim) result is a real orthogonal matrix on the photon numbers
-    k of the measured mode (the kept one has l = t − k). It holds the whole
-    sector t = b on rows and columns 0..b and, for b ≤ dim − 2, the cut
-    sector t = dim + b on rows and columns b + 1..dim − 1, the levels k
-    whose l stays inside the truncation; its other entries are zero.
+    (dim, dim, dim) result is a real matrix on the photon numbers k of the
+    measured mode (the kept one has l = t − k). It holds the whole sector
+    t = b on rows and columns 0..b and, for b ≤ dim − 2, the cut sector
+    t = dim + b on rows and columns b + 1..dim − 1, the levels k whose l
+    stays inside the truncation; its other entries are zero.
 
-    A sector t < dim fits the truncation whole, and its block is the Wigner
-    d^{t/2}(π/2) matrix of the Schwinger map. It is built from sector t − 1
-    by t·U|k, l⟩ = √k·A·U|k − 1, l⟩ + √l·B·U|k, l − 1⟩, with
-    A = U a† U† = (a† − b†)/√2 and B = U b† U† = (a† + b†)/√2. Every
-    coefficient of this averaged recursion is at most 1 in size, which keeps
-    it stable where the one-term ladder recursion is not. A sector t ≥ dim
-    is cut by the truncation; its block is the exponential of the truncated
-    sector generator. :func:`_write_cut_sectors` builds all dim − 1 of them
-    from their half-size mirror parts, with one stacked eigensolve per size,
-    ⌈dim/2⌉ at most.
+    Every block is the exact operator, compressed to the box: sector t is
+    the Wigner d^{t/2}(π/2) matrix of the Schwinger map, and a cut sector
+    keeps its rows and columns inside the truncation. A whole sector's
+    block is orthogonal. A cut sector's block is not: the weight it sends
+    to levels outside the box is the truncation's true leakage, so a state
+    that reaches sector dim loses norm through it (:func:`_write_sectors`).
 
     The cut sectors are written into the array of the whole ones
     (:func:`_packed_sectors`), on levels that array leaves zero, so a dim
@@ -277,102 +262,41 @@ def beamsplitter(cfg: FockConfig) -> np.ndarray:
     blocks = _packed_sectors(cfg.dim)
     blocks.setflags(write=True)
     try:
-        _write_cut_sectors(blocks)
+        _write_sectors(blocks, range(cfg.dim, 2 * cfg.dim - 1))
     finally:
         blocks.setflags(write=False)
     return blocks
 
 
-def _write_cut_sectors(blocks: np.ndarray) -> None:
-    """Write each cut sector t = dim + b, b = 0..dim − 2, into block b of
-    the packed (dim, dim, dim) ``blocks`` on its levels b + 1..dim − 1: the
-    real orthogonal exponential of its n × n truncated generator G,
-    n = dim − 1 − b, with G[j + 1, j] = −G[j, j + 1] = c[j] and couplings
-    c[j] = π/4·√((k + 1)(dim + b − k)), k = b + 1 + j. Each c equals its own
-    reverse (is persymmetric) by this formula.
+def _write_sectors(blocks: np.ndarray, totals: range) -> None:
+    """Write each sector t of ``totals``, in order, into the packed
+    ``blocks`` of :func:`beamsplitter` from sector t − 1, already there.
 
-    With D = diag(iʲ), G = −i·D·S·D†, where S = VΛVᵀ is the real symmetric
-    tridiagonal matrix with the same couplings. So exp(G)[m, k] is
-    ±F[m, k], F = V·diag(cos λ + sin λ)·Vᵀ, with + where (m − k) mod 4 is 0
-    or 1. S commutes with the reversal of the index, so F is the sum of its
-    parts on the mirror-symmetric and the mirror-antisymmetric vectors, each
-    a function of a real symmetric tridiagonal matrix of half the size. For
-    n = 2h + 1 those have sizes h + 1 and h, and the middle level couples
-    only to the symmetric part. For n = 2h both have size h, and the
-    antisymmetric one is −P·(the symmetric one)·P with P = diag((−1)ʲ), so
-    its eigenpairs are (−λ, P·v) and need no eigensolve of their own.
-
-    With A and M those functions of the symmetric and the antisymmetric
-    matrix, the top h rows of F are (A + M)/2 on the first h columns and
-    (A − M)/2, reversed, on the last h; an odd n adds the middle row and
-    column, A's last row and column, divided by √2 off the centre. F
-    commutes with the reversal too, so its bottom h rows are the 180°
-    rotation of its top h.
-
-    The half-size matrices of all sectors are grouped by size: one stacked
-    ``np.linalg.eigh`` per size diagonalizes them and one stacked matmul
-    per size forms their functions, which :func:`_assemble` joins. The
-    one-level sector t = 2·dim − 2 is 1. Raises NumericalError for an
-    eigensolve that does not converge.
+    The recursion is t·U|k, l⟩ = √k·A·U|k − 1, l⟩ + √l·B·U|k, l − 1⟩, with
+    A = U a† U† = (a† − b†)/√2 and B = U b† U† = (a† + b†)/√2. Every
+    coefficient of this averaged recursion is at most 1 in size, which keeps
+    it stable where the one-term ladder recursion is not. Row and column k
+    of sector t need rows and columns k − 1 and k of sector t − 1, so sector
+    t on its box levels low..high needs sector t − 1 on levels
+    low − 1..high only: a cut sector is the exact sub-block, with no larger
+    window. A whole sector (low = 0) reads sector t − 1 padded with a zero
+    level −1, and on level t, outside sector t − 1; both meet a zero
+    coefficient √k or √l.
     """
     dim = len(blocks)
-    ks = np.arange(dim - 1)
-    # sector t = dim + b couples levels k and k + 1 for k = b + 1..dim − 2
-    coupling = math.pi / 4 * np.sqrt((ks + 1) * (dim + ks[:, None] - ks))
-    # size: (off-diagonal, last diagonal entry, sector b, 0 for its symmetric or 1 antisymmetric part)
-    problems = {}
-    for b in range(dim - 2):
-        c = coupling[b, b + 1 :]
-        half, odd = divmod(c.size + 1, 2)
-        inner, middle = c[: half - 1], c[half - 1]
-        if odd:
-            problems.setdefault(half + 1, []).append((np.append(inner, np.sqrt(2) * middle), 0.0, b, 0))
-            problems.setdefault(half, []).append((inner, 0.0, b, 1))
-        else:
-            problems.setdefault(half, []).append((inner, middle, b, 0))
-    halves = [[None, None] for _ in range(dim - 2)]  # A/2 and M/2; the 1/2 is exact in the weights
-    for size, rows in problems.items():
-        matrices = np.zeros((len(rows), size, size))
-        flat = matrices.reshape(len(rows), size * size)
-        flat[:, 1 :: size + 1] = flat[:, size :: size + 1] = [row[0] for row in rows]
-        flat[:, -1] = [row[1] for row in rows]
-        try:
-            values, vectors = np.linalg.eigh(matrices)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"size-{size} half-generator eigensolve did not converge: {exc}") from exc
-        pairs = [i for i, row in enumerate(rows) if (dim - row[2]) % 2]  # even n, symmetric part
-        values = np.concatenate([values, -values[pairs]])
-        vectors = np.concatenate([vectors, (-1.0) ** np.arange(size)[:, None] * vectors[pairs]])
-        weights = (np.cos(values) + np.sin(values)) / 2
-        functions = (vectors * weights[:, None, :]) @ vectors.transpose(0, 2, 1)
-        targets = [row[2:] for row in rows] + [(rows[i][2], 1) for i in pairs]
-        for (b, part), function in zip(targets, functions):
-            halves[b][part] = function
-    # signs[m, k]: − where (m − k) mod 4 is 2 or 3
-    signs = np.array([1.0, 1.0, -1.0, -1.0])[np.subtract.outer(ks, ks) % 4]
-    for b, (a, m) in enumerate(halves):
-        blocks[b, b + 1 :, b + 1 :] = _assemble(a, m, signs)
-    blocks[dim - 2, dim - 1, dim - 1] = 1.0
-
-
-def _assemble(a, m, signs):
-    """exp(G) from the halves A/2 and M/2 of :func:`_write_cut_sectors`,
-    mirror-symmetric ``a`` and mirror-antisymmetric ``m``; ``signs`` holds
-    ±1 by (m − k) mod 4. It is built in a new contiguous array, where these
-    steps run several times faster than in a strided view."""
-    n = len(a) + len(m)
-    half = n // 2
-    block = np.empty((n, n))
-    np.add(a[:half, :half], m, out=block[:half, :half])
-    np.subtract(a[:half, :half], m, out=block[:half, : n - half - 1 : -1])
-    if n % 2:
-        block[:half, half] = np.sqrt(2) * a[:half, half]
-        block[half, :half] = np.sqrt(2) * a[half, :half]
-        block[half, half] = 2 * a[half, half]
-        block[half, half + 1 :] = block[half, half - 1 :: -1]
-    block[n - half :] = block[half - 1 :: -1, ::-1]
-    block *= signs[:n, :n]
-    return block
+    for total in totals:
+        low, high = max(0, total - dim + 1), min(total, dim - 1)
+        read = slice(max(0, low - 1), high + 1)
+        previous = blocks[(total - 1) % dim, read, read]
+        if not low:
+            previous = np.pad(previous, (1, 0))
+        root = np.sqrt(np.arange(low, high + 1))  # √k; reversed, √l = √(t − k)
+        from_a = root * previous[:, :-1]  # column k: √k·U|k − 1, l⟩, rows from level low − 1
+        from_b = root[::-1] * previous[:, 1:]  # √l·U|k, l − 1⟩
+        block = blocks[total % dim, low : high + 1, low : high + 1]
+        block[:] = root[:, None] * (from_a + from_b)[:-1]  # the a† parts of A and B
+        block += root[::-1, None] * (from_b - from_a)[1:]  # their b† parts
+        block /= total * math.sqrt(2)
 
 
 @lru_cache(maxsize=None)

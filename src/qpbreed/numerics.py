@@ -5,10 +5,9 @@ Each routine is a pure function of its inputs, so results can be shared
 freely. Vectors and matrices are plain numpy arrays, float64 where the
 quantity is real (tridiagonal eigenvectors, the exponential of a real
 generator) and complex128 otherwise. Across the package a real state stays
-real as long as every operator it meets is real. A failed eigensolve, here
-or in the cut beamsplitter sectors of :mod:`qpbreed.fock`, raises
-:class:`NumericalError`, never numpy's LinAlgError, which is a ValueError
-and would read as bad input.
+real as long as every operator it meets is real. A failed eigensolve
+raises :class:`NumericalError`, never numpy's LinAlgError, which is a
+ValueError and would read as bad input.
 """
 
 from __future__ import annotations

@@ -23,13 +23,12 @@ measurements whose outcome has a distinct mirror: all m = 2^k − 1 of k
 iterations at an even dim, but at an odd dim not those of the middle
 outcome, index (dim − 1)/2, the zero eigenvalue and its own mirror. The
 two-iteration enumeration copies leaves by these same mirror images (with
-arm exchange); :func:`leaf_fold` states where each one is exact.
+arm exchange), which are exact at every dim: :func:`leaf_fold`.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,25 +143,30 @@ def breed_step(left: np.ndarray, right: np.ndarray, axis: str, cfg: FockConfig):
     phases iⁿ of the p eigenvectors, except as below. Complex inputs give
     complex posts.
 
-    A state bred with itself (``right`` equal to ``left``, top level T)
-    whose joint state lies in whole sectors (2T < dim) gives posts with
+    A state bred with itself (``right`` equal to ``left``) gives posts with
     exactly zero odd levels. ψ⊗ψ is symmetric under exchange of the modes,
     and the balanced beamsplitter turns that symmetry into the parity of
     the kept mode: the joint wavefunction ψ((x + y)/√2)·ψ((x − y)/√2) is
     even in the kept mode's coordinate y (Hong–Ou–Mandel interference).
-    The truncation keeps each whole sector's block, the d^{t/2}(π/2)
-    matrix, so the rule holds in the truncated model too; the odd levels,
-    rounding of order 1e-16, are set to zero. A cut sector breaks the rule.
-    If the amplitudes are then exactly real, the posts are float64. So a
-    real input of one parity gives real, parity-even posts on both axes:
-    its joint state lies in even sectors, so in p an even kept level meets
-    only even measured levels k, whose phases (−i)ᵏ are real.
+    Every beamsplitter block is the exact operator compressed to the
+    truncation, which keeps exchange and parity, so the rule holds at every
+    dim; the odd levels, rounding of order 1e-16, are set to zero. If the
+    amplitudes are then exactly real, the posts are float64. So a real
+    input of one parity gives real, parity-even posts on both axes: its
+    joint state lies in even sectors, so in p an even kept level meets only
+    even measured levels k, whose phases (−i)ᵏ are real.
+
+    The probabilities are those of the truncated model, not renormalized.
+    They sum to 1 while the joint state lies in whole sectors
+    (T_L + T_R < dim). A step that reaches sector dim sums to 1 minus the
+    weight the exact beamsplitter sends outside the truncation, its
+    leakage; each post is normalized on its own.
     """
     top = top_level(left) + top_level(right)
     width = max(1, min(cfg.dim, top + 1))
     mixed = apply_beamsplitter(cfg, left[:width, None] * right[..., None, :width])
     amplitudes = projection_amplitudes(mixed, quadrature_basis(cfg, axis))
-    if top < cfg.dim and np.array_equal(left, right):  # ψ⊗ψ in whole sectors
+    if np.array_equal(left, right):  # ψ⊗ψ
         amplitudes[..., 1::2] = 0.0  # the kept mode is exactly parity-even
         if np.iscomplexobj(amplitudes) and not amplitudes.imag.any():
             amplitudes = amplitudes.real
@@ -255,20 +259,19 @@ def leaf_fold(dim: int):
     ``fold[q1, q2, p]`` is the position of the leaf's orbit representative
     among them.
 
-    For the default input the group acts exactly on the enumeration as
-    follows; T is the input's top Fock level (4):
-    - q mirror, from dim 2T + 1: the input is parity-even and ψ0⊗ψ0 lies in
-      whole beamsplitter sectors, so every first-level post is exactly
-      parity-even (:func:`breed_step` sets its odd levels to zero) and
-      q, dim − 1 − q herald the same state, up to sign, with the same
+    For the default input the group acts exactly on the enumeration, at
+    every dim, as follows:
+    - q mirror: the input is parity-even, so every first-level post is
+      exactly parity-even (:func:`breed_step` sets its odd levels to zero)
+      and q, dim − 1 − q herald the same state, up to sign, with the same
       probability.
-    - p mirror, at every dim: the first-level posts are real, and the
-      conjugate of p eigenvector j is ± p eigenvector dim − 1 − j, so p and
-      dim − 1 − p give conjugate posts, with the same probability, fidelity
-      to a real target and q-probe δ.
-    - exchange, from dim 4T + 1: the second-level joint state reaches 4T
-      photons, and exchange holds only while every populated sector is
-      whole.
+    - p mirror: the first-level posts are real, and the conjugate of p
+      eigenvector j is ± p eigenvector dim − 1 − j, so p and dim − 1 − p
+      give conjugate posts, with the same probability, fidelity to a real
+      target and q-probe δ.
+    - exchange: the beamsplitter blocks are the exact operator compressed
+      to the truncation, so swapping the arms of a second step keeps its
+      outcome distribution, in whole and in cut sectors alike.
     """
     half = (dim + 1) // 2
     mirror = np.minimum(np.arange(dim), np.arange(dim)[::-1])  # i → min(i, dim − 1 − i)
@@ -294,26 +297,16 @@ def enumerate_two_iterations(cfg: FockConfig, target: np.ndarray | None = None):
     leaves. Each array is one gather of their values through ``fold``, so
     the leaves of an orbit are bit-identical.
 
-    The copies are exact where the group is (see :func:`leaf_fold`): the
-    p mirror at every dim, the q mirror from dim 2·T + 1 and exchange from
-    dim 4·T + 1, T the top Fock level of the input (4 for the default
-    input). Below dim 4·T + 1 a UserWarning says that the copied leaves
-    only approximate their own.
+    The copies are exact, since the group is exact at every dim (see
+    :func:`leaf_fold`). Below dim 4·T + 1, T the top Fock level of the
+    input (4 for the default input), the second step reaches sector dim,
+    and the leaves sum to less than 1 by its leakage.
     """
     dim = cfg.dim
     check_enumeration_budget(dim)
     if target is None:
         target = default_target(cfg)
     psi0 = default_input(cfg)
-    top = top_level(psi0)
-    if dim < 4 * top + 1:
-        mirror = f" and, below dim {2 * top + 1}, the q-outcome mirror" if dim < 2 * top + 1 else ""
-        warnings.warn(
-            f"enumeration at dim {dim} is below dim {4 * top + 1}: truncated beamsplitter "
-            f"sectors break the exchange symmetry{mirror}, so leaves copied through the fold "
-            f"differ from their own values",
-            stacklevel=2,
-        )
     probs, posts = breed_step(psi0, psi0, "q", cfg)
     fold, canonical = leaf_fold(dim)
     pairs, outcomes = canonical.any(axis=2), canonical.any(axis=(0, 1))

@@ -7,12 +7,12 @@ elements by the closed-form Laguerre series and by the Padé matrix
 exponential of the padded generator (vs a phase function of the p
 eigenbasis), the grid state as a sum of separately displaced peaks (vs one
 comb function of p), the beamsplitter as the Padé exponential of its
-two-mode generator assembled from Kronecker products, or of each
-photon-number sector's generator assembled from single-mode matrix elements
-(vs the d^j recursion for whole sectors and a half-size real eigensolve for
-truncated ones; mpmath's 40-digit exponential for the small truncated
-sectors; and, for the worst truncated sectors, the 40-digit exponential
-of each sector's symmetric tridiagonal form through mpmath's ``eigsy``),
+two-mode generator assembled from Kronecker products on 2·dim − 1 levels,
+or of each photon-number sector's whole generator assembled from
+single-mode matrix elements, both cut to the box (vs the d^j recursion,
+carried past sector dim − 1 on the box levels only), and, for the largest
+sectors, the closed-form Krawtchouk sum of each matrix element in exact
+integers and 40-digit square roots,
 and Wigner values by assembling the displaced-parity expectation directly.
 :func:`unreduced_wigner` is the library's Wigner sum on every grid point in
 complex arithmetic, where the library evaluates the symmetry-reduced part
@@ -29,12 +29,10 @@ library breeds on the corner of levels its inputs occupy.
 :func:`tree_log_probability` breeds every node of a uniformly post-selected
 tree, where the library follows one branch and weighs each level's
 log-probability by its number of nodes.
-:func:`expm_skew_tridiagonal` exponentiates one truncated sector at a time
-and assembles it at full size from its lifted half-size eigenvectors, where
-the library diagonalizes the half-size parts of all truncated sectors
-grouped by size and assembles each sector at half size in the mirror
-basis; :func:`per_sector_beamsplitter` writes its sectors into the packed
-blocks.
+:func:`reference_breed` is the truncation-free reference: it breeds in
+whole sectors on every level the inputs reach and projects on the Hermite
+functions at an outcome value x, where the library cuts each mode to dim
+levels and projects on the eigenvectors of the truncated quadrature.
 :func:`dense_beamsplitter` is not an oracle: it writes out, as a dense
 matrix, the operator the library applies. The quadrature operators, the
 constant schedule and the tolerances below are used only by the tests.
@@ -51,12 +49,12 @@ from qpbreed.fock import (
     DISPLACEMENT_PAD,
     FockConfig,
     annihilation,
-    _packed_sectors,
     apply_beamsplitter,
     squeezed_vacuum,
+    top_level,
 )
 from qpbreed.homodyne import projection_amplitudes, quadrature_basis
-from qpbreed.numerics import PROBABILITY_FLOOR, SKEW_HERMITIAN_TOL
+from qpbreed.numerics import PROBABILITY_FLOOR
 from qpbreed.protocol import Schedule, breed_step, default_input
 
 HERMITIAN = 1e-12
@@ -231,146 +229,127 @@ def unreduced_wigner(state, q_axis, p_axis):
 
 def generator_beamsplitter(cfg):
     """scipy's Padé ``expm`` of the two-mode generator θ(a†b − ab†),
-    θ = π/4, on the dim² space with index k·dim + l for |k⟩|l⟩. The
-    truncated generator keeps total photon number, so this matches the
-    library's block-wise beamsplitter on every sector, truncated or not."""
-    a = annihilation(cfg)
-    identity = np.eye(cfg.dim)
+    θ = π/4, on 2·dim − 1 levels per mode, cut to the dim² box with index
+    k·dim + l for |k⟩|l⟩. Every sector t that meets the box, t ≤ 2·dim − 2,
+    is whole on 2·dim − 1 levels, so this is the exact operator compressed
+    to the box."""
+    levels = 2 * cfg.dim - 1
+    a = annihilation(FockConfig(levels)).real
+    identity = np.eye(levels)
     a1 = np.kron(a, identity)
     a2 = np.kron(identity, a)
-    return scipy.linalg.expm((math.pi / 4) * (a1.conj().T @ a2 - a1 @ a2.conj().T))
-
-
-#: Truncated beamsplitter sectors of at most this many levels are
-#: exponentiated in extended precision: their couplings reach about 78 at
-#: dim 101, where scipy's double-precision ``expm`` is off by up to 9.4e-13.
-MPMATH_SECTOR_LEVELS = 8
+    full = scipy.linalg.expm((math.pi / 4) * (a1.T @ a2 - a1 @ a2.T))
+    box = (np.arange(cfg.dim)[:, None] * levels + np.arange(cfg.dim)).ravel()
+    return full[np.ix_(box, box)]
 
 
 def sector_expm_beamsplitter(cfg):
     """The packed ``(dim, dim, dim)`` blocks of ``fock.beamsplitter``: each
-    sector t as the exponential of its own truncated generator, the matrix
-    elements ⟨k, t − k|θ(a†b − ab†)|k', t − k'⟩ over the levels k with both
-    photon numbers inside the truncation, written to block t mod dim on
-    those rows and columns. Whole sectors and the larger truncated ones use
-    scipy's Padé ``expm``; truncated sectors of at most
-    :data:`MPMATH_SECTOR_LEVELS` levels use mpmath's at 40 digits."""
-    adag = annihilation(cfg).real.T
+    sector t, 0 ≤ t ≤ 2·dim − 2, as scipy's Padé ``expm`` of its whole
+    generator, the matrix elements ⟨k, t − k|θ(a†b − ab†)|k', t − k'⟩ over
+    k = 0..t, cut to the levels k with both photon numbers inside the
+    truncation and written to block t mod dim on those rows and columns."""
     blocks = np.zeros((cfg.dim, cfg.dim, cfg.dim))
     for total in range(2 * cfg.dim - 1):
-        ks = np.arange(max(0, total - cfg.dim + 1), min(total, cfg.dim - 1) + 1)
-        k, l = np.ix_(ks, ks), np.ix_(total - ks, total - ks)
-        generator = (math.pi / 4) * (adag[k] * adag.T[l] - adag.T[k] * adag[l])
-        if total >= cfg.dim and len(ks) <= MPMATH_SECTOR_LEVELS:
-            with mpmath.workdps(40):
-                exact = mpmath.expm(mpmath.matrix(generator.tolist()))
-                blocks[total % cfg.dim, k[0], k[1]] = np.array(exact.tolist(), dtype=float)
-        else:
-            blocks[total % cfg.dim, k[0], k[1]] = scipy.linalg.expm(generator)
+        k = np.arange(total)
+        coupling = (math.pi / 4) * np.sqrt((k + 1) * (total - k))  # G[k + 1, k] = −G[k, k + 1]
+        box = slice(max(0, total - cfg.dim + 1), min(total, cfg.dim - 1) + 1)
+        whole = scipy.linalg.expm(np.diag(coupling, -1) - np.diag(coupling, 1))
+        blocks[total % cfg.dim, box, box] = whole[box, box]
     return blocks
 
 
-def eigsy_sector_beamsplitter(cfg, total):
-    """Sector ``total`` of ``fock.beamsplitter`` at 40 digits, by mpmath's
-    ``eigsy`` of the sector's symmetric tridiagonal form, as a square matrix
-    on the sector's own levels k, max(0, total − dim + 1)..min(total, dim − 1).
+def closed_form_sector_block(cfg, total):
+    """Sector ``total`` of the exact beamsplitter at 40 digits, on the
+    levels k = max(0, total − dim + 1)..min(total, dim − 1) that the box
+    keeps, from the closed form of its matrix elements. With
+    U a† U† = (a† − b†)/√2 and U b† U† = (a† + b†)/√2,
+    U|k, t − k⟩ = 2^{−t/2}(a† − b†)ᵏ(a† + b†)^{t−k}|0⟩/√(k!(t − k)!), so
 
-    On those levels, the generator θ(a†b − ab†) has
-    G[j + 1, j] = −G[j, j + 1] = θ·√((k_j + 1)(t − k_j)). So G = −i·D·S·D†,
-    D = diag(iʲ), where S is symmetric tridiagonal with the same couplings,
-    and with S = V·diag(λ)·Vᵀ, exp(G) = D·V·diag(e^{−iλ})·Vᵀ·D†. Entry
-    [m, k] of that is C, S, −C, −S for (m − k) mod 4 = 0, 1, 2, 3, with
-    C = V·diag(cos λ)·Vᵀ and S = V·diag(sin λ)·Vᵀ."""
+        ⟨m, t − m|U|k, t − k⟩ = √(m!(t − m)!/(k!(t − k)!·2ᵗ))
+                                · Σᵢ (−1)^{k−i} C(k, i) C(t − k, m − i),
+
+    a Krawtchouk polynomial, summed in exact integers; only the square root
+    is taken in 40-digit arithmetic."""
     ks = range(max(0, total - cfg.dim + 1), min(total, cfg.dim - 1) + 1)
-    n = len(ks)
-    block = np.zeros((n, n))
+    block = np.zeros((len(ks), len(ks)))
     with mpmath.workdps(40):
-        tridiagonal = mpmath.zeros(n, n)
-        for j, k in enumerate(ks[:-1]):
-            tridiagonal[j, j + 1] = tridiagonal[j + 1, j] = (
-                mpmath.pi / 4 * mpmath.sqrt((k + 1) * (total - k))
-            )
-        values, vectors = mpmath.eigsy(tridiagonal)
-        parts = [
-            vectors * mpmath.diag([f(value) for value in values]) * vectors.T
-            for f in (mpmath.cos, mpmath.sin)
-        ]
-        for m in range(n):
-            for k in range(n):
-                sign = -1 if (m - k) % 4 >= 2 else 1
-                block[m, k] = sign * parts[(m - k) % 2][m, k]
+        for row, m in enumerate(ks):
+            for col, k in enumerate(ks):
+                terms = range(max(0, m + k - total), min(k, m) + 1)
+                krawtchouk = sum(
+                    (-1) ** (k - i) * math.comb(k, i) * math.comb(total - k, m - i) for i in terms
+                )
+                weight = mpmath.mpf(math.factorial(m) * math.factorial(total - m))
+                weight /= math.factorial(k) * math.factorial(total - k) * 2**total
+                block[row, col] = float(krawtchouk * mpmath.sqrt(weight))
     return block
 
 
-def expm_skew_tridiagonal(coupling):
-    """Real orthogonal exponential of the skew-symmetric tridiagonal
-    generator G with G[j + 1, j] = −G[j, j + 1] = coupling[j], for
-    persymmetric couplings (equal to their own reverse), one generator per
-    call.
-
-    With D = diag(iʲ), G = −i·D·S·D†, where S = VΛVᵀ is the real symmetric
-    tridiagonal matrix with the same couplings. So exp(G)[m, k] is
-    ±(V·diag(cos λ + sin λ)·Vᵀ)[m, k], with + where (m − k) mod 4 is 0 or 1.
-    S commutes with the reversal of the index, so each of its eigenvectors is
-    mirror-symmetric or mirror-antisymmetric, and V comes from real
-    eigensolves of half the size: two for odd n, one for even n, where the
-    antisymmetric half-size matrix is −P·(the symmetric one)·P with
-    P = diag((−1)ʲ), so its eigenpairs are (−λ, P·v). The eigenvectors are
-    lifted to full size and the exponential is summed there.
-    """
-    coupling = np.asarray(coupling, dtype=float)
-    if coupling.ndim != 1:
-        raise ValueError("coupling must be a vector")
-    scale = max(1.0, float(np.max(np.abs(coupling)))) if coupling.size else 1.0
-    defect = float(np.max(np.abs(coupling - coupling[::-1]))) if coupling.size else 0.0
-    if defect > SKEW_HERMITIAN_TOL * scale:
-        raise ValueError(f"coupling is not persymmetric (defect {defect:.3e} at scale {scale:.3e})")
-    n = coupling.size + 1
-    half, odd = divmod(n, 2)
-    if half == 0:
-        return np.ones((1, 1))
-    inner, middle = coupling[: half - 1], coupling[half - 1]
-    if odd:  # the middle level couples only to the mirror-symmetric combinations
-        plus = np.linalg.eigh(_symmetric_tridiagonal(np.append(inner, np.sqrt(2) * middle)))
-        minus = np.linalg.eigh(_symmetric_tridiagonal(inner))
-    else:
-        plus = np.linalg.eigh(_symmetric_tridiagonal(inner, middle))
-        signs = (-1.0) ** np.arange(half)
-        minus = (-plus[0], signs[:, None] * plus[1])
-    rotation = np.zeros((n, n))
-    for mirror, (values, vectors) in ((1.0, plus), (-1.0, minus)):
-        lifted = np.zeros((n, len(values)))
-        lifted[:half] = vectors[:half] / np.sqrt(2)
-        lifted[n - half :] = mirror * vectors[half - 1 :: -1] / np.sqrt(2)
-        if len(values) > half:
-            lifted[half] = vectors[half]
-        rotation += (lifted * (np.cos(values) + np.sin(values))) @ lifted.T
-    levels = np.arange(n)
-    return np.where((levels[:, None] - levels) & 2, -rotation, rotation)  # (m − k) mod 4 is 2 or 3
+def whole_sector_blocks(top):
+    """Yield the exact beamsplitter block of each sector t = 0..top whole,
+    the (t + 1)-square Wigner d^{t/2}(π/2) matrix, indexed [m, k] by the
+    photon numbers of the measured mode, each from the one before by
+    t·U|k, l⟩ = √k·A·U|k − 1, l⟩ + √l·B·U|k, l − 1⟩ on a copy padded with
+    a zero level −1 and a zero level t. Only one block is held at a time."""
+    block = np.ones((1, 1))
+    yield block
+    for total in range(1, top + 1):
+        padded = np.pad(block, 1)  # levels −1..t of sector t − 1
+        k = np.arange(total + 1)
+        down = np.sqrt(k) * padded[:, :-1]  # √k·U|k − 1, l⟩, rows m = −1..t
+        across = np.sqrt(total - k) * padded[:, 1:]  # √l·U|k, l − 1⟩
+        a_dagger = np.sqrt(k)[:, None] * (down + across)[:-1]
+        b_dagger = np.sqrt(total - k)[:, None] * (across - down)[1:]
+        block = (a_dagger + b_dagger) / (total * math.sqrt(2))
+        yield block
 
 
-def _symmetric_tridiagonal(offdiag, corner=0.0):
-    """Zero-diagonal symmetric tridiagonal matrix, but for ``corner`` as its
-    last diagonal entry."""
-    size = len(offdiag) + 1
-    matrix = np.zeros((size, size))
-    j = np.arange(size - 1)
-    matrix[j, j + 1] = matrix[j + 1, j] = offdiag
-    matrix[-1, -1] = corner
-    return matrix
+#: Kept-mode levels of the truncation-free reference. Against 120 levels it
+#: agrees to 1 − |⟨·|·⟩| ≤ 1e-13 along the pqpqpqpq chain at dim 50's node C.
+REFERENCE_LEVELS = 160
 
 
-def per_sector_beamsplitter(cfg):
-    """The packed ``(dim, dim, dim)`` blocks of ``fock.beamsplitter``, with
-    the library's whole sectors and each cut sector t = dim + b from its own
-    :func:`expm_skew_tridiagonal` call, written to block b on its levels
-    b + 1..dim − 1."""
-    blocks = _packed_sectors(cfg.dim).copy()
-    for b in range(cfg.dim - 1):
-        ks = np.arange(b + 1, cfg.dim - 1)
-        coupling = math.pi / 4 * np.sqrt((ks + 1) * (cfg.dim + b - ks))
-        blocks[b, b + 1 :, b + 1 :] = expm_skew_tridiagonal(coupling)
-    return blocks
+def whole_sector_mix(left, right):
+    """The exact beamsplitter image of ``left`` ⊗ ``right``, as its (W, W)
+    coefficient matrix [k, l] with W = T_L + T_R + 1 from the inputs' top
+    levels: every sector the joint state reaches is whole on W levels, so
+    nothing is cut."""
+    tl, tr = top_level(left), top_level(right)
+    width = tl + tr + 1
+    mixed = np.zeros((width, width), np.result_type(left, right))
+    for total, block in enumerate(whole_sector_blocks(width - 1)):
+        ks = np.arange(max(0, total - tr), min(total, tl) + 1)
+        m = np.arange(total + 1)
+        mixed[m, total - m] = block[:, ks] @ (left[ks] * right[total - ks])
+    return mixed
+
+
+def reference_breed(left, right, axis, x):
+    """The unnormalized kept-mode state, on :data:`REFERENCE_LEVELS` levels,
+    after the measured mode of the exact beamsplitter image of ``left`` ⊗
+    ``right`` gives the value ``x`` of quadrature ``axis``: the joint state
+    of :func:`whole_sector_mix` projected on the Hermite functions φ_k(x),
+    times (−i)ᵏ for p. Cutting the kept mode to :data:`REFERENCE_LEVELS` is
+    its only truncation."""
+    mixed = whole_sector_mix(left, right)
+    width = len(mixed)
+    phi = hermite_phi(width - 1, x)
+    if axis == "p":
+        phi = phi * (-1j) ** np.arange(width)
+    kept = np.zeros(REFERENCE_LEVELS, np.result_type(phi, mixed))
+    kept[: min(width, REFERENCE_LEVELS)] = (phi @ mixed)[:REFERENCE_LEVELS]
+    return kept
+
+
+def reference_chain(state, schedule, x):
+    """Yield the normalized kept-mode state of a uniform chain after 1..k
+    levels, each breeding the previous state with itself by
+    :func:`reference_breed` at the value ``x``."""
+    for axis in schedule.axes:
+        state = reference_breed(state, state, axis, x)
+        state = state / np.linalg.norm(state)
+        yield state
 
 
 def dense_beamsplitter(cfg):

@@ -30,7 +30,13 @@ from qpbreed.fock import displacement
 from qpbreed.homodyne import RESCALE, OutcomeDistribution
 from qpbreed.protocol import sign_aggregation_log
 
-from oracles import dense_beamsplitter, displacement_matrix, gauss_hermite_nodes, parity_operator
+from oracles import (
+    dense_beamsplitter,
+    displacement_matrix,
+    gauss_hermite_nodes,
+    generator_beamsplitter,
+    parity_operator,
+)
 
 
 def report(number, description, checks):
@@ -178,12 +184,15 @@ def test_criterion_8_input_sweep_property(cfg):
 
 def test_criterion_9_property_suite(cfg, basis_q, basis_p, vacuum, first_level, target):
     checks = []
-    # beamsplitter unitarity and photon-number block structure, on the dense
-    # matrix of the operator the breeding step applies
+    # the beamsplitter is the exact operator compressed to the box, unitary on
+    # the whole sectors k + l < dim, and photon-number block structure, on
+    # the dense matrix of the operator the breeding step applies
     small = FockConfig(dim=12)
     bs = dense_beamsplitter(small)
-    checks.append(np.max(np.abs(bs @ bs.T - np.eye(small.dim**2))) <= 1e-10)
     totals = (np.arange(small.dim)[:, None] + np.arange(small.dim)[None, :]).ravel()
+    checks.append(np.max(np.abs(bs - generator_beamsplitter(small))) <= 1e-10)
+    whole = totals < small.dim
+    checks.append(np.max(np.abs(bs[:, whole].T @ bs[:, whole] - np.eye(whole.sum()))) <= 1e-10)
     checks.append(np.max(np.abs(bs[totals[:, None] != totals[None, :]])) <= 1e-10)
     # outcome distributions sum to 1
     probs, posts = first_level

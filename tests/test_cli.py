@@ -17,6 +17,8 @@ from qpbreed import fock
 from qpbreed import (
     FockConfig,
     QunaughtParams,
+    breed_step,
+    default_input,
     effective_squeezing_curve,
     enumerate_two_iterations,
     probability_fidelity_curve,
@@ -41,9 +43,9 @@ from qpbreed.cli import (
     _sibling_path,
     main,
 )
-from qpbreed.fock import DISPLACEMENT_PAD
-from qpbreed.homodyne import quadrature_basis
 from qpbreed.metrics import default_grid
+
+from oracles import whole_sector_mix
 
 
 def run_cli(args):
@@ -157,23 +159,38 @@ def test_warning_is_one_stderr_line(tmp_path, capsys):
 
 
 def test_enumerate_fold_warning_is_one_stderr_line(tmp_path, capsys):
+    # the fold is exact at every dim, so below dim 17 it warns nothing; the
+    # one warning left is the effective squeezing probe's displacement,
+    # large for dim 12, and it is one stderr line
     out = tmp_path / "enum.csv"
     assert run_cli(["enumerate", "--dim", "12", "--output-path", str(out)]) == EXIT_OK
     err = capsys.readouterr().err.splitlines()
-    fold_lines = [line for line in err if "below dim 17" in line]
-    assert len(fold_lines) == 1
-    assert fold_lines[0].startswith("warning: enumeration at dim 12 is below dim 17")
+    warning_lines = [line for line in err if line.startswith("warning: ")]
+    assert len(warning_lines) == 1
+    assert warning_lines[0].startswith("warning: displacement amplitude")
+    assert warning_lines[0].endswith("are unreliable below dim 13")
+    assert not any("below dim 17" in line for line in err)
     assert not any("warnings.warn(" in line for line in err)
 
 
 def test_enumerate_small_dim(tmp_path):
+    # at dim 10 the second step reaches the cut sectors: the leaves sum to
+    # the weight that the exact beamsplitter keeps in the box, 0.922141
     out = tmp_path / "enum.csv"
     assert run_cli(["enumerate", "--dim", "10", "--output-path", str(out)]) == EXIT_OK
     rows = [line for line in out.read_text().splitlines() if not line.startswith("#")]
     assert rows[0] == "q1,q2,p,probability,aggregated_probability,fidelity,effective_squeezing"
     assert len(rows) - 1 == 10**3
     total = sum(float(line.split(",")[3]) for line in rows[1:])
-    assert total == pytest.approx(1.0, abs=1e-8)
+    cfg = FockConfig(10)
+    probs, posts = breed_step(default_input(cfg), default_input(cfg), "q", cfg)
+    in_box = sum(
+        probs[i] * probs[j] * np.sum(np.abs(whole_sector_mix(posts[i], posts[j])[:10, :10]) ** 2)
+        for i in range(10)
+        for j in range(10)
+    )
+    assert total == pytest.approx(in_box, abs=1e-8)
+    assert total == pytest.approx(0.922141, abs=1e-6)
     assert (tmp_path / "enum_fidelity_curve.csv").exists()
     assert (tmp_path / "enum_squeezing_curve.csv").exists()
 
@@ -240,24 +257,14 @@ def test_enumerate_over_budget_exits_before_the_target(monkeypatch, capsys):
         (["wigner", "--schedule", "qp", "--postselect", "C,S"], 0),
     ],
 )
-def test_cut_sectors_are_built_only_for_states_that_reach_them(
-    tmp_path, monkeypatch, args, cut_sectors
-):
+def test_cut_sectors_are_built_only_for_states_that_reach_them(tmp_path, args, cut_sectors):
     # at dim 50 the default input (top level 4) reaches 8 photons after one
     # breeding step, 16 after two and 64 after four: only the chain's fourth
-    # level needs the dim − 1 = 49 cut sectors t ≥ dim
-    built = []
-    write = fock._write_cut_sectors
-
-    def counted(blocks):
-        built.append(len(blocks) - 1)  # its dim − 1 cut sectors
-        write(blocks)
-
-    monkeypatch.setattr(fock, "_write_cut_sectors", counted)
+    # level needs the dim − 1 = 49 cut sectors t ≥ dim, which each build of
+    # fock.beamsplitter writes
     fock.beamsplitter.cache_clear()
-    fock._packed_sectors.cache_clear()
     assert run_cli([*args, "--dim", "50", "--output-path", str(tmp_path / "out.csv")]) == EXIT_OK
-    assert sum(built) == cut_sectors
+    assert fock.beamsplitter.cache_info().misses * 49 == cut_sectors
 
 
 def test_aggregated_probability_counts_only_outcomes_with_a_distinct_mirror(tmp_path):
@@ -490,26 +497,6 @@ def test_numerical_failure_exit_code(monkeypatch):
 
     monkeypatch.setitem(cli.COMMANDS, "distribution", boom)
     assert run_cli(["distribution"]) == cli.EXIT_NUMERICAL
-
-
-def test_failed_cut_sector_eigensolve_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
-    # with the q bases of dim 10 and of the target's padded space built
-    # first, the cut-sector build is the chain's only eigensolve left
-    import qpbreed.cli as cli
-
-    for dim in (10, 10 + DISPLACEMENT_PAD):
-        quadrature_basis(FockConfig(dim), "q")
-    fock.beamsplitter.cache_clear()
-
-    def failing(*args, **kwargs):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-    monkeypatch.setattr(np.linalg, "eigh", failing)
-    args = ["chain", "--dim", "10", "--schedule", "qp", "--output-path", str(tmp_path / "c.json")]
-    assert run_cli(args) == cli.EXIT_NUMERICAL
-    err = capsys.readouterr().err
-    assert "numerical failure" in err and "Traceback" not in err
-    assert not fock._packed_sectors(10).flags.writeable
 
 
 def test_memory_error_exit_code(monkeypatch, capsys):

@@ -16,19 +16,24 @@ from qpbreed import (
     qunaught_state,
     squeezed_vacuum,
 )
-from qpbreed.fock import DISPLACEMENT_PAD, QUNAUGHT_TAIL, _sector_index, annihilation
+from qpbreed.fock import (
+    DISPLACEMENT_PAD,
+    QUNAUGHT_TAIL,
+    _packed_sectors,
+    _sector_index,
+    annihilation,
+)
 from oracles import (
     BEAMSPLITTER_ROUTES,
     HERMITIAN,
     UNITARITY,
+    closed_form_sector_block,
     dense_beamsplitter,
     displacement_matrix,
-    eigsy_sector_beamsplitter,
     generator_beamsplitter,
     p_basis_qunaught_state,
     padded_expm_displacement,
     parity_operator,
-    per_sector_beamsplitter,
     quadrature,
     qunaught_peak_sum,
     sector_expm_beamsplitter,
@@ -217,10 +222,16 @@ def test_beamsplitter_orthogonal_blocks(cfg):
     for dim in (cfg.dim, 51, 101):
         blocks = beamsplitter(FockConfig(dim))
         assert blocks.shape == (dim, dim, dim)
-        # each block pairs a whole sector with the complementary cut one, so
-        # every block is orthogonal on all dim levels
-        gram = blocks @ blocks.transpose(0, 2, 1)
-        assert np.max(np.abs(gram - np.eye(dim))) < UNITARITY
+        # each block pairs a whole sector, orthogonal, with the complementary
+        # cut one, the exact sector compressed to the box: a contraction,
+        # since what it sends outside the box is lost
+        for b in range(dim):
+            whole = blocks[b, : b + 1, : b + 1]
+            assert np.max(np.abs(whole @ whole.T - np.eye(b + 1))) < UNITARITY
+            assert not blocks[b, : b + 1, b + 1 :].any() and not blocks[b, b + 1 :, : b + 1].any()
+            if b < dim - 1:
+                cut = blocks[b, b + 1 :, b + 1 :]
+                assert np.linalg.norm(cut, 2) <= 1 + UNITARITY
 
 
 def test_beamsplitter_packs_sectors_into_dim_blocks():
@@ -235,22 +246,24 @@ def test_sector_index_is_a_permutation(dim):
 
 @pytest.mark.parametrize("dim", [2, 3, 50, 51, 101])
 def test_beamsplitter_matches_sector_expm(dim):
-    # every sector at its packed place: whole ones (t < dim, the d^j
-    # recursion, up to t = 100) and truncated ones of both parities of size
-    # (the half-size eigensolves), and the zeros between the two of a block
+    # every sector at its packed place, against scipy's expm of its whole
+    # generator cut to the box: whole ones (t < dim) and cut ones up to
+    # t = 200, of both parities of size, and the zeros between the two of a
+    # block; scipy is off by up to 2.4e-13 on the 173 levels of t = 172
     cfg = FockConfig(dim)
     assert np.max(np.abs(beamsplitter(cfg) - sector_expm_beamsplitter(cfg))) < 1e-12
 
 
 @pytest.mark.parametrize("dim, total", [(101, 172), (50, 85)])
 def test_beamsplitter_matches_extended_precision_sector(dim, total):
-    # the truncated sectors where scipy's expm is furthest off: the 29 levels
-    # of t = 172 at dim 101 (6.2e-13) and the 14 of t = 85 at dim 50
-    # (2.9e-13); the library is within 1.7e-14 of the 40-digit oracle.
+    # the cut sectors where scipy's expm of the whole sector is furthest
+    # off: the 29 box levels of t = 172 at dim 101 (scipy 2.4e-13) and the
+    # 14 of t = 85 at dim 50 (1.4e-13); the library is within 1.1e-15 of
+    # the closed form at 40 digits.
     # Sector t ≥ dim sits in block t − dim on its own levels t − dim + 1..dim − 1.
     cfg = FockConfig(dim)
     lowest = total - dim + 1
-    exact = eigsy_sector_beamsplitter(cfg, total)
+    exact = closed_form_sector_block(cfg, total)
     assert np.max(np.abs(beamsplitter(cfg)[total - dim, lowest:, lowest:] - exact)) < 1e-13
 
 
@@ -264,8 +277,8 @@ def test_beamsplitter_photon_number_blocks():
 
 
 def test_beamsplitter_matches_generator_exponential():
-    # the exponential of the truncated two-mode generator is block-diagonal
-    # in total photon number, so it matches every sector, truncated or not
+    # the exponential of the two-mode generator on 2·dim − 1 levels, cut to
+    # the box: every sector, whole or cut, is the exact operator's
     for dim in (12, 13):
         cfg = FockConfig(dim)
         direct = generator_beamsplitter(cfg)
@@ -274,33 +287,26 @@ def test_beamsplitter_matches_generator_exponential():
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 17, 50, 51, 101])
 def test_batched_cut_sectors_match_per_sector_exponentials(dim):
-    # the cut sectors of both parities of size, from the stacked half-size
-    # eigensolves and the half-size assembly, against one exponential per
-    # sector lifted to full size; the whole sectors are shared
-    cfg = FockConfig(dim)
-    assert np.max(np.abs(beamsplitter(cfg) - per_sector_beamsplitter(cfg))) < 1e-15
+    """The cut sectors, built together by the windowed recursion on the box
+    levels only, against each sector's own exponential: the whole sector
+    of the d^j recursion at 2·dim, cut to the box, which the tests above
+    pin to scipy's and the closed form. They agree bit for bit, since each
+    window holds every level its recursion reads."""
+    blocks = beamsplitter(FockConfig(dim))
+    whole = _packed_sectors.__wrapped__(2 * dim)  # uncached: 66 MB at dim 202
+    for total in range(dim, 2 * dim - 1):
+        box = slice(total - dim + 1, dim)
+        assert np.array_equal(blocks[total - dim, box, box], whole[total, box, box])
 
 
 def test_beamsplitter_builds_no_full_size_eigensolve(monkeypatch):
-    eigh = np.linalg.eigh
+    # neither the whole sectors nor the cut ones take an eigensolve
     calls = []
-
-    def counted(matrices, *args, **kwargs):
-        calls.append([matrices.shape[-1]] * math.prod(matrices.shape[:-2]))  # one size per matrix
-        return eigh(matrices, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted)
-    dim = 50
-    beamsplitter.__wrapped__(FockConfig(dim))
-    sizes = [size for call in calls for size in call]
-    # only the truncated sectors t >= dim, of sizes n = 2·dim − 1 − t, need
-    # eigensolves: one of n/2 rows for even n, two of ⌈n/2⌉ and ⌊n/2⌋ rows
-    # for odd n, all of one size in one stacked call
-    expected = [n // 2 for n in range(2, dim, 2)]
-    expected += [size for n in range(3, dim, 2) for size in ((n + 1) // 2, n // 2)]
-    assert sorted(sizes) == sorted(expected)
-    assert max(sizes) <= math.ceil(dim / 2)
-    assert len(calls) <= math.ceil(dim / 2)
+    monkeypatch.setattr(np.linalg, "eigh", lambda *args, **kwargs: calls.append(args))
+    _packed_sectors.cache_clear()
+    blocks = beamsplitter.__wrapped__(FockConfig(37))
+    assert not calls
+    assert blocks[0, 1:, 1:].any()  # the cut sector 37 was built
 
 
 def test_beamsplitter_single_photon_routing():

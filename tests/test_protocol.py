@@ -19,6 +19,7 @@ from qpbreed import (
     enumerate_two_iterations,
     fidelity,
     probability_fidelity_curve,
+    quadrature_basis,
     run_chain,
     sign_aggregated,
     sweep_binomial_inputs,
@@ -31,8 +32,12 @@ from oracles import (
     direct_two_iteration_enumeration,
     exchange_parity_leaf_fold,
     full_breed_step,
+    hermite_phi,
     quadrature,
+    reference_breed,
+    reference_chain,
     tree_log_probability,
+    whole_sector_mix,
 )
 
 
@@ -67,10 +72,29 @@ def random_states(dim, seed, even=False):
 
 
 @settings(database=None, derandomize=True, deadline=None)
-@given(dim=st.integers(2, 40), axis=st.sampled_from("qp"), seed=st.integers(0, 2**32 - 1))
-def test_breed_step_probabilities_sum_to_one(dim, axis, seed):
-    probs, _ = breed_step(*random_states(dim, seed), axis, FockConfig(dim))
-    assert abs(probs.sum() - 1) < 1e-12
+@given(
+    dim=st.integers(2, 40),
+    axis=st.sampled_from("qp"),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_breed_step_probabilities_sum_to_one(dim, axis, seed, data):
+    """The outcome probabilities sum to 1 while the joint state lies in
+    whole sectors (T_L + T_R < dim). Past that they sum to the weight that
+    the exact beamsplitter keeps inside the box, never above 1: the rest is
+    the truncation's leakage, reported, not renormalized away. Each state
+    gets a random top level, dim − 1 for full support."""
+    left, right = random_states(dim, seed)
+    tops = data.draw(st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1)), label="tops")
+    for state, top in zip((left, right), tops):
+        state[top + 1 :] = 0
+        state /= np.linalg.norm(state)
+    probs, _ = breed_step(left, right, axis, FockConfig(dim))
+    in_box = np.sum(np.abs(whole_sector_mix(left, right)[:dim, :dim]) ** 2)
+    assert abs(probs.sum() - in_box) < 1e-12
+    assert probs.sum() <= 1 + 1e-12
+    if sum(tops) < dim:
+        assert abs(probs.sum() - 1) < 1e-12
 
 
 @settings(database=None, derandomize=True, deadline=None)
@@ -93,13 +117,13 @@ def test_breed_step_mirror_symmetric_for_even_inputs(dim, axis, seed):
 def test_breed_step_exchange_symmetric_for_binomial_inputs(params, axes, data):
     """Exchanging the arms of a second step keeps its outcome distribution.
 
-    The atlas fold relies on this. It holds only while every populated
-    total-photon sector of the beamsplitter is complete: a truncated sector
-    (t ≥ dim) breaks the symmetry. Two first-level posts of an input with top
-    Fock level T reach 4T photons, hence 4·T < dim. With the default input
-    (N=2, K=3, T=4) at dim 12 the defect is up to 5.5e-2.
+    The atlas fold relies on this. It holds at every dim, in cut sectors
+    too: the beamsplitter blocks are the exact operator compressed to the
+    box, which keeps the symmetry. Two first-level posts of an input with
+    top Fock level T reach 4T photons, so below dim 4·T + 1 the second step
+    reaches sector dim.
     """
-    dim = data.draw(st.integers(max(2, 4 * params.top_level + 1), 40), label="dim")
+    dim = data.draw(st.integers(max(2, params.top_level + 1), 40), label="dim")
     i, j = data.draw(st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1)), label="i, j")
     cfg = FockConfig(dim)
     psi = binomial_state(cfg, params)
@@ -182,10 +206,9 @@ def test_breed_step_of_a_state_with_itself_matches_the_full_dim_breed(
     dim, axis, complex_input, one_parity, data
 ):
     """A state bred with itself, top level T, gives the full-dim breed's
-    outcomes. While ψ⊗ψ lies in whole sectors (2T < dim) the posts' odd
-    levels must be exact zeros, and the posts real when ψ is real and, for
-    a p measurement, of one parity; in cut sectors their type is the
-    full-dim breed's."""
+    outcomes, at every dim: its posts' odd levels must be exact zeros, and
+    the posts real when ψ is real and, for a p measurement, of one
+    parity."""
     top = data.draw(st.integers(0, dim - 1), label="top")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     state = rng.normal(size=dim)
@@ -201,30 +224,25 @@ def test_breed_step_of_a_state_with_itself_matches_the_full_dim_breed(
     assert probs.dtype == np.float64
     assert np.max(np.abs(probs - full_probs)) < 1e-13
     assert np.max(np.abs(posts - full_posts)) < 1e-13
-    if 2 * top < dim:
-        real = not complex_input and (axis == "q" or one_parity or top == 0)
-        assert posts.dtype == (np.float64 if real else np.complex128)
-        assert not posts[:, 1::2].any()
-    else:
-        assert posts.dtype == full_posts.dtype
+    # a joint state that leaves the box whole (|1⟩|1⟩ at dim 2) gives zero, real posts
+    real = not complex_input and (axis == "q" or one_parity or top == 0) or not posts.any()
+    assert posts.dtype == (np.float64 if real else np.complex128)
+    assert not posts[:, 1::2].any()
 
 
 @pytest.mark.parametrize("axis", "qp")
-def test_equal_arms_give_parity_even_posts_in_whole_sectors_only(axis):
-    # the default input, top level T = 4, bred with itself: from dim 2T + 1
-    # every post is real and exactly parity-even on both axes; at dim 2T
-    # the joint state reaches the cut sector 8, and the odd levels are not
-    # zero there
-    for dim in (9, 50):
+def test_equal_arms_give_parity_even_posts_at_every_dim(axis):
+    # the default input, top level T = 4, bred with itself: every post is
+    # real and exactly parity-even on both axes, in whole sectors (dims 9
+    # and 50) and when the joint state reaches the cut sectors (dims 5 and
+    # 8), where it still matches the full-dim breed
+    for dim in (5, 8, 9, 50):
         cfg = FockConfig(dim)
-        _, posts = breed_step(default_input(cfg), default_input(cfg), axis, cfg)
+        psi0 = default_input(cfg)
+        _, posts = breed_step(psi0, psi0, axis, cfg)
         assert posts.dtype == np.float64 and not posts[:, 1::2].any()
-    cfg = FockConfig(8)
-    psi0 = default_input(cfg)
-    _, posts = breed_step(psi0, psi0, axis, cfg)
-    _, full_posts = full_breed_step(psi0, psi0, axis, cfg)
-    assert np.abs(posts[:, 1::2]).max() > 0.1
-    assert np.max(np.abs(posts - full_posts)) < 1e-13
+        _, full_posts = full_breed_step(psi0, psi0, axis, cfg)
+        assert np.max(np.abs(posts - full_posts)) < 1e-13
 
 
 @pytest.mark.parametrize("axis", "qp")
@@ -261,6 +279,51 @@ def test_chain_probability_is_the_tree_probability(params, axes, data):
     tree_log, tree_state = tree_log_probability(cfg, schedule, selected, psi)
     assert log_probability == pytest.approx(tree_log, rel=1e-12, abs=1e-12)
     assert abs(abs(np.vdot(tree_state, state)) - 1) < 1e-12
+
+
+@pytest.mark.parametrize("index", [24, 19, 10, 40])
+def test_level_one_matches_the_position_space_product(index):
+    """After the beamsplitter, two copies of ψ have the joint wavefunction
+    ψ((x − y)/√2)·ψ((x + y)/√2), x the measured and y the kept coordinate
+    (Weigand & Terhal, PRA 97, 022341 (2018)). A q outcome x leaves the
+    kept mode in that product as a function of y. Its Fock coefficients,
+    by a trapezoid sum on a fine grid, match the post of ``breed_step`` at
+    the outcome's node and the truncation-free reference at the same x."""
+    cfg = FockConfig(50)
+    psi0 = default_input(cfg)
+    x = quadrature_basis(cfg, "q").eigenvalues[index]
+    y = np.linspace(-14, 14, 5601)
+    wave = lambda z: psi0 @ hermite_phi(cfg.dim - 1, z)
+    product = wave((x - y) / math.sqrt(2)) * wave((x + y) / math.sqrt(2))
+    coefficients = hermite_phi(cfg.dim - 1, y) @ product * (y[1] - y[0])
+    coefficients /= np.linalg.norm(coefficients)
+    post = breed_step(psi0, psi0, "q", cfg)[1][index]
+    assert np.max(_up_to_sign(post, coefficients)) < 1e-12
+    reference = reference_breed(psi0, psi0, "q", x)
+    assert not reference[cfg.dim :].any()
+    reference = reference[: cfg.dim] / np.linalg.norm(reference)
+    assert np.max(_up_to_sign(reference, coefficients)) < 1e-12
+
+
+@pytest.mark.parametrize("dim", [50, 100])
+def test_ladder_chain_matches_the_truncation_free_reference(dim):
+    """The pqpqpqpq chain, C at every level, against the reference bred in
+    whole sectors at dim's node C, x = −0.156303 at dim 50 and −0.110796 at
+    dim 100. At each level 1 − |⟨post|ref⟩| stays below the reference's
+    weight above level dim − 1, the part the truncation cuts, plus 1e-10:
+    at dim 100 that weight is at most 9.7e-12, so the chain agrees to
+    1e-10 at every level; at dim 50 it is 0 through level 3 and up to
+    6.7e-6 from level 4, where the joint state reaches sector dim."""
+    cfg = FockConfig(dim)
+    basis = quadrature_basis(cfg, "q")
+    x = basis.eigenvalues[basis.center_index]
+    schedule = Schedule.from_string("pqpqpqpq")
+    chain = [state for _, _, state in chain_prefixes(cfg, schedule, ["C"] * 8)][1:]
+    references = reference_chain(default_input(cfg), schedule, x)
+    for post, reference in zip(chain, references, strict=True):
+        above = np.linalg.norm(reference[dim:]) ** 2
+        assert 1 - abs(np.vdot(post, reference[:dim])) <= above + 1e-10
+        assert dim == 50 or above < 1e-11
 
 
 def test_breed_step_vacuum_invariant(cfg, vacuum):
@@ -369,8 +432,8 @@ def test_parity_symmetry(atlas):
 
 def test_symmetry_reduction_matches_direct_enumeration():
     # dim 18 keeps every populated photon-number sector complete (the
-    # second-level joint state reaches total photon number 16), which is
-    # what makes the exchange/parity reduction exact
+    # second-level joint state reaches total photon number 16); see
+    # test_fold_matches_the_direct_enumeration_in_cut_sectors for dims below
     cfg = FockConfig(dim=18)
     target = default_target(cfg)
     fast_prob, fast_fid, _ = enumerate_two_iterations(cfg, target=target)
@@ -385,26 +448,17 @@ def _up_to_sign(a, b):
     return np.minimum(np.abs(a - b).max(axis=-1), np.abs(a + b).max(axis=-1))
 
 
-@pytest.mark.parametrize("dim", [9, 17, 50, 51])
+@pytest.mark.parametrize("dim", [5, 8, 9, 17, 50, 51])
 def test_first_level_q_mirror(dim):
-    # the default input is parity-even, and from dim 2T + 1 = 9 the joint
-    # input lies in whole beamsplitter sectors, so every post is parity-even:
-    # q and dim − 1 − q herald the same state with the same probability
+    # the default input is parity-even, so every post is parity-even, also
+    # where the joint input reaches the cut sectors (dims 5 and 8): q and
+    # dim − 1 − q herald the same state with the same probability
     cfg = FockConfig(dim)
     psi0 = default_input(cfg)
     probs, posts = breed_step(psi0, psi0, "q", cfg)
     likely = probs > 1e-8
     np.testing.assert_allclose(probs[::-1][likely], probs[likely], rtol=1e-12, atol=0)
     assert np.max(_up_to_sign(posts[::-1], posts)[likely]) < 1e-12
-
-
-def test_first_level_q_mirror_needs_whole_sectors():
-    # at dim 8 the joint input reaches the cut sector 8, and a post is not
-    # its mirror's state: the q mirror of the fold is exact from dim 9 only
-    cfg = FockConfig(8)
-    psi0 = default_input(cfg)
-    probs, posts = breed_step(psi0, psi0, "q", cfg)
-    assert np.max(_up_to_sign(posts[::-1], posts)[probs > 1e-8]) > 0.5
 
 
 @pytest.mark.parametrize("dim", [12, 50])
@@ -481,25 +535,23 @@ def test_enumeration_is_a_gather_through_the_fold():
         np.testing.assert_array_equal(gathered.view(np.uint64), leaves.view(np.uint64))
 
 
-def test_enumeration_warns_below_the_exact_fold():
-    # the default input's top level is 4, so the fold is exact from dim 17
-    # on, and its q mirror from dim 9 on
-    for dim in (8, 12):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            enumerate_two_iterations(FockConfig(dim=dim))
-        fold_warnings = [w for w in caught if "below dim 17" in str(w.message)]
-        assert len(fold_warnings) == 1
-        assert fold_warnings[0].category is UserWarning
-        message = str(fold_warnings[0].message)
-        assert f"enumeration at dim {dim}" in message
-        # parity holds on every sector, whole or cut; only exchange is
-        # broken, and the q mirror below dim 9
-        assert "exchange symmetry" in message and "parity" not in message
-        assert ("below dim 9, the q-outcome mirror" in message) == (dim < 9)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        enumerate_two_iterations(FockConfig(dim=17))
+@pytest.mark.parametrize("dim", [10, 13, 16])
+def test_fold_matches_the_direct_enumeration_in_cut_sectors(dim):
+    """Below dim 4·T + 1 = 17 the second step reaches the cut sectors, and
+    the fold is still exact: it equals the enumeration of every first-level
+    pair, and gives no warning of its own. Below dim 13 the effective
+    squeezing probe warns that its displacement is large for the dim."""
+    cfg = FockConfig(dim)
+    target = default_target(cfg)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fast_prob, fast_fid, _ = enumerate_two_iterations(cfg, target=target)
+    assert all("displacement amplitude" in str(w.message) for w in caught)
+    slow_prob, slow_fid = direct_two_iteration_enumeration(cfg, target)
+    np.testing.assert_allclose(fast_prob, slow_prob, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(np.isnan(fast_fid), np.isnan(slow_fid))
+    both = ~np.isnan(fast_fid)
+    np.testing.assert_allclose(fast_fid[both], slow_fid[both], rtol=0, atol=1e-12)
 
 
 def test_enumeration_budget_guard():
