@@ -19,7 +19,6 @@ import math
 import os
 import sys
 import typing
-import warnings
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -380,21 +379,18 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse has printed the help, or its usage error
         return exc.code
-    with warnings.catch_warnings():  # one stderr line per distinct warning
-        warnings.simplefilter("default")
-        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
-        try:
-            cfg = _resolve_config(args)
-            return COMMANDS[args.command](cfg)
-        except (ValueError, OSError) as exc:  # OSError: an unwritable output path
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        except MemoryError as exc:  # raised by the commands, after cfg is resolved
-            print(f"error: dim={cfg.dim} needs more memory than is available: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        except NumericalError as exc:
-            print(f"numerical failure: {exc}", file=sys.stderr)
-            return EXIT_NUMERICAL
+    try:
+        cfg = _resolve_config(args)
+        return COMMANDS[args.command](cfg)
+    except (ValueError, OSError) as exc:  # OSError: an unwritable output path
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # raised by the commands, after cfg is resolved
+        print(f"error: dim={cfg.dim} needs more memory than is available: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except NumericalError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

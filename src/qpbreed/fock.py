@@ -9,7 +9,6 @@ treated as read-only.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -18,13 +17,6 @@ import numpy as np
 from .numerics import eig_hermitian_tridiagonal
 
 VACUUM_VARIANCE = 0.5
-
-#: Extra Fock levels of the space a displacement is exponentiated on before
-#: it is cut back to ``dim``, to keep truncation-edge error out of it.
-DISPLACEMENT_PAD = 20
-
-#: Largest weight exp(−πΔ²t²) of a qunaught peak left out of its envelope sum.
-QUNAUGHT_TAIL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -72,20 +64,15 @@ class BinomialParams:
 
 @dataclass(frozen=True)
 class QunaughtParams:
-    """Target squeezing Δ of the grid (qunaught) state."""
+    """Target squeezing Δ of the grid (qunaught) state: the width of its
+    peaks and of its envelope. Every Δ in (0, 1) gives the exact comb,
+    compressed to the box (:func:`qunaught_state`)."""
 
     delta: float
 
     def __post_init__(self):
         if not 0 < self.delta < 1:
             raise ValueError(f"squeezing delta must be in (0, 1), got {self.delta}")
-
-    @property
-    def t_max(self) -> int:
-        """Envelope cutoff: the peak sum runs over |t| < t_max, the smallest
-        cutoff whose first omitted weight exp(−πΔ²t_max²) is below
-        :data:`QUNAUGHT_TAIL`."""
-        return math.ceil(math.sqrt(-math.log(QUNAUGHT_TAIL) / (math.pi * self.delta**2)))
 
 
 def top_level(state: np.ndarray) -> int:
@@ -129,24 +116,47 @@ def quadrature_basis(cfg: FockConfig, axis: str) -> QuadratureBasis:
     return QuadratureBasis(axis=axis, dim=cfg.dim, eigenvalues=values, eigenvectors=vectors)
 
 
-def displacement(cfg: FockConfig, beta: complex) -> np.ndarray:
-    """Displacement operator exp(βa† − β*a), built on a padded space.
+def hermite_functions(max_n: int, x: np.ndarray) -> np.ndarray:
+    """Normalized harmonic-oscillator eigenfunctions φ₀..φ_{max_n−1} at x.
 
-    With β = |β|e^{iφ}, D(β) = R exp(−i√2|β|p) R† with R = e^{iφn}: a phase
-    function of the p eigenbasis of dim + DISPLACEMENT_PAD levels, cut back
-    to dim. This is the exact exponential of the padded truncated generator,
-    accurate for amplitudes up to |β| ~ √π at the default configuration.
+    Stable three-term recurrence on the normalized functions; no factorials
+    are formed, so it is usable up to n of a few hundred.
     """
-    if abs(beta) ** 2 > cfg.dim / 4:
-        warnings.warn(
-            f"displacement amplitude |beta|^2 = {abs(beta)**2:.1f} is large for "
-            f"dim {cfg.dim}; matrix elements near the truncation edge are unreliable "
-            f"below dim {math.ceil(4 * abs(beta) ** 2)}",
-            stacklevel=2,
-        )
-    basis = quadrature_basis(FockConfig(cfg.dim + DISPLACEMENT_PAD), "p")
-    rows = np.exp(1j * np.angle(beta) * np.arange(cfg.dim))[:, None] * basis.eigenvectors[: cfg.dim]
-    return (rows * np.exp(-1j * math.sqrt(2) * abs(beta) * basis.eigenvalues)) @ rows.conj().T
+    x = np.asarray(x, dtype=float)
+    phi = np.zeros((max_n, len(x)))
+    phi[0] = math.pi ** -0.25 * np.exp(-0.5 * x**2)
+    if max_n > 1:
+        phi[1] = math.sqrt(2.0) * x * phi[0]
+    for n in range(2, max_n):
+        phi[n] = math.sqrt(2.0 / n) * x * phi[n - 1] - math.sqrt((n - 1) / n) * phi[n - 2]
+    return phi
+
+
+def _trapezoid(dim: int) -> tuple[float, float]:
+    """Largest step h and reach L of the trapezoid sums that project on the
+    Hermite functions φ_n, n < dim. A product of two of them oscillates at
+    wave numbers up to 2√(2·dim + 1), so h = π/(5√(2·dim + 1)) is 2.5 times
+    finer than its Nyquist step, where the trapezoid rule is exponentially
+    accurate. Past L = √(2·dim + 1) + 8, every φ_n is below 1e-21."""
+    root = math.sqrt(2 * dim + 1)
+    return math.pi / (5 * root), root + 8
+
+
+def displacement(cfg: FockConfig, beta: complex) -> np.ndarray:
+    """Displacement operator exp(βa† − β*a), compressed to the box.
+
+    With β = |β|e^{iφ}, D(β) = R·T·R† with R = e^{iφn}, where T shifts the
+    position by s = √2|β|: T_mn = ∫φ_m(x)φ_n(x − s)dx, real. Each entry is
+    one trapezoid sum over the grid of step h on [−L, L] (:func:`_trapezoid`),
+    from one table of the φ_n on that grid and on its shift by −s. Every
+    entry is the exact matrix element, at every dim and amplitude.
+    """
+    step, reach = _trapezoid(cfg.dim)
+    x = -reach + step * np.arange(math.ceil(2 * reach / step) + 1)
+    phi = hermite_functions(cfg.dim, np.concatenate([x, x - math.sqrt(2) * abs(beta)]))
+    shifted = step * phi[:, : x.size] @ phi[:, x.size :].T
+    phase = np.exp(1j * np.angle(beta) * np.arange(cfg.dim))
+    return phase[:, None] * shifted * phase.conj()
 
 
 def binomial_state(cfg: FockConfig, params: BinomialParams) -> np.ndarray:
@@ -167,60 +177,52 @@ def binomial_state(cfg: FockConfig, params: BinomialParams) -> np.ndarray:
 
 
 def squeezed_vacuum(cfg: FockConfig, delta: float) -> np.ndarray:
-    """Gaussian state with position variance delta²/2 (delta=1 is the vacuum).
-
-    Computed from the analytic even-Fock series λⁿ√((2n)!)/(2ⁿn!) with
-    λ = tanh(ln delta), then normalized in the truncated space. This avoids
-    exponentiating the two-photon generator at the truncation edge. The
-    state is real (float64).
+    """Gaussian state with position variance delta²/2 (delta=1 is the vacuum):
+    the one peak exp(−x²/(2Δ²)) of :func:`_even_peaks`, the analytic
+    even-Fock series λⁿ√((2n)!)/(2ⁿn!), λ = tanh(ln delta), cut to the box
+    and normalized. The state is real (float64), its odd levels exactly zero.
     """
     if not 0 < delta <= 1:
         raise ValueError(f"delta must be in (0, 1], got {delta}")
-    lam = math.tanh(math.log(delta))
-    state = np.zeros(cfg.dim)
-    state[0] = 1.0
-    coeff = 1.0
-    for n in range(1, (cfg.dim - 1) // 2 + 1):
-        coeff *= lam * math.sqrt((2 * n) * (2 * n - 1)) / (2 * n)
-        state[2 * n] = coeff
-    return state * (1 / np.linalg.norm(state))
+    return _even_peaks(cfg, delta, lambda t: t == 0)
 
 
 def qunaught_state(cfg: FockConfig, params: QunaughtParams) -> np.ndarray:
     """Grid state: envelope-weighted comb of displaced squeezed vacua.
 
-    Σ_t exp(−πΔ²t²) D(t√π) S(Δ)|0⟩, normalized in the truncated space.
-    Peak spacing in position is √(2π), so the state encodes no qubit. Every
-    D(t√π) = exp(−i√(2π)t·p), so the sum is one comb function of p on the
-    space of dim + DISPLACEMENT_PAD levels used by :func:`displacement`,
-    cut back to dim. The comb's peak at p = 0 has width Δ; a Δ below half
-    the spacing of the padded p eigenvalues at p = 0 leaves it to one
-    eigenvector or none, so the truncation cannot resolve the comb, and
-    raises ValueError.
-
-    The comb is applied in the real padded q eigenbasis, through the frame
-    F = diag(iⁿ) with p = F q F†: comb(p)|s⟩ = F comb(q) F†|s⟩. The squeezed
-    vacuum s lives on the even levels, where F and F† are the real sign
-    (−1)^{n/2}; comb(q) is even in q, so it keeps the parity. The state is
-    thus real (float64), and its odd levels are set to exactly zero rather
-    than left at rounding.
+    Σ_t exp(−πΔ²t²) D(t√π) S(Δ)|0⟩, cut to the box and normalized. Peak
+    spacing in position is √(2π), so the state encodes no qubit. D(t√π)
+    shifts the position by t√(2π), so the comb is the wavefunction
+    Σ_t exp(−πΔ²t²)·exp(−(x − t√(2π))²/(2Δ²)) of :func:`_even_peaks`; its
+    levels n < dim are those of every larger dim, so the target does not
+    depend on the truncation beyond the norm. The state is real (float64),
+    its odd levels exactly zero.
     """
-    basis = quadrature_basis(FockConfig(cfg.dim + DISPLACEMENT_PAD), "q")
-    center = basis.center_index
-    spacing = basis.eigenvalues[center + 1] - basis.eigenvalues[center]
-    if params.delta < spacing / 2:
-        raise ValueError(
-            f"qunaught delta={params.delta} is too small for dim {cfg.dim}: "
-            f"it must be at least {spacing / 2:.4g}, half the p eigenvalue spacing at p = 0"
-        )
-    comb = np.ones(basis.dim)
-    for t in range(1, params.t_max):
-        weight = math.exp(-math.pi * params.delta**2 * t**2)
-        comb += 2 * weight * np.cos(math.sqrt(2 * math.pi) * t * basis.eigenvalues)  # peaks +t and −t
-    frame = np.zeros(cfg.dim)
-    frame[0::2] = (-1.0) ** np.arange((cfg.dim + 1) // 2)  # iⁿ on the even levels
-    rows = basis.eigenvectors[: cfg.dim]
-    state = frame * (rows @ (comb * (rows.T @ (frame * squeezed_vacuum(cfg, params.delta)))))
+    delta = params.delta
+    return _even_peaks(cfg, delta, lambda t: np.exp(-math.pi * delta**2 * t**2))
+
+
+def _even_peaks(cfg: FockConfig, delta: float, weight) -> np.ndarray:
+    """The state of wavefunction Σ_t weight(|t|)·exp(−(x − t√(2π))²/(2Δ²))
+    over the integers t, projected on the φ_n, n < dim, and normalized;
+    ``weight`` maps an array of teeth t ≥ 0 to their weights.
+
+    The function is even, so its projection is 0 on the odd φ_n and, on the
+    even ones, the peak at t√(2π) counted twice for t > 0. The teeth beyond
+    L + 10Δ (:func:`_trapezoid`), which no φ_n reaches, and those of zero
+    weight are left out. Each peak's integrals are one trapezoid sum on its
+    own grid t√(2π) + Δu, |u| ≤ 10, of step min(0.25, h/Δ) in u, which
+    resolves both the peak and the φ_n.
+    """
+    largest, reach = _trapezoid(cfg.dim)
+    step = min(0.25, largest / delta)
+    u = step * np.arange(-math.floor(10 / step), math.floor(10 / step) + 1)
+    teeth = np.arange(math.floor((reach + 10 * delta) / math.sqrt(2 * math.pi)) + 1)
+    weights = weight(teeth) * np.where(teeth > 0, 2.0, 1.0)
+    teeth, weights = teeth[weights > 0], weights[weights > 0]
+    phi = hermite_functions(cfg.dim, (math.sqrt(2 * math.pi) * teeth[:, None] + delta * u).ravel())
+    state = phi @ np.outer(weights, np.exp(-0.5 * u**2)).ravel()
+    state[1::2] = 0.0
     return state / np.linalg.norm(state)
 
 

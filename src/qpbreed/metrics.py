@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import VACUUM_VARIANCE, FockConfig, displacement, top_level
+from .fock import VACUUM_VARIANCE, FockConfig, displacement, hermite_functions, top_level
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -31,9 +31,9 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
 @lru_cache(maxsize=None)
 def _probe(cfg: FockConfig, direction: str) -> np.ndarray:
     """The probe displacement of :func:`effective_squeezing`. Along q it is
-    D(√π) = exp(√π(a† − a)), whose generator is real antisymmetric, so the
-    matrix is real: only its real part is kept, the imaginary part being
-    rounding (at most 2.9e-15 at dim 50). Along p it is complex."""
+    D(√π), a shift of the position, so :func:`~qpbreed.fock.displacement`
+    gives it a real matrix and an imaginary part of exact zeros: only the
+    real part is kept. Along p it is complex."""
     op = displacement(cfg, SQRT_PI if direction == "q" else 1j * SQRT_PI)
     if direction == "q":
         op = np.ascontiguousarray(op.real)
@@ -176,22 +176,6 @@ def wigner(state: np.ndarray, q_axis: np.ndarray, p_axis: np.ndarray) -> np.ndar
         values -= np.sign(p_axis) * odd[:, columns]
     values *= abs(y_step) / math.pi
     return values
-
-
-def hermite_functions(max_n: int, x: np.ndarray) -> np.ndarray:
-    """Normalized harmonic-oscillator eigenfunctions φ₀..φ_{max_n−1} at x.
-
-    Stable three-term recurrence on the normalized functions; no factorials
-    are formed, so it is usable up to n of a few hundred.
-    """
-    x = np.asarray(x, dtype=float)
-    phi = np.zeros((max_n, len(x)))
-    phi[0] = math.pi ** -0.25 * np.exp(-0.5 * x**2)
-    if max_n > 1:
-        phi[1] = math.sqrt(2.0) * x * phi[0]
-    for n in range(2, max_n):
-        phi[n] = math.sqrt(2.0 / n) * x * phi[n - 1] - math.sqrt((n - 1) / n) * phi[n - 2]
-    return phi
 
 
 def _wavefunction(state: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -3,10 +3,11 @@
 Everything here is computed by a different algorithm than the library code
 it checks: Gauss-Hermite nodes by root bracketing on the Hermite-function
 recurrence (vs numpy's symmetric eigensolver), displacement matrix
-elements by the closed-form Laguerre series and by the Padé matrix
-exponential of the padded generator (vs a phase function of the p
-eigenbasis), the grid state as a sum of separately displaced peaks (vs one
-comb function of p), the beamsplitter as the Padé exponential of its
+elements by the closed-form Laguerre series (vs trapezoid sums of shifted
+Hermite functions), the squeezed vacuum by its analytic Fock series and
+the grid state by adaptive quadrature of each level against scipy's
+Hermite polynomials (vs trapezoid sums over the Hermite-function
+recurrence on each peak's grid), the beamsplitter as the Padé exponential of its
 two-mode generator assembled from Kronecker products on 2·dim − 1 levels,
 or of each photon-number sector's whole generator assembled from
 single-mode matrix elements, both cut to the box (vs the d^j recursion,
@@ -17,8 +18,6 @@ and Wigner values by assembling the displaced-parity expectation directly.
 :func:`unreduced_wigner` is the library's Wigner sum on every grid point in
 complex arithmetic, where the library evaluates the symmetry-reduced part
 of the grid in real arithmetic and mirrors it.
-:func:`p_basis_qunaught_state` builds the grid state in the complex p
-eigenbasis, where the library uses the real q eigenbasis.
 :func:`direct_two_iteration_enumeration` breeds every first-level pair,
 where the library breeds an eighth of them, scores half of their p
 outcomes and fills in the rest by exchange and the mirror of each
@@ -39,20 +38,15 @@ constant schedule and the tolerances below are used only by the tests.
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
+import scipy.integrate
 import scipy.linalg
-from scipy.special import eval_genlaguerre
+from scipy.special import eval_genlaguerre, eval_hermite
 
-from qpbreed.fock import (
-    DISPLACEMENT_PAD,
-    FockConfig,
-    annihilation,
-    apply_beamsplitter,
-    squeezed_vacuum,
-    top_level,
-)
+from qpbreed.fock import FockConfig, annihilation, apply_beamsplitter, top_level
 from qpbreed.homodyne import projection_amplitudes, quadrature_basis
 from qpbreed.numerics import PROBABILITY_FLOOR
 from qpbreed.protocol import Schedule, breed_step, default_input
@@ -144,35 +138,49 @@ def displacement_matrix(dim, beta):
     return out
 
 
-def padded_expm_displacement(dim, beta):
-    """D(β) as scipy's ``expm`` of βa† − β*a on dim + DISPLACEMENT_PAD
-    levels, cut back to dim."""
-    a = annihilation(FockConfig(dim + DISPLACEMENT_PAD))
-    return scipy.linalg.expm(beta * a.conj().T - np.conj(beta) * a)[:dim, :dim]
-
-
-def qunaught_peak_sum(dim, params):
-    """Σ_t exp(−πΔ²t²) D(t√π) S(Δ)|0⟩ summed peak by peak with
-    :func:`padded_expm_displacement`, normalized."""
-    core = squeezed_vacuum(FockConfig(dim), params.delta)
-    state = np.zeros(dim, dtype=complex)
-    for t in range(-(params.t_max - 1), params.t_max):
-        weight = math.exp(-math.pi * params.delta**2 * t**2)
-        state += weight * (padded_expm_displacement(dim, t * math.sqrt(math.pi)) @ core)
+def squeezed_vacuum_series(dim, delta):
+    """S(Δ)|0⟩ from its analytic even-Fock series λⁿ√((2n)!)/(2ⁿn!),
+    λ = tanh(ln Δ), cut to dim levels and normalized."""
+    lam = math.tanh(math.log(delta))
+    state = np.zeros(dim)
+    state[0] = 1.0
+    coeff = 1.0
+    for n in range(1, (dim - 1) // 2 + 1):
+        coeff *= lam * math.sqrt((2 * n) * (2 * n - 1)) / (2 * n)
+        state[2 * n] = coeff
     return state / np.linalg.norm(state)
 
 
-def p_basis_qunaught_state(cfg, params):
-    """``fock.qunaught_state`` as a complex state: the comb function of p
-    applied in the complex padded p eigenbasis itself, where the library
-    applies it in the real q eigenbasis through the frame iⁿ."""
-    basis = quadrature_basis(FockConfig(cfg.dim + DISPLACEMENT_PAD), "p")
-    comb = np.ones(basis.dim)
-    for t in range(1, params.t_max):
-        weight = math.exp(-math.pi * params.delta**2 * t**2)
-        comb += 2 * weight * np.cos(math.sqrt(2 * math.pi) * t * basis.eigenvalues)
-    rows = basis.eigenvectors[: cfg.dim]
-    state = rows @ (comb * (rows.conj().T @ squeezed_vacuum(cfg, params.delta)))
+def quad_qunaught_state(dim, delta):
+    """Σ_t exp(−πΔ²t²) D(t√π) S(Δ)|0⟩ cut to dim levels and normalized,
+    level by level: scipy's adaptive ``quad`` of φ_n(x)·ψ(x), with φ_n from
+    ``eval_hermite`` and ψ the comb Σ_t exp(−πΔ²t²)·exp(−(x − t√(2π))²/(2Δ²))
+    over its teeth of weight above 1e-30 that come within 10 of the turning
+    point √(2·dim − 1) of φ_{dim−1}. Each peak is integrated on its own
+    interval t√(2π) ± 12Δ. An integral that cancels to about zero (an odd
+    level, or a peak past the level's turning point) cannot meet the relative
+    tolerance, and quad's warning of that is silenced: its absolute error
+    stays at rounding."""
+    spacing = math.sqrt(2 * math.pi)
+    reach = math.sqrt(2 * dim - 1) + 10 + 12 * delta
+    teeth = [t for t in range(-40, 41) if math.pi * (delta * t) ** 2 < 69 and abs(t) * spacing < reach]
+    state = np.zeros(dim)
+    for n in range(dim):
+        norm = math.exp(-0.5 * (math.lgamma(n + 1) + n * math.log(2)) - 0.25 * math.log(math.pi))
+        for t in teeth:
+            center = t * spacing
+            weight = math.exp(-math.pi * delta**2 * t**2)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
+                value, _ = scipy.integrate.quad(
+                    lambda x: norm * eval_hermite(n, x) * math.exp(-0.5 * (x**2 + ((x - center) / delta) ** 2)),
+                    center - 12 * delta,
+                    center + 12 * delta,
+                    epsabs=0,
+                    epsrel=1e-13,
+                    limit=200,
+                )
+            state[n] += weight * value
     return state / np.linalg.norm(state)
 
 

@@ -144,33 +144,16 @@ def test_chain_starts_from_given_binomial_input(tmp_path, capsys):
     assert run_cli(wigner + ["--output-path", str(tmp_path / "w.csv")]) == EXIT_CONFIG
 
 
-def test_warning_is_one_stderr_line(tmp_path, capsys):
+def test_small_dims_write_nothing_to_stderr(tmp_path, capsys):
+    # the target and the effective squeezing probe are exact at every dim,
+    # so a small dim warns of nothing; the dim-6 probe is built in this run
     from qpbreed.metrics import _probe
 
-    _probe.cache_clear()  # the dim-6 probe must be built, and warn, in this run
-    out = tmp_path / "chain.json"
-    args = ["chain", "--schedule", "q", "--postselect", "S1", "--dim", "6"]
-    assert run_cli(args + ["--output-path", str(out)]) == EXIT_CONFIG
-    err = capsys.readouterr().err.splitlines()
-    warning_lines = [line for line in err if line.startswith("warning: ")]
-    assert len(warning_lines) == 1
-    assert "below dim 13" in warning_lines[0]
-    assert not any("op =" in line for line in err)
-
-
-def test_enumerate_fold_warning_is_one_stderr_line(tmp_path, capsys):
-    # the fold is exact at every dim, so below dim 17 it warns nothing; the
-    # one warning left is the effective squeezing probe's displacement,
-    # large for dim 12, and it is one stderr line
-    out = tmp_path / "enum.csv"
-    assert run_cli(["enumerate", "--dim", "12", "--output-path", str(out)]) == EXIT_OK
-    err = capsys.readouterr().err.splitlines()
-    warning_lines = [line for line in err if line.startswith("warning: ")]
-    assert len(warning_lines) == 1
-    assert warning_lines[0].startswith("warning: displacement amplitude")
-    assert warning_lines[0].endswith("are unreliable below dim 13")
-    assert not any("below dim 17" in line for line in err)
-    assert not any("warnings.warn(" in line for line in err)
+    _probe.cache_clear()
+    assert run_cli(["enumerate", "--dim", "12", "--output-path", str(tmp_path / "enum.csv")]) == EXIT_OK
+    chain = ["chain", "--dim", "6", "--schedule", "q", "--output-path", str(tmp_path / "chain.json")]
+    assert run_cli(chain) == EXIT_OK
+    assert capsys.readouterr().err == ""
 
 
 def test_enumerate_small_dim(tmp_path):
@@ -389,11 +372,11 @@ def test_config_error_exit_code(capsys):
     assert "error" in capsys.readouterr().err
     assert run_cli(["distribution", "--schedule", "xy"]) == EXIT_CONFIG
     capsys.readouterr()
-    # the envelope cutoff follows from delta and is no setting
+    # the extent of the peak sum follows from dim and delta and is no setting
     assert run_cli(["chain", "--schedule", "qp", "--t-max", "20"]) == EXIT_CONFIG
     assert "unrecognized arguments: --t-max 20" in capsys.readouterr().err
-    assert run_cli(["chain", "--schedule", "qp", "--delta-target", "0.001"]) == EXIT_CONFIG
-    assert "delta=0.001 is too small for dim 50" in capsys.readouterr().err
+    assert run_cli(["chain", "--schedule", "qp", "--delta-target", "1.5"]) == EXIT_CONFIG
+    assert "delta-target must be in (0, 1), got 1.5" in capsys.readouterr().err
     assert run_cli(["chain", "--schedule", "qp", "--postselect", "24"]) == EXIT_CONFIG
     assert run_cli(["chain", "--schedule", "qp", "--postselect", "99,24"]) == EXIT_CONFIG
     assert run_cli(["chain", "--schedule", "qp", "--postselect", "S9,C"]) == EXIT_CONFIG

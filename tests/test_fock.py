@@ -12,31 +12,24 @@ from qpbreed import (
     beamsplitter,
     binomial_state,
     displacement,
-    quadrature_basis,
     qunaught_state,
     squeezed_vacuum,
 )
-from qpbreed.fock import (
-    DISPLACEMENT_PAD,
-    QUNAUGHT_TAIL,
-    _packed_sectors,
-    _sector_index,
-    annihilation,
-)
+from qpbreed.fock import _packed_sectors, _sector_index, annihilation
 from oracles import (
     BEAMSPLITTER_ROUTES,
     HERMITIAN,
     UNITARITY,
     closed_form_sector_block,
     dense_beamsplitter,
+    displacement_element,
     displacement_matrix,
     generator_beamsplitter,
-    p_basis_qunaught_state,
-    padded_expm_displacement,
     parity_operator,
+    quad_qunaught_state,
     quadrature,
-    qunaught_peak_sum,
     sector_expm_beamsplitter,
+    squeezed_vacuum_series,
 )
 
 
@@ -71,35 +64,31 @@ def test_vacuum_quadrature_variance(cfg):
 def test_displacement_matches_series_oracle(cfg):
     for beta in (0.7, math.sqrt(math.pi), 1j * math.sqrt(math.pi), 0.5 - 0.3j):
         built = displacement(cfg, beta)
-        oracle = displacement_matrix(cfg.dim, beta)
-        # compare well inside the truncation edge
-        assert np.max(np.abs(built[:30, :30] - oracle[:30, :30])) < 1e-8
+        assert np.max(np.abs(built - displacement_matrix(cfg.dim, beta))) < 1e-12
+    # a shift of the position is a real matrix, its imaginary part exact zeros
+    assert not displacement(cfg, math.sqrt(math.pi)).imag.any()
 
 
 @settings(database=None, derandomize=True, deadline=None)
 @given(
-    dim=st.integers(4, 60),
-    radius=st.floats(0, 0.499),
+    dim=st.integers(2, 100),
+    radius=st.floats(0, 3),
     phase=st.floats(0, 2 * math.pi),
 )
-def test_displacement_matches_padded_expm(dim, radius, phase):
-    # |β|² = radius² · dim < dim/4, the range in which no warning fires
-    beta = radius * math.sqrt(dim) * complex(math.cos(phase), math.sin(phase))
+def test_displacement_is_exact_on_the_whole_box(dim, radius, phase):
+    # the exact operator compressed to the box: every entry, the truncation
+    # edge included, at any amplitude
+    beta = radius * complex(math.cos(phase), math.sin(phase))
     built = displacement(FockConfig(dim), beta)
-    assert np.max(np.abs(built - padded_expm_displacement(dim, beta))) < 1e-12
+    assert np.max(np.abs(built - displacement_matrix(dim, beta))) < 1e-12
 
 
-@pytest.mark.parametrize("dim", [12, 50, 100])
-def test_qunaught_matches_peak_sum(dim):
-    for delta in (0.3, 0.35, 0.4, 0.5):
-        params = QunaughtParams(delta)
-        built = qunaught_state(FockConfig(dim), params)
-        assert np.max(np.abs(built - qunaught_peak_sum(dim, params))) < 1e-12
-
-
-def test_displacement_warns_on_large_amplitude(cfg):
-    with pytest.warns(UserWarning, match="large for"):
-        displacement(cfg, 6.0)
+def test_displacement_top_corner_at_dim_300():
+    levels = range(270, 300)
+    for beta in (math.sqrt(math.pi), 1j * math.sqrt(math.pi), 2 - 2j):
+        corner = [[displacement_element(m, n, beta) for n in levels] for m in levels]
+        built = displacement(FockConfig(300), beta)[270:, 270:]
+        assert np.max(np.abs(built - np.array(corner))) < 1e-12
 
 
 def test_binomial_psi0_amplitudes(cfg):
@@ -149,60 +138,45 @@ def test_squeezed_vacuum_even_support(cfg):
     assert np.max(np.abs(state[1::2])) == 0
 
 
-def test_qunaught_params_auto_t_max():
-    assert QunaughtParams(delta=0.4).t_max == 8
-    assert QunaughtParams(delta=0.35).t_max == 9
-    # the smallest cutoff whose first omitted weight is below the tail bound
-    for delta in (0.05, 0.2, 0.35, 0.4, 0.9):
-        t_max = QunaughtParams(delta).t_max
-        assert math.exp(-math.pi * delta**2 * t_max**2) <= QUNAUGHT_TAIL
-        assert math.exp(-math.pi * delta**2 * (t_max - 1) ** 2) > QUNAUGHT_TAIL
+@pytest.mark.parametrize("dim", [2, 3, 12, 50, 51, 645])
+def test_squeezed_vacuum_is_the_analytic_series(dim):
+    for delta in (0.001, 0.05, 0.3, 0.4, 0.9, 1.0):
+        expected = squeezed_vacuum_series(dim, delta)
+        np.testing.assert_allclose(squeezed_vacuum(FockConfig(dim), delta), expected, rtol=0, atol=1e-14)
 
 
 def test_qunaught_normalized_and_even(cfg, target):
+    assert target.dtype == np.float64
     assert abs(np.linalg.norm(target) - 1) < 1e-12
-    assert np.max(np.abs(target[1::2])) < 1e-12  # parity-even comb
+    assert not target[1::2].any()  # parity-even comb
 
 
-@pytest.mark.parametrize("dim", [13, 50, 100])
-def test_qunaught_is_the_real_frame_of_the_p_basis_comb(dim):
-    # float64, odd levels exactly zero, and the complex p-basis construction
-    # to 1e-14, at the sweep targets and at a Δ just above the resolution floor
-    basis = quadrature_basis(FockConfig(dim + DISPLACEMENT_PAD), "p")
-    center = basis.center_index
-    floor = (basis.eigenvalues[center + 1] - basis.eigenvalues[center]) / 2
-    for delta in (0.4, 0.35, floor * 1.001):
-        params = QunaughtParams(delta)
-        state = qunaught_state(FockConfig(dim), params)
-        assert state.dtype == np.float64
-        assert not state[1::2].any()
-        expected = p_basis_qunaught_state(FockConfig(dim), params)
-        np.testing.assert_allclose(state, expected, rtol=0, atol=1e-14)
-    with pytest.raises(ValueError, match="too small"):
-        qunaught_state(FockConfig(dim), QunaughtParams(floor * 0.999))
+@pytest.mark.parametrize("dim", [12, 50])
+def test_qunaught_matches_adaptive_quadrature(dim):
+    for delta in (0.05, 0.4):
+        expected = quad_qunaught_state(dim, delta)
+        built = qunaught_state(FockConfig(dim), QunaughtParams(delta))
+        np.testing.assert_allclose(built, expected, rtol=0, atol=1e-13)
 
 
-def test_qunaught_rejects_delta_too_small_for_dim():
-    # Δ below half the padded p eigenvalue spacing at p = 0 (0.195 at dim 12,
-    # 0.132 at dims 50 and 51): the truncation cannot resolve the comb. At
-    # odd dims and some even ones such a comb keeps a sizeable norm, which
-    # an after-the-fact norm floor let through.
-    rejected = [(50, 0.001), (12, 0.01), (12, 0.02), (50, 0.01), (51, 0.001)]
-    rejected += [(dim, 0.001) for dim in (44, 46, 60, 76, 84, 92, 94)]
-    for dim, delta in rejected:
-        with pytest.raises(ValueError, match=f"delta={delta} is too small for dim {dim}"):
-            qunaught_state(FockConfig(dim), QunaughtParams(delta))
-    # a resolved Δ gives the target of a much larger truncation, cut to dim
-    for dim, delta in ((12, 0.2), (51, 0.14), (100, 0.11)):
-        state = qunaught_state(FockConfig(dim), QunaughtParams(delta))
-        assert abs(np.linalg.norm(state) - 1) < 1e-12
-        wide = qunaught_state(FockConfig(400), QunaughtParams(delta))[:dim]
-        assert abs(np.vdot(wide, state)) / np.linalg.norm(wide) > 0.99
+@pytest.mark.parametrize("delta", [0.001, 0.05, 0.12, 0.2, 0.35, 0.4, 0.9])
+def test_states_do_not_depend_on_dim(delta):
+    # levels n < dim are those of every larger dim: the dim-400 state, cut
+    # to dim and renormalized, at every Δ, however small for the dim
+    for build in (
+        lambda dim: qunaught_state(FockConfig(dim), QunaughtParams(delta)),
+        lambda dim: squeezed_vacuum(FockConfig(dim), delta),
+    ):
+        wide = build(400)
+        for dim in (2, 3, 12, 50, 51, 68, 100):
+            cut = wide[:dim] / np.linalg.norm(wide[:dim])
+            np.testing.assert_allclose(build(dim), cut, rtol=0, atol=1e-13)
 
 
 def test_qunaught_converged_in_dim_for_the_sweep_targets():
     # the two targets of the sweep: from dim 50 on, the target is the dim-400
-    # target cut to dim, to 1 − F ≤ 1e-7 (5.1e-8 at Δ 0.35, dim 50)
+    # target cut to dim, to 1 − F ≤ 1e-7 (at rounding since the comb is
+    # projected exactly; test_states_do_not_depend_on_dim bounds it to 1e-13)
     for delta in (0.35, 0.4):
         wide = qunaught_state(FockConfig(400), QunaughtParams(delta))
         for dim in (50, 70, 100):

@@ -5,7 +5,6 @@ import pytest
 
 from qpbreed import FockConfig, fock, label_peaks, quadrature_basis
 from qpbreed.cli import main
-from qpbreed.fock import DISPLACEMENT_PAD
 from qpbreed.homodyne import RESCALE, OutcomeDistribution, projection_amplitudes, select_outcome
 from qpbreed.numerics import PROBABILITY_FLOOR, NumericalError, eig_hermitian_tridiagonal
 from oracles import DISTRIBUTION_SUM, EIG_RESIDUAL, parity_operator, quadrature
@@ -52,8 +51,8 @@ def test_p_basis_is_the_phased_real_q_basis(basis_q, basis_p):
 
 def test_one_eigensolve_per_dim_for_both_axes(monkeypatch, tmp_path):
     # the p basis is the phased q basis, so a dim is diagonalized once
-    # whichever axis asks first; a chain needs its dim and the padded dim
-    # of its target, no more
+    # whichever axis asks first; a chain needs its own dim and no other:
+    # its target and its probes are built without an eigenbasis
     sizes = []
 
     def counted(diag, offdiag):
@@ -71,7 +70,7 @@ def test_one_eigensolve_per_dim_for_both_axes(monkeypatch, tmp_path):
     sizes.clear()
     args = ["chain", "--schedule", "qpqp", "--dim", "19", "--output-path", str(tmp_path / "c.json")]
     assert main(args) == 0
-    assert sorted(sizes) == [19, 19 + DISPLACEMENT_PAD]
+    assert sizes == [19]
 
 
 @pytest.mark.parametrize("dim", [2, 3, 12, 13])
