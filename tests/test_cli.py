@@ -144,15 +144,27 @@ def test_chain_starts_from_given_binomial_input(tmp_path, capsys):
     assert run_cli(wigner + ["--output-path", str(tmp_path / "w.csv")]) == EXIT_CONFIG
 
 
-def test_small_dims_write_nothing_to_stderr(tmp_path, capsys):
-    # the target and the effective squeezing probe are exact at every dim,
-    # so a small dim warns of nothing; the dim-6 probe is built in this run
+def test_warning_is_one_stderr_line(tmp_path, capsys):
+    # the effective squeezing probe is exact at every dim, so a dim-6 chain
+    # warns of nothing: a refused outcome is its one stderr line, and a run
+    # that succeeds writes none; the dim-6 probe is built in this run
     from qpbreed.metrics import _probe
 
     _probe.cache_clear()
-    assert run_cli(["enumerate", "--dim", "12", "--output-path", str(tmp_path / "enum.csv")]) == EXIT_OK
     chain = ["chain", "--dim", "6", "--schedule", "q", "--output-path", str(tmp_path / "chain.json")]
+    assert run_cli(chain + ["--postselect", "S1"]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: level 1: post-selection token 'S1'")
     assert run_cli(chain) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+def test_enumerate_fold_warning_is_one_stderr_line(tmp_path, capsys):
+    # the fold, the target and the probe are exact at every dim, so
+    # enumerate at dim 12 writes nothing to stderr
+    out = tmp_path / "enum.csv"
+    assert run_cli(["enumerate", "--dim", "12", "--output-path", str(out)]) == EXIT_OK
     assert capsys.readouterr().err == ""
 
 
