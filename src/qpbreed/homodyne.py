@@ -43,24 +43,20 @@ def projection_amplitudes(state2: np.ndarray, basis: QuadratureBasis) -> np.ndar
     mode 2; its squared norm is the outcome probability. Only the first w
     rows of the eigenvectors meet M, so w is read from its shape.
 
-    Only real products are formed. The q eigenvectors v are real, so a q
-    projection is the one product vᵀM, real for a real M. The p eigenvectors
-    are iᵏ·v_k, so row i of a p projection is Σ_k (−i)ᵏ v_ki M_kl = E − iO,
-    where E and O are the half-size products over the even and the odd k,
-    each with its sign (−1)^⌊k/2⌋; a real M thus gives complex amplitudes. A
-    complex M = A + iB goes through the same products by linearity.
+    The q eigenvectors v are real, so a q projection is the one product
+    vᵀM. The p eigenvectors are iᵏ·v_k, so row i of a p projection is
+    Σ_k (−i)ᵏ v_ki M_kl = E − iO, where E and O are the half-size products
+    of the real signed rows (−1)^⌊k/2⌋ v_ki with the even and the odd rows
+    k of M. M's dtype carries the arithmetic: a real M meets only real
+    products and gives real q amplitudes and complex p ones, and a complex
+    M goes through the same products, which are linear in M.
     """
     rows = basis.eigenvectors[: state2.shape[-1]]
-    split = np.iscomplexobj(state2)
-    parts = np.stack([state2.real, state2.imag]) if split else state2
     if basis.axis == "q":
-        product = rows.T @ parts
-        return product[0] + 1j * product[1] if split else product
+        return rows.T @ state2
     signed = rows.real + rows.imag  # (−1)^⌊k/2⌋ v_ki
-    even = signed[0::2].T @ parts[..., 0::2, :]
-    odd = signed[1::2].T @ parts[..., 1::2, :]
-    if split:  # (E_A − iO_A) + i(E_B − iO_B)
-        return (even[0] + odd[1]) + 1j * (even[1] - odd[0])
+    even = signed[0::2].T @ state2[..., 0::2, :]
+    odd = signed[1::2].T @ state2[..., 1::2, :]
     return even - 1j * odd
 
 

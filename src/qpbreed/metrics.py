@@ -91,16 +91,17 @@ def wigner(state: np.ndarray, q_axis: np.ndarray, p_axis: np.ndarray) -> np.ndar
     the integrand at −y is the conjugate of that at y, only y ≥ 0 is
     summed, with the y > 0 terms doubled, and only the real part is formed:
     Re(P·e^{2ipy}) = Re P·cos 2py − Im P·sin 2py for the products
-    P = ψ*(q+y)ψ(q−y), as real matrix products over chunks of q rows. The
-    cosine part is even in p and the sine part odd, so both are evaluated
-    at the distinct |p| only.
+    P = ψ*(q+y)ψ(q−y), formed in ψ's dtype over chunks of q rows, with
+    Re P and Im P each summed as one real matrix product. The cosine part
+    is even in p and the sine part odd, so both are evaluated at the
+    distinct |p| only.
 
-    A real ψ has real P: W is the cosine part alone, even in p, and its
-    cells at ±p are copies. A real ψ of one parity (its odd or its even
-    Fock levels all zero) also has ψ(−x) = ±ψ(x), so W is even in q as
-    well: on an exactly antisymmetric q axis only the rows q ≥ 0 are
-    evaluated and the rows q < 0 are copies. Such a grid is bitwise
-    mirror-symmetric.
+    A real ψ is its own conjugate and has real P: W is the cosine part
+    alone, even in p, and its cells at ±p are copies. A real ψ of one
+    parity (its odd or its even Fock levels all zero) also has
+    ψ(−x) = ±ψ(x), so W is even in q as well: on an exactly antisymmetric
+    q axis only the rows q ≥ 0 are evaluated and the rows q < 0 are
+    copies. Such a grid is bitwise mirror-symmetric.
     """
     state = np.asarray(state)
     real = not np.iscomplexobj(state)
@@ -149,28 +150,18 @@ def wigner(state: np.ndarray, q_axis: np.ndarray, p_axis: np.ndarray) -> np.ndar
     sines = None if real else np.sin(angles) * doubled
     del angles
 
-    # row i, column k: ψ(q_i + y_k) and ψ(q_i − y_k), strided views of ψ's parts
-    plus, minus = [], []
-    for part in [psi] if real else [psi.real, psi.imag]:
-        windows = np.lib.stride_tricks.sliding_window_view(part, m * skip + 1)[:, ::skip]
-        plus.append(windows[m * skip :: stride])
-        minus.append(windows[: n_eval * stride : stride, ::-1])
+    # row i, column k: ψ(q_i + y_k) and ψ(q_i − y_k), strided views of ψ
+    windows = np.lib.stride_tricks.sliding_window_view(psi, m * skip + 1)[:, ::skip]
+    plus = windows[m * skip :: stride]
+    minus = windows[: n_eval * stride : stride, ::-1]
     even = np.empty((n_eval, len(p_eval)))
     odd = None if real else np.empty_like(even)
     for lo in range(0, n_eval, WIGNER_CHUNK_ROWS):
         chunk = slice(lo, lo + WIGNER_CHUNK_ROWS)
-        if real:
-            even[chunk] = (plus[0][chunk] * minus[0][chunk]) @ cosines
-            continue
-        a, b = (view[chunk] for view in plus)
-        c, d = (view[chunk] for view in minus)
-        # P = (a − ib)(c + id): Re P = ac + bd, Im P = ad − bc
-        products = a * c
-        products += b * d
-        even[chunk] = products @ cosines
-        np.multiply(a, d, out=products)
-        products -= b * c
-        odd[chunk] = products @ sines
+        products = plus[chunk].conj() * minus[chunk]
+        even[chunk] = products.real @ cosines
+        if not real:
+            odd[chunk] = products.imag @ sines
     values = even[np.ix_(rows, columns)]
     if not real:
         values -= np.sign(p_axis) * odd[:, columns]

@@ -1,13 +1,15 @@
 """Dense linear-algebra substrate: the package's numerical error, its
-tolerances, and two eigensolver-based routines.
+tolerances, the tridiagonal eigensolve behind the quadrature bases, and a
+skew-Hermitian exponential that nothing in the package calls.
 
 Each routine is a pure function of its inputs, so results can be shared
-freely. Vectors and matrices are plain numpy arrays, float64 where the
-quantity is real (tridiagonal eigenvectors, the exponential of a real
-generator) and complex128 otherwise. Across the package a real state stays
-real as long as every operator it meets is real. A failed eigensolve
-raises :class:`NumericalError`, never numpy's LinAlgError, which is a
-ValueError and would read as bad input.
+freely. Vectors and matrices are plain numpy arrays whose dtype carries
+the arithmetic: the tridiagonal eigenvectors are float64, and across the
+package a real state stays real as long as every operator it meets is
+real. The kernels that breed, project and draw states have one path each
+for real and complex arrays. A failed eigensolve raises
+:class:`NumericalError`, never numpy's LinAlgError, which is a ValueError
+and would read as bad input.
 """
 
 from __future__ import annotations

@@ -262,6 +262,42 @@ def test_cut_sectors_are_built_only_for_states_that_reach_them(tmp_path, args, c
     assert fock.beamsplitter.cache_info().misses * 49 == cut_sectors
 
 
+def test_cli_sends_only_real_arrays_to_the_kernels(tmp_path, monkeypatch):
+    # a state bred with itself stays real at every level, and a p
+    # measurement turns complex only the post of two different arms, which
+    # no command breeds further or draws: every array the CLI hands the
+    # beamsplitter, the homodyne projection and the Wigner sum is float64,
+    # whose complex paths are covered by the library tests alone
+    import qpbreed.cli as cli
+    from qpbreed import protocol
+
+    seen = {}
+
+    def record(module, name):
+        kernel = getattr(module, name)
+
+        def recorded(*args):
+            seen.setdefault(name, set()).update(a.dtype for a in args if isinstance(a, np.ndarray))
+            return kernel(*args)
+
+        monkeypatch.setattr(module, name, recorded)
+
+    record(protocol, "apply_beamsplitter")
+    record(protocol, "projection_amplitudes")
+    record(cli, "wigner")
+    for args in (
+        ["chain", "--schedule", "pqpqpqpq", "--postselect", "C,C,C,C,C,C,C,C", "--dim", "30"],
+        ["sweep", "--schedule", "pqpq"],
+        ["wigner", "--schedule", "qp", "--postselect", "S2,C"],
+        ["wigner", "--n", "0"],
+        ["distribution", "--schedule", "pp", "--postselect", "S,S"],
+        ["enumerate", "--dim", "10"],
+    ):
+        assert run_cli([*args, "--output-path", str(tmp_path / "out.csv")]) == EXIT_OK
+    kernels = ("apply_beamsplitter", "projection_amplitudes", "wigner")
+    assert seen == {name: {np.dtype(np.float64)} for name in kernels}
+
+
 def test_aggregated_probability_counts_only_outcomes_with_a_distinct_mirror(tmp_path):
     # at an odd dim the middle outcome, index (dim − 1)/2, is its own mirror
     # and adds no factor 2

@@ -15,7 +15,7 @@ from qpbreed import (
     qunaught_state,
     squeezed_vacuum,
 )
-from qpbreed.fock import _packed_sectors, _sector_index, annihilation
+from qpbreed.fock import _packed_sectors, _sector_index, annihilation, apply_beamsplitter
 from oracles import (
     BEAMSPLITTER_ROUTES,
     HERMITIAN,
@@ -145,7 +145,9 @@ def test_squeezed_vacuum_is_the_analytic_series(dim):
         np.testing.assert_allclose(squeezed_vacuum(FockConfig(dim), delta), expected, rtol=0, atol=1e-14)
 
 
-def test_qunaught_normalized_and_even(cfg, target):
+@pytest.mark.parametrize("delta", [0.35, 0.4])
+def test_qunaught_normalized_and_even(cfg, delta):
+    target = qunaught_state(cfg, QunaughtParams(delta))
     assert target.dtype == np.float64
     assert abs(np.linalg.norm(target) - 1) < 1e-12
     assert not target[1::2].any()  # parity-even comb
@@ -183,13 +185,6 @@ def test_qunaught_converged_in_dim_for_the_sweep_targets():
             cut = wide[:dim] / np.linalg.norm(wide[:dim])
             state = qunaught_state(FockConfig(dim), QunaughtParams(delta))
             assert 1 - abs(np.vdot(cut, state)) <= 1e-7
-
-
-def test_qunaught_delta_limits_to_squeezed_vacuum(cfg):
-    # At very small envelope (delta -> 1 would be vacuum-like) the state
-    # stays normalized; sanity check another delta builds fine.
-    state = qunaught_state(cfg, QunaughtParams(delta=0.35))
-    assert abs(np.linalg.norm(state) - 1) < 1e-12
 
 
 def test_beamsplitter_orthogonal_blocks(cfg):
@@ -320,3 +315,47 @@ def test_beamsplitter_commutes_with_parity():
     bs = dense_beamsplitter(cfg)
     par = np.kron(parity_operator(cfg.dim), parity_operator(cfg.dim))
     assert np.max(np.abs(par @ bs - bs @ par)) < 1e-12
+
+
+def _corner_stack(rng, n, width, dim):
+    """n random normalized (width, width) coefficient matrices; a corner
+    width < dim holds zeros in every sector t ≥ width, as
+    :func:`~qpbreed.fock.apply_beamsplitter` requires."""
+    stack = rng.standard_normal((n, width, width))
+    if width < dim:
+        stack[:, np.add.outer(np.arange(width), np.arange(width)) >= width] = 0.0
+    return stack / np.linalg.norm(stack, axis=(1, 2), keepdims=True)
+
+
+@pytest.mark.parametrize(
+    "dtype, cast", [(np.float32, np.float64), (np.int64, np.float64), (np.complex64, np.complex128)]
+)
+def test_apply_beamsplitter_mixes_other_dtypes_as_their_casts(dtype, cast):
+    # each dtype goes through the float64 blocks as its float64 or
+    # complex128 cast; an odd number of states, so that no other dtype
+    # can pass for float64 columns
+    dim = 9
+    rng = np.random.default_rng(5)
+    for width in (5, dim):
+        stack = 8 * _corner_stack(rng, 3, width, dim)
+        if np.issubdtype(dtype, np.complexfloating):
+            stack = stack + 1j * (8 * _corner_stack(rng, 3, width, dim))
+        coeff = np.round(stack).astype(dtype)
+        mixed = apply_beamsplitter(FockConfig(dim), coeff)
+        assert mixed.dtype == cast and mixed.shape == coeff.shape
+        assert np.array_equal(mixed, apply_beamsplitter(FockConfig(dim), coeff.astype(cast)))
+
+
+@pytest.mark.parametrize("dim", [12, 13])
+def test_apply_beamsplitter_mixes_a_complex_stack_by_parts(dim):
+    # the beamsplitter's blocks are real, so it mixes the real and the
+    # imaginary part of a complex stack each on its own, in corners and in
+    # the whole box with its cut sectors
+    cfg = FockConfig(dim)
+    rng = np.random.default_rng(dim)
+    for width in (dim // 2, dim):
+        re, im = (_corner_stack(rng, 4, width, dim) for _ in range(2))
+        mixed = apply_beamsplitter(cfg, re + 1j * im)
+        assert mixed.dtype == np.complex128
+        expected = apply_beamsplitter(cfg, re) + 1j * apply_beamsplitter(cfg, im)
+        assert np.max(np.abs(mixed - expected)) <= 1e-15
