@@ -338,7 +338,11 @@ READS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser of ``argv``. When its first argument names a command, the
+    parser holds that command's subparser alone; otherwise it holds all of
+    them, so that the top-level help and the error for a missing or unknown
+    command list every command. Both usage lines name every command."""
     parser = argparse.ArgumentParser(
         prog="qpbreed",
         description="Grid-state breeding from binomial codes: distributions, "
@@ -347,8 +351,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "per schedule step: eigenvalue indices or labels C/S1/S2/S.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, func in COMMANDS.items():
-        p = sub.add_parser(name, help=func.__doc__.splitlines()[0])
+    names = list(COMMANDS)
+    if argv and argv[0] in COMMANDS:
+        names = [argv[0]]
+        sub.metavar = "{%s}" % ",".join(COMMANDS)  # printed in an unrecognized argument's usage line
+    for name in names:
+        p = sub.add_parser(name, help=COMMANDS[name].__doc__.splitlines()[0])
         for field, parse in _FIELDS.items():
             if field in READS[name]:
                 p.add_argument("--" + field.lower().replace("_", "-"), type=parse, dest=field)
@@ -375,8 +383,9 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
     except SystemExit as exc:  # argparse has printed the help, or its usage error
         return exc.code
     try:

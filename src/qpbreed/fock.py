@@ -231,16 +231,37 @@ def _even_peaks(cfg: FockConfig, delta: float, weight) -> np.ndarray:
     return state / np.linalg.norm(state)
 
 
+class _SectorStore:
+    """The (dim, dim, dim) packed blocks of :func:`beamsplitter` for one
+    dim, and the number ``whole`` of whole sectors t < whole written into
+    them. The array is the one a dim holds however it is reached; it is
+    read-only outside the writes of :func:`_write_sectors`."""
+
+    def __init__(self, dim: int):
+        self.blocks = np.zeros((dim, dim, dim))
+        self.blocks[0, 0, 0] = 1.0
+        self.blocks.setflags(write=False)
+        self.whole = 1
+
+    def whole_sectors(self, width: int) -> np.ndarray:
+        """The blocks, with every whole sector t < width written: those
+        past the last one written are built from it, in order."""
+        if self.whole < width:
+            self.write(range(self.whole, width))
+            self.whole = width
+        return self.blocks
+
+    def write(self, totals: range) -> None:
+        self.blocks.setflags(write=True)
+        try:
+            _write_sectors(self.blocks, totals)
+        finally:
+            self.blocks.setflags(write=False)
+
+
 @lru_cache(maxsize=None)
-def _packed_sectors(dim: int) -> np.ndarray:
-    """The (dim, dim, dim) packed blocks of :func:`beamsplitter` with only
-    the whole sectors t < dim filled in. The cut sectors stay zero until
-    :func:`beamsplitter` writes them into this same array."""
-    blocks = np.zeros((dim, dim, dim))
-    blocks[0, 0, 0] = 1.0
-    _write_sectors(blocks, range(1, dim))
-    blocks.setflags(write=False)
-    return blocks
+def _sector_store(dim: int) -> _SectorStore:
+    return _SectorStore(dim)
 
 
 @lru_cache(maxsize=None)
@@ -260,19 +281,17 @@ def beamsplitter(cfg: FockConfig) -> np.ndarray:
     to levels outside the box is the truncation's true leakage, so a state
     that reaches sector dim loses norm through it (:func:`_write_sectors`).
 
-    The cut sectors are written into the array of the whole ones
-    (:func:`_packed_sectors`), on levels that array leaves zero, so a dim
-    holds one packed array however it is reached. They are built on the
-    first call; :func:`apply_beamsplitter` makes that call only for a state
-    that reaches sector dim.
+    A dim holds one packed array (:class:`_SectorStore`), filled on
+    demand. :func:`apply_beamsplitter` on a corner w < dim writes the whole
+    sectors t < w only, carrying on from the last one written. This call
+    writes the rest of the whole sectors and then the cut ones, on levels
+    the whole ones leave zero; :func:`apply_beamsplitter` makes it only for
+    a state that reaches sector dim.
     """
-    blocks = _packed_sectors(cfg.dim)
-    blocks.setflags(write=True)
-    try:
-        _write_sectors(blocks, range(cfg.dim, 2 * cfg.dim - 1))
-    finally:
-        blocks.setflags(write=False)
-    return blocks
+    store = _sector_store(cfg.dim)
+    store.whole_sectors(cfg.dim)
+    store.write(range(cfg.dim, 2 * cfg.dim - 1))
+    return store.blocks
 
 
 def _write_sectors(blocks: np.ndarray, totals: range) -> None:
@@ -286,24 +305,40 @@ def _write_sectors(blocks: np.ndarray, totals: range) -> None:
     of sector t need rows and columns k − 1 and k of sector t − 1, so sector
     t on its box levels low..high needs sector t − 1 on levels
     low − 1..high only: a cut sector is the exact sub-block, with no larger
-    window. A whole sector (low = 0) reads sector t − 1 padded with a zero
-    level −1, and on level t, outside sector t − 1; both meet a zero
-    coefficient √k or √l.
+    window. A whole sector (low = 0) reads sector t − 1 after a zero level
+    −1, copied into a zero-bordered scratch buffer, and on level t, outside
+    sector t − 1; both meet a zero coefficient √k or √l.
+
+    Only the upper ⌈n/2⌉ of a sector's n box rows go through the
+    recursion. The others are their exchange-parity mirror,
+    B_t[k′, k] = (−1)^(k+k′)·B_t[t − k′, t − k], which maps the box
+    low..high onto itself, whole or cut. The recursion is exactly symmetric
+    in floating point, so the mirrored rows are bit for bit those the
+    recursion gives, and a zero stays +0.
     """
     dim = len(blocks)
+    roots = np.sqrt(np.arange(dim))
+    signs = np.where(np.add.outer(np.arange(dim), np.arange(dim)) % 2, -1.0, 1.0)  # (−1)^(k+k′)
+    padded = np.zeros((dim + 1, dim + 1))  # row and column 0 stay zero: level −1
     for total in totals:
         low, high = max(0, total - dim + 1), min(total, dim - 1)
-        read = slice(max(0, low - 1), high + 1)
-        previous = blocks[(total - 1) % dim, read, read]
-        if not low:
-            previous = np.pad(previous, (1, 0))
-        root = np.sqrt(np.arange(low, high + 1))  # √k; reversed, √l = √(t − k)
+        size = high - low + 1
+        half = (size + 1) // 2
+        if low:
+            previous = blocks[(total - 1) % dim, low - 1 : low + half, low - 1 : high + 1]
+        else:
+            padded[1 : half + 1, 1 : high + 2] = blocks[total - 1, :half, : high + 1]
+            previous = padded[: half + 1, : high + 2]
+        root = roots[low : high + 1]  # √k; reversed, √l = √(t − k)
         from_a = root * previous[:, :-1]  # column k: √k·U|k − 1, l⟩, rows from level low − 1
         from_b = root[::-1] * previous[:, 1:]  # √l·U|k, l − 1⟩
         block = blocks[total % dim, low : high + 1, low : high + 1]
-        block[:] = root[:, None] * (from_a + from_b)[:-1]  # the a† parts of A and B
-        block += root[::-1, None] * (from_b - from_a)[1:]  # their b† parts
-        block /= total * math.sqrt(2)
+        upper, lower = block[:half], block[half:]
+        np.multiply(root[:half, None], (from_a + from_b)[:-1], out=upper)  # the a† parts of A and B
+        upper += root[::-1][:half, None] * (from_b - from_a)[1:]  # their b† parts
+        upper /= total * math.sqrt(2)
+        np.multiply(upper[: size - half, ::-1][::-1], signs[half:size, :size], out=lower)
+        lower += 0.0  # a negated zero back to +0
 
 
 @lru_cache(maxsize=None)
@@ -333,14 +368,15 @@ def apply_beamsplitter(cfg: FockConfig, coeff: np.ndarray) -> np.ndarray:
     A corner w < dim must hold exact zeros in every sector t ≥ w, as a
     joint state of two states with top levels summing to w − 1 does. It is
     mixed by the corner [:w, :w, :w] of the packed blocks, the whole sectors
-    t < w at their places for ``_sector_index(w)``, and needs no cut sector:
-    those are built only when w = dim.
+    t < w at their places for ``_sector_index(w)``, each written by the
+    first call that needs it. It needs no cut sector: those are built only
+    when w = dim (:func:`beamsplitter`).
     """
     width = coeff.shape[-1]
     if width == cfg.dim:
         blocks = beamsplitter(cfg)
     else:
-        blocks = _packed_sectors(cfg.dim)[:width, :width, :width]
+        blocks = _sector_store(cfg.dim).whole_sectors(width)[:width, :width, :width]
     index = _sector_index(width)
     flat = coeff.reshape(-1, width * width)
     sectors = np.empty((width * width, len(flat)), dtype=np.result_type(flat, np.float64))

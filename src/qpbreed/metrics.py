@@ -31,12 +31,17 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
 @lru_cache(maxsize=None)
 def _probe(cfg: FockConfig, direction: str) -> np.ndarray:
     """The probe displacement of :func:`effective_squeezing`. Along q it is
-    D(√π), a shift of the position, so :func:`~qpbreed.fock.displacement`
+    D(√π), a shift T of the position, so :func:`~qpbreed.fock.displacement`
     gives it a real matrix and an imaginary part of exact zeros: only the
-    real part is kept. Along p it is complex."""
-    op = displacement(cfg, SQRT_PI if direction == "q" else 1j * SQRT_PI)
-    if direction == "q":
-        op = np.ascontiguousarray(op.real)
+    real part is kept. Along p it is D(i√π) = R·T·R†, R = e^{iπn/2}, the
+    same real shift T between the phases that
+    :func:`~qpbreed.fock.displacement` puts on it, so it is made from the q
+    probe with the same arithmetic."""
+    if direction == "p":
+        phase = np.exp(1j * np.angle(1j * SQRT_PI) * np.arange(cfg.dim))
+        op = phase[:, None] * _probe(cfg, "q") * phase.conj()
+    else:
+        op = np.ascontiguousarray(displacement(cfg, SQRT_PI).real)
     op.setflags(write=False)
     return op
 

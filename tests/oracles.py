@@ -11,7 +11,9 @@ recurrence on each peak's grid), the beamsplitter as the Padé exponential of it
 two-mode generator assembled from Kronecker products on 2·dim − 1 levels,
 or of each photon-number sector's whole generator assembled from
 single-mode matrix elements, both cut to the box (vs the d^j recursion,
-carried past sector dim − 1 on the box levels only), and, for the largest
+carried past sector dim − 1 on the box levels only), the same recursion
+on every row of each sector (vs the upper half of the rows and their
+exchange-parity mirror), and, for the largest
 sectors, the closed-form Krawtchouk sum of each matrix element in exact
 integers and 40-digit square roots,
 and Wigner values by assembling the displaced-parity expectation directly.
@@ -264,6 +266,32 @@ def sector_expm_beamsplitter(cfg):
         box = slice(max(0, total - cfg.dim + 1), min(total, cfg.dim - 1) + 1)
         whole = scipy.linalg.expm(np.diag(coupling, -1) - np.diag(coupling, 1))
         blocks[total % cfg.dim, box, box] = whole[box, box]
+    return blocks
+
+
+def full_row_sectors(dim, top):
+    """The packed ``(dim, dim, dim)`` blocks of ``fock.beamsplitter`` with
+    the sectors t < ``top`` written, t ≤ 2·dim − 2, each from sector t − 1
+    on every row and column of its box by the d-matrix recursion, where the
+    library takes the upper half of the rows from the recursion and the
+    rest from their exchange-parity mirror. A whole sector reads sector
+    t − 1 padded with a zero level −1 by ``np.pad``, and on level t, which
+    holds zeros; a cut one reads the levels low − 1..dim − 1 of its box."""
+    blocks = np.zeros((dim, dim, dim))
+    blocks[0, 0, 0] = 1.0
+    for total in range(1, top):
+        low, high = max(0, total - dim + 1), min(total, dim - 1)
+        read = slice(max(0, low - 1), high + 1)
+        previous = blocks[(total - 1) % dim, read, read]
+        if not low:
+            previous = np.pad(previous, (1, 0))
+        root = np.sqrt(np.arange(low, high + 1))  # √k; reversed, √l = √(t − k)
+        from_a = root * previous[:, :-1]  # √k·U|k − 1, l⟩, rows from level low − 1
+        from_b = root[::-1] * previous[:, 1:]  # √l·U|k, l − 1⟩
+        block = blocks[total % dim, low : high + 1, low : high + 1]
+        block[:] = root[:, None] * (from_a + from_b)[:-1]
+        block += root[::-1, None] * (from_b - from_a)[1:]
+        block /= total * math.sqrt(2)
     return blocks
 
 

@@ -262,6 +262,27 @@ def test_cut_sectors_are_built_only_for_states_that_reach_them(tmp_path, args, c
     assert fock.beamsplitter.cache_info().misses * 49 == cut_sectors
 
 
+@pytest.mark.parametrize(
+    "args, whole_sectors",
+    [
+        (["distribution"], 9),
+        (["distribution", "--postselect", "C,S2"], 17),
+        (["enumerate"], 17),
+        (["wigner", "--schedule", "qp", "--postselect", "C,S"], 17),
+        (["chain", "--schedule", "pqpqpqpq", "--postselect", "C,C,C,C,C,C,C,C"], 50),
+    ],
+)
+def test_whole_sectors_are_built_only_as_far_as_states_reach(tmp_path, args, whole_sectors):
+    # at dim 50 the default input (top level 4) bred with itself fills the
+    # sectors t ≤ 8 of the corner w = 9, and two of its posts (top level 8)
+    # those of the corner 17: the whole sectors t < w are written, and the
+    # chain's fourth level, which needs the full width, writes all 50
+    fock._sector_store.cache_clear()
+    fock.beamsplitter.cache_clear()
+    assert run_cli([*args, "--dim", "50", "--output-path", str(tmp_path / "out.csv")]) == EXIT_OK
+    assert fock._sector_store(50).whole == whole_sectors
+
+
 def test_cli_sends_only_real_arrays_to_the_kernels(tmp_path, monkeypatch):
     # a state bred with itself stays real at every level, and a p
     # measurement turns complex only the post of two different arms, which
@@ -637,6 +658,25 @@ def test_argparse_exits_become_return_codes(capsys):
     assert main(["nosuchcommand"]) == EXIT_CONFIG
     assert main(["chain", "--dim", "many"]) == EXIT_CONFIG
     assert "--dim" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["chain", "--help"], ["chian"], [], ["chain", "--bogus", "1"], ["wigner", "--dim"]],
+)
+def test_cli_surface_is_that_of_the_parser_with_every_command(capsys, argv):
+    # a command's run builds its own subparser alone: its help, its errors
+    # and an unknown or missing command print the bytes, and give the exit
+    # code, of the parser with all five
+    code = main(argv)
+    printed = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        _build_parser().parse_args(argv)
+    assert code == exc.value.code
+    assert printed == capsys.readouterr()
+    if argv == ["chian"]:
+        assert code == EXIT_CONFIG
+        assert "invalid choice: 'chian' (choose from " + ", ".join(map(repr, COMMANDS)) in printed.err
 
 
 #: Post-selection tokens: indices in and out of range at dims 2-12, peak

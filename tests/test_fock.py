@@ -15,7 +15,13 @@ from qpbreed import (
     qunaught_state,
     squeezed_vacuum,
 )
-from qpbreed.fock import _packed_sectors, _sector_index, annihilation, apply_beamsplitter
+from qpbreed.fock import (
+    _sector_index,
+    _sector_store,
+    _SectorStore,
+    annihilation,
+    apply_beamsplitter,
+)
 from oracles import (
     BEAMSPLITTER_ROUTES,
     HERMITIAN,
@@ -24,6 +30,7 @@ from oracles import (
     dense_beamsplitter,
     displacement_element,
     displacement_matrix,
+    full_row_sectors,
     generator_beamsplitter,
     parity_operator,
     quad_qunaught_state,
@@ -262,17 +269,41 @@ def test_batched_cut_sectors_match_per_sector_exponentials(dim):
     pin to scipy's and the closed form. They agree bit for bit, since each
     window holds every level its recursion reads."""
     blocks = beamsplitter(FockConfig(dim))
-    whole = _packed_sectors.__wrapped__(2 * dim)  # uncached: 66 MB at dim 202
+    whole = _SectorStore(2 * dim).whole_sectors(2 * dim)  # uncached: 66 MB at dim 202
     for total in range(dim, 2 * dim - 1):
         box = slice(total - dim + 1, dim)
         assert np.array_equal(blocks[total - dim, box, box], whole[total, box, box])
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 17, 50, 51, 101])
+def test_sector_builder_matches_the_full_row_recursion(dim):
+    """The upper half of each sector's rows and their mirror, against the
+    recursion on every row, bit for bit and zeros' signs included: whole
+    and cut sectors, built in one pass and in pieces, the whole sectors of
+    corners 9 and 17 first, as the breeding steps of a chain ask for them.
+    A piece writes its whole sectors and nothing else."""
+    whole, every = full_row_sectors(dim, dim), full_row_sectors(dim, 2 * dim - 1)
+    one_pass = _SectorStore(dim)
+    assert one_pass.whole_sectors(dim).tobytes() == whole.tobytes()
+    one_pass.write(range(dim, 2 * dim - 1))
+    assert one_pass.blocks.tobytes() == every.tobytes()
+    pieces = _SectorStore(dim)
+    for width in (9, 17):
+        if width < dim:
+            assert pieces.whole_sectors(width).tobytes() == full_row_sectors(dim, width).tobytes()
+            assert pieces.whole == width
+    assert pieces.whole_sectors(dim).tobytes() == whole.tobytes()
+    pieces.write(range(dim, 2 * dim - 1))
+    assert pieces.blocks.tobytes() == every.tobytes()
+    assert beamsplitter(FockConfig(dim)).tobytes() == every.tobytes()
+    assert not beamsplitter(FockConfig(dim)).flags.writeable
 
 
 def test_beamsplitter_builds_no_full_size_eigensolve(monkeypatch):
     # neither the whole sectors nor the cut ones take an eigensolve
     calls = []
     monkeypatch.setattr(np.linalg, "eigh", lambda *args, **kwargs: calls.append(args))
-    _packed_sectors.cache_clear()
+    _sector_store.cache_clear()
     blocks = beamsplitter.__wrapped__(FockConfig(37))
     assert not calls
     assert blocks[0, 1:, 1:].any()  # the cut sector 37 was built
