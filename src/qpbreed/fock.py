@@ -233,30 +233,29 @@ def _even_peaks(cfg: FockConfig, delta: float, weight) -> np.ndarray:
 
 class _SectorStore:
     """The (dim, dim, dim) packed blocks of :func:`beamsplitter` for one
-    dim, and the number ``whole`` of whole sectors t < whole written into
-    them. The array is the one a dim holds however it is reached; it is
-    read-only outside the writes of :func:`_write_sectors`."""
+    dim, and the number ``written`` of sectors t < written built into them:
+    the whole sectors t < dim come first, then the cut ones, always in
+    order, since each sector is built from sector t − 1. The array is the
+    one a dim holds however it is reached; it is read-only outside the
+    writes of :func:`_write_sectors`."""
 
     def __init__(self, dim: int):
         self.blocks = np.zeros((dim, dim, dim))
         self.blocks[0, 0, 0] = 1.0
         self.blocks.setflags(write=False)
-        self.whole = 1
+        self.written = 1
 
-    def whole_sectors(self, width: int) -> np.ndarray:
-        """The blocks, with every whole sector t < width written: those
-        past the last one written are built from it, in order."""
-        if self.whole < width:
-            self.write(range(self.whole, width))
-            self.whole = width
+    def sectors(self, end: int) -> np.ndarray:
+        """The blocks, with every sector t < end built: those past the
+        last one built are built from it, in order."""
+        if self.written < end:
+            self.blocks.setflags(write=True)
+            try:
+                _write_sectors(self.blocks, range(self.written, end))
+            finally:
+                self.blocks.setflags(write=False)
+            self.written = end
         return self.blocks
-
-    def write(self, totals: range) -> None:
-        self.blocks.setflags(write=True)
-        try:
-            _write_sectors(self.blocks, totals)
-        finally:
-            self.blocks.setflags(write=False)
 
 
 @lru_cache(maxsize=None)
@@ -282,16 +281,13 @@ def beamsplitter(cfg: FockConfig) -> np.ndarray:
     that reaches sector dim loses norm through it (:func:`_write_sectors`).
 
     A dim holds one packed array (:class:`_SectorStore`), filled on
-    demand. :func:`apply_beamsplitter` on a corner w < dim writes the whole
-    sectors t < w only, carrying on from the last one written. This call
-    writes the rest of the whole sectors and then the cut ones, on levels
+    demand. :func:`apply_beamsplitter` on a corner w < dim builds the whole
+    sectors t < w only, carrying on from the last one built. This call
+    builds the rest of the whole sectors and then the cut ones, on levels
     the whole ones leave zero; :func:`apply_beamsplitter` makes it only for
     a state that reaches sector dim.
     """
-    store = _sector_store(cfg.dim)
-    store.whole_sectors(cfg.dim)
-    store.write(range(cfg.dim, 2 * cfg.dim - 1))
-    return store.blocks
+    return _sector_store(cfg.dim).sectors(2 * cfg.dim - 1)
 
 
 def _write_sectors(blocks: np.ndarray, totals: range) -> None:
@@ -307,38 +303,29 @@ def _write_sectors(blocks: np.ndarray, totals: range) -> None:
     low − 1..high only: a cut sector is the exact sub-block, with no larger
     window. A whole sector (low = 0) reads sector t − 1 after a zero level
     −1, copied into a zero-bordered scratch buffer, and on level t, outside
-    sector t − 1; both meet a zero coefficient √k or √l.
-
-    Only the upper ⌈n/2⌉ of a sector's n box rows go through the
-    recursion. The others are their exchange-parity mirror,
-    B_t[k′, k] = (−1)^(k+k′)·B_t[t − k′, t − k], which maps the box
-    low..high onto itself, whole or cut. The recursion is exactly symmetric
-    in floating point, so the mirrored rows are bit for bit those the
-    recursion gives, and a zero stays +0.
+    sector t − 1 and still zero, as the cut sector t + dim − 1 that shares
+    its block comes later; both meet a zero coefficient √k or √l.
     """
     dim = len(blocks)
     roots = np.sqrt(np.arange(dim))
-    signs = np.where(np.add.outer(np.arange(dim), np.arange(dim)) % 2, -1.0, 1.0)  # (−1)^(k+k′)
     padded = np.zeros((dim + 1, dim + 1))  # row and column 0 stay zero: level −1
     for total in totals:
         low, high = max(0, total - dim + 1), min(total, dim - 1)
-        size = high - low + 1
-        half = (size + 1) // 2
         if low:
-            previous = blocks[(total - 1) % dim, low - 1 : low + half, low - 1 : high + 1]
+            previous = blocks[(total - 1) % dim, low - 1 : high + 1, low - 1 : high + 1]
         else:
-            padded[1 : half + 1, 1 : high + 2] = blocks[total - 1, :half, : high + 1]
-            previous = padded[: half + 1, : high + 2]
+            padded[1 : high + 2, 1 : high + 2] = blocks[total - 1, : high + 1, : high + 1]
+            previous = padded[: high + 2, : high + 2]
         root = roots[low : high + 1]  # √k; reversed, √l = √(t − k)
         from_a = root * previous[:, :-1]  # column k: √k·U|k − 1, l⟩, rows from level low − 1
         from_b = root[::-1] * previous[:, 1:]  # √l·U|k, l − 1⟩
         block = blocks[total % dim, low : high + 1, low : high + 1]
-        upper, lower = block[:half], block[half:]
-        np.multiply(root[:half, None], (from_a + from_b)[:-1], out=upper)  # the a† parts of A and B
-        upper += root[::-1][:half, None] * (from_b - from_a)[1:]  # their b† parts
-        upper /= total * math.sqrt(2)
-        np.multiply(upper[: size - half, ::-1][::-1], signs[half:size, :size], out=lower)
-        lower += 0.0  # a negated zero back to +0
+        np.add(from_a[:-1], from_b[:-1], out=block)  # the a† parts of A and B
+        block *= root[:, None]
+        from_b -= from_a  # their b† parts, in place to spare two temporaries
+        from_b[1:] *= root[::-1, None]
+        block += from_b[1:]
+        block /= total * math.sqrt(2)
 
 
 @lru_cache(maxsize=None)
@@ -368,7 +355,7 @@ def apply_beamsplitter(cfg: FockConfig, coeff: np.ndarray) -> np.ndarray:
     A corner w < dim must hold exact zeros in every sector t ≥ w, as a
     joint state of two states with top levels summing to w − 1 does. It is
     mixed by the corner [:w, :w, :w] of the packed blocks, the whole sectors
-    t < w at their places for ``_sector_index(w)``, each written by the
+    t < w at their places for ``_sector_index(w)``, each built by the
     first call that needs it. It needs no cut sector: those are built only
     when w = dim (:func:`beamsplitter`).
     """
@@ -376,7 +363,7 @@ def apply_beamsplitter(cfg: FockConfig, coeff: np.ndarray) -> np.ndarray:
     if width == cfg.dim:
         blocks = beamsplitter(cfg)
     else:
-        blocks = _sector_store(cfg.dim).whole_sectors(width)[:width, :width, :width]
+        blocks = _sector_store(cfg.dim).sectors(width)[:width, :width, :width]
     index = _sector_index(width)
     flat = coeff.reshape(-1, width * width)
     sectors = np.empty((width * width, len(flat)), dtype=np.result_type(flat, np.float64))

@@ -81,9 +81,8 @@ def label_peaks(dist: OutcomeDistribution) -> OutcomeDistribution:
             s1 = max(peaks, key=lambda i: p[i])
             labels[s1] = "S1"
             labels[dim - 1 - s1] = "mirror-S1"
-            if s1 - 1 >= 0:
-                labels[s1 - 1] = "S2"
-                labels[dim - s1] = "mirror-S2"
+            labels[s1 - 1] = "S2"  # s1 ≥ 1, so S2 exists
+            labels[dim - s1] = "mirror-S2"
         else:
             rescaled = dist.rescaled_outcomes
             s = min(peaks, key=lambda i: abs(rescaled[i] + 1.0))

@@ -12,8 +12,8 @@ two-mode generator assembled from Kronecker products on 2·dim − 1 levels,
 or of each photon-number sector's whole generator assembled from
 single-mode matrix elements, both cut to the box (vs the d^j recursion,
 carried past sector dim − 1 on the box levels only), the same recursion
-on every row of each sector (vs the upper half of the rows and their
-exchange-parity mirror), and, for the largest
+written afresh in one pass with ``np.pad`` for the zero level −1 (vs a
+zero-bordered scratch buffer, filled corner by corner), and, for the largest
 sectors, the closed-form Krawtchouk sum of each matrix element in exact
 integers and 40-digit square roots,
 and Wigner values by assembling the displaced-parity expectation directly.
@@ -272,11 +272,10 @@ def sector_expm_beamsplitter(cfg):
 def full_row_sectors(dim, top):
     """The packed ``(dim, dim, dim)`` blocks of ``fock.beamsplitter`` with
     the sectors t < ``top`` written, t ≤ 2·dim − 2, each from sector t − 1
-    on every row and column of its box by the d-matrix recursion, where the
-    library takes the upper half of the rows from the recursion and the
-    rest from their exchange-parity mirror. A whole sector reads sector
-    t − 1 padded with a zero level −1 by ``np.pad``, and on level t, which
-    holds zeros; a cut one reads the levels low − 1..dim − 1 of its box."""
+    on every row and column of its box by the d-matrix recursion, in one
+    pass. A whole sector reads sector t − 1 padded with a zero level −1 by
+    ``np.pad``, and on level t, which holds zeros; a cut one reads the
+    levels low − 1..dim − 1 of its box."""
     blocks = np.zeros((dim, dim, dim))
     blocks[0, 0, 0] = 1.0
     for total in range(1, top):

@@ -263,24 +263,25 @@ def test_cut_sectors_are_built_only_for_states_that_reach_them(tmp_path, args, c
 
 
 @pytest.mark.parametrize(
-    "args, whole_sectors",
+    "args, written",
     [
         (["distribution"], 9),
         (["distribution", "--postselect", "C,S2"], 17),
         (["enumerate"], 17),
         (["wigner", "--schedule", "qp", "--postselect", "C,S"], 17),
-        (["chain", "--schedule", "pqpqpqpq", "--postselect", "C,C,C,C,C,C,C,C"], 50),
+        (["chain", "--schedule", "pqpqpqpq", "--postselect", "C,C,C,C,C,C,C,C"], 99),
     ],
 )
-def test_whole_sectors_are_built_only_as_far_as_states_reach(tmp_path, args, whole_sectors):
+def test_whole_sectors_are_built_only_as_far_as_states_reach(tmp_path, args, written):
     # at dim 50 the default input (top level 4) bred with itself fills the
     # sectors t ≤ 8 of the corner w = 9, and two of its posts (top level 8)
-    # those of the corner 17: the whole sectors t < w are written, and the
-    # chain's fourth level, which needs the full width, writes all 50
+    # those of the corner 17: the whole sectors t < w are built, and the
+    # chain's fourth level, which needs the full width, builds all
+    # 2·50 − 1 = 99, the 50 whole ones and then the 49 cut ones
     fock._sector_store.cache_clear()
     fock.beamsplitter.cache_clear()
     assert run_cli([*args, "--dim", "50", "--output-path", str(tmp_path / "out.csv")]) == EXIT_OK
-    assert fock._sector_store(50).whole == whole_sectors
+    assert fock._sector_store(50).written == written
 
 
 def test_cli_sends_only_real_arrays_to_the_kernels(tmp_path, monkeypatch):

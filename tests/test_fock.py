@@ -269,7 +269,7 @@ def test_batched_cut_sectors_match_per_sector_exponentials(dim):
     pin to scipy's and the closed form. They agree bit for bit, since each
     window holds every level its recursion reads."""
     blocks = beamsplitter(FockConfig(dim))
-    whole = _SectorStore(2 * dim).whole_sectors(2 * dim)  # uncached: 66 MB at dim 202
+    whole = _SectorStore(2 * dim).sectors(2 * dim)  # uncached: 66 MB at dim 202
     for total in range(dim, 2 * dim - 1):
         box = slice(total - dim + 1, dim)
         assert np.array_equal(blocks[total - dim, box, box], whole[total, box, box])
@@ -277,26 +277,47 @@ def test_batched_cut_sectors_match_per_sector_exponentials(dim):
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 17, 50, 51, 101])
 def test_sector_builder_matches_the_full_row_recursion(dim):
-    """The upper half of each sector's rows and their mirror, against the
-    recursion on every row, bit for bit and zeros' signs included: whole
-    and cut sectors, built in one pass and in pieces, the whole sectors of
-    corners 9 and 17 first, as the breeding steps of a chain ask for them.
-    A piece writes its whole sectors and nothing else."""
-    whole, every = full_row_sectors(dim, dim), full_row_sectors(dim, 2 * dim - 1)
+    """The library's sectors against the oracle's recursion, bit for bit
+    and zeros' signs included: whole and cut sectors, built in one pass and
+    in pieces, the whole sectors of corners 9 and 17 first, as the breeding
+    steps of a chain ask for them. A piece builds the sectors below its
+    corner and nothing else, and a corner asked for once every sector is
+    built writes nothing."""
+    every = full_row_sectors(dim, 2 * dim - 1)
     one_pass = _SectorStore(dim)
-    assert one_pass.whole_sectors(dim).tobytes() == whole.tobytes()
-    one_pass.write(range(dim, 2 * dim - 1))
-    assert one_pass.blocks.tobytes() == every.tobytes()
+    assert one_pass.sectors(2 * dim - 1).tobytes() == every.tobytes()
+    assert one_pass.written == 2 * dim - 1
     pieces = _SectorStore(dim)
     for width in (9, 17):
         if width < dim:
-            assert pieces.whole_sectors(width).tobytes() == full_row_sectors(dim, width).tobytes()
-            assert pieces.whole == width
-    assert pieces.whole_sectors(dim).tobytes() == whole.tobytes()
-    pieces.write(range(dim, 2 * dim - 1))
-    assert pieces.blocks.tobytes() == every.tobytes()
-    assert beamsplitter(FockConfig(dim)).tobytes() == every.tobytes()
-    assert not beamsplitter(FockConfig(dim)).flags.writeable
+            assert pieces.sectors(width).tobytes() == full_row_sectors(dim, width).tobytes()
+            assert pieces.written == width
+    assert pieces.sectors(2 * dim - 1).tobytes() == every.tobytes()
+    for width in (9, 17):
+        if width < dim:
+            assert pieces.sectors(width).tobytes() == every.tobytes()
+            assert pieces.written == 2 * dim - 1
+    built = beamsplitter(FockConfig(dim))
+    assert built.tobytes() == every.tobytes()
+    assert not built.flags.writeable
+    beamsplitter.cache_clear()
+    assert beamsplitter(FockConfig(dim)) is built
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 17, 50, 51, 101])
+def test_sectors_are_their_exchange_parity_mirror(dim):
+    """Every whole and cut sector's box block B equals its exchange-parity
+    mirror, B[k′, k] = (−1)^(k+k′)·B[t − k′, t − k], which maps the box onto
+    itself: the parity rule of breed_step and the exchange copies of the
+    two-iteration fold rest on it. No zero carries a sign."""
+    blocks = beamsplitter(FockConfig(dim))
+    for total in range(2 * dim - 1):
+        low, high = max(0, total - dim + 1), min(total, dim - 1)
+        block = blocks[total % dim, low : high + 1, low : high + 1]
+        levels = np.arange(low, high + 1)
+        sign = np.where(np.add.outer(levels, levels) % 2, -1.0, 1.0)
+        assert np.array_equal(block, sign * block[::-1, ::-1])
+    assert not np.signbit(blocks[blocks == 0]).any()
 
 
 def test_beamsplitter_builds_no_full_size_eigensolve(monkeypatch):
