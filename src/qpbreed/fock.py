@@ -90,23 +90,29 @@ def annihilation(cfg: FockConfig) -> np.ndarray:
     return a
 
 
+def _i_powers(n: np.ndarray) -> np.ndarray:
+    """iⁿ for an integer array n, each an exact ±1 or ±i read from a table
+    of four, where numpy's ``1j ** n`` is off by up to 9.4e-14 past n = 99."""
+    return np.array([1, 1j, -1, -1j])[n % 4]
+
+
 @lru_cache(maxsize=None)
 def quadrature_basis(cfg: FockConfig, axis: str) -> QuadratureBasis:
     """Diagonalize the q or p quadrature on the truncated Fock space.
 
     q is real symmetric tridiagonal in the Fock basis, so its eigenvectors
-    are real (float64). p shares its spectrum and its eigenvectors are
-    obtained through the Fock-diagonal phase map |n⟩ → iⁿ|n⟩, under which
-    p = F q F†: row n of the complex p eigenvectors is iⁿ times row n of the
-    q eigenvectors, exactly. So the p basis is built from the cached q
-    basis, and a dim makes one eigensolve for both axes; they share the
-    eigenvalue array.
+    are real (float64). p shares its spectrum, and under the Fock-diagonal
+    phase map |n⟩ → iⁿ|n⟩ it is p = F q F†: row n of the complex p
+    eigenvectors is iⁿ (:func:`_i_powers`, exact by construction) times
+    row n of the q eigenvectors, so each entry is ±v or ±iv, bit for bit.
+    The p basis is built from the cached q basis, and a dim makes one
+    eigensolve for both axes; they share the eigenvalue array.
     """
     if axis not in ("q", "p"):
         raise ValueError(f"axis must be 'q' or 'p', got {axis!r}")
     if axis == "p":
         q = quadrature_basis(cfg, "q")
-        vectors = (1j ** np.arange(cfg.dim))[:, None] * q.eigenvectors
+        vectors = _i_powers(np.arange(cfg.dim))[:, None] * q.eigenvectors
         vectors.setflags(write=False)
         return QuadratureBasis(axis=axis, dim=cfg.dim, eigenvalues=q.eigenvalues, eigenvectors=vectors)
     offdiag = np.sqrt(np.arange(1, cfg.dim) / 2.0)
@@ -235,25 +241,28 @@ class _SectorStore:
     """The (dim, dim, dim) packed blocks of :func:`beamsplitter` for one
     dim, and the number ``written`` of sectors t < written built into them:
     the whole sectors t < dim come first, then the cut ones, always in
-    order, since each sector is built from sector t − 1. The array is the
-    one a dim holds however it is reached; it is read-only outside the
-    writes of :func:`_write_sectors`."""
+    order, since each sector is built from sector t − 1. They are the view
+    ``blocks`` = ``bordered[:, 1:, 1:]`` of one (dim, dim + 1, dim + 1)
+    array whose row and column 0 of each block are level −1 and stay zero.
+    The array is the one a dim holds however it is reached; it is read-only
+    outside the writes of :func:`_write_sectors`, and the view always."""
 
     def __init__(self, dim: int):
-        self.blocks = np.zeros((dim, dim, dim))
-        self.blocks[0, 0, 0] = 1.0
-        self.blocks.setflags(write=False)
+        self.bordered = np.zeros((dim, dim + 1, dim + 1))
+        self.bordered[0, 1, 1] = 1.0
+        self.bordered.setflags(write=False)
+        self.blocks = self.bordered[:, 1:, 1:]
         self.written = 1
 
     def sectors(self, end: int) -> np.ndarray:
         """The blocks, with every sector t < end built: those past the
         last one built are built from it, in order."""
         if self.written < end:
-            self.blocks.setflags(write=True)
+            self.bordered.setflags(write=True)
             try:
-                _write_sectors(self.blocks, range(self.written, end))
+                _write_sectors(self.bordered, range(self.written, end))
             finally:
-                self.blocks.setflags(write=False)
+                self.bordered.setflags(write=False)
             self.written = end
         return self.blocks
 
@@ -290,36 +299,33 @@ def beamsplitter(cfg: FockConfig) -> np.ndarray:
     return _sector_store(cfg.dim).sectors(2 * cfg.dim - 1)
 
 
-def _write_sectors(blocks: np.ndarray, totals: range) -> None:
-    """Write each sector t of ``totals``, in order, into the packed
-    ``blocks`` of :func:`beamsplitter` from sector t − 1, already there.
+def _write_sectors(bordered: np.ndarray, totals: range) -> None:
+    """Write each sector t of ``totals``, in order, into the zero-bordered
+    blocks of :class:`_SectorStore`, where level k is at index k + 1, from
+    sector t − 1, already there.
 
     The recursion is t·U|k, l⟩ = √k·A·U|k − 1, l⟩ + √l·B·U|k, l − 1⟩, with
     A = U a† U† = (a† − b†)/√2 and B = U b† U† = (a† + b†)/√2. Every
     coefficient of this averaged recursion is at most 1 in size, which keeps
     it stable where the one-term ladder recursion is not. Row and column k
     of sector t need rows and columns k − 1 and k of sector t − 1, so sector
-    t on its box levels low..high needs sector t − 1 on levels
-    low − 1..high only: a cut sector is the exact sub-block, with no larger
-    window. A whole sector (low = 0) reads sector t − 1 after a zero level
-    −1, copied into a zero-bordered scratch buffer, and on level t, outside
-    sector t − 1 and still zero, as the cut sector t + dim − 1 that shares
-    its block comes later; both meet a zero coefficient √k or √l.
+    t on its box levels low..high reads sector t − 1 on levels
+    low − 1..high only, one slice of the bordered block: a cut sector is the
+    exact sub-block, with no larger window. A whole sector (low = 0) reads
+    the zero level −1 of the border, and level t, outside sector t − 1 and
+    still zero, as the cut sector t + dim − 1 that shares its block comes
+    later; both meet a zero coefficient √k or √l.
     """
-    dim = len(blocks)
+    dim = len(bordered)
     roots = np.sqrt(np.arange(dim))
-    padded = np.zeros((dim + 1, dim + 1))  # row and column 0 stay zero: level −1
     for total in totals:
         low, high = max(0, total - dim + 1), min(total, dim - 1)
-        if low:
-            previous = blocks[(total - 1) % dim, low - 1 : high + 1, low - 1 : high + 1]
-        else:
-            padded[1 : high + 2, 1 : high + 2] = blocks[total - 1, : high + 1, : high + 1]
-            previous = padded[: high + 2, : high + 2]
+        # sector t − 1 on levels low − 1..high, at indices low..high + 1
+        previous = bordered[(total - 1) % dim, low : high + 2, low : high + 2]
         root = roots[low : high + 1]  # √k; reversed, √l = √(t − k)
         from_a = root * previous[:, :-1]  # column k: √k·U|k − 1, l⟩, rows from level low − 1
         from_b = root[::-1] * previous[:, 1:]  # √l·U|k, l − 1⟩
-        block = blocks[total % dim, low : high + 1, low : high + 1]
+        block = bordered[total % dim, low + 1 : high + 2, low + 1 : high + 2]
         np.add(from_a[:-1], from_b[:-1], out=block)  # the a† parts of A and B
         block *= root[:, None]
         from_b -= from_a  # their b† parts, in place to spare two temporaries

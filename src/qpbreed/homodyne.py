@@ -43,21 +43,14 @@ def projection_amplitudes(state2: np.ndarray, basis: QuadratureBasis) -> np.ndar
     mode 2; its squared norm is the outcome probability. Only the first w
     rows of the eigenvectors meet M, so w is read from its shape.
 
-    The q eigenvectors v are real, so a q projection is the one product
-    vᵀM. The p eigenvectors are iᵏ·v_k, so row i of a p projection is
-    Σ_k (−i)ᵏ v_ki M_kl = E − iO, where E and O are the half-size products
-    of the real signed rows (−1)^⌊k/2⌋ v_ki with the even and the odd rows
-    k of M. M's dtype carries the arithmetic: a real M meets only real
-    products and gives real q amplitudes and complex p ones, and a complex
-    M goes through the same products, which are linear in M.
+    Both axes take the one product V†M with the stored eigenvectors V: the
+    q ones are real, and the p ones are the q ones times the exact phases
+    iᵏ (:func:`~qpbreed.fock.quadrature_basis`), whose entries ±v and ±iv
+    meet M with no rounding of their own. M's dtype carries the
+    arithmetic: a real M gives real q amplitudes and complex p ones, and a
+    complex M gives complex amplitudes on both axes.
     """
-    rows = basis.eigenvectors[: state2.shape[-1]]
-    if basis.axis == "q":
-        return rows.T @ state2
-    signed = rows.real + rows.imag  # (−1)^⌊k/2⌋ v_ki
-    even = signed[0::2].T @ state2[..., 0::2, :]
-    odd = signed[1::2].T @ state2[..., 1::2, :]
-    return even - 1j * odd
+    return basis.eigenvectors[: state2.shape[-1]].conj().T @ state2
 
 
 def label_peaks(dist: OutcomeDistribution) -> OutcomeDistribution:

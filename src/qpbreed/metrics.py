@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import VACUUM_VARIANCE, FockConfig, displacement, hermite_functions, top_level
+from .fock import VACUUM_VARIANCE, FockConfig, _i_powers, displacement, hermite_functions, top_level
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -33,13 +33,12 @@ def _probe(cfg: FockConfig, direction: str) -> np.ndarray:
     """The probe displacement of :func:`effective_squeezing`. Along q it is
     D(√π), a shift T of the position, so :func:`~qpbreed.fock.displacement`
     gives it a real matrix and an imaginary part of exact zeros: only the
-    real part is kept. Along p it is D(i√π) = R·T·R†, R = e^{iπn/2}, the
-    same real shift T between the phases that
-    :func:`~qpbreed.fock.displacement` puts on it, so it is made from the q
-    probe with the same arithmetic."""
+    real part is kept. Along p it is D(i√π) = R·T·R†, R = iⁿ, the same real
+    shift T between phases, so entry [m, n] is the exact i^(m−n)
+    (:func:`~qpbreed.fock._i_powers`) times the q probe's."""
     if direction == "p":
-        phase = np.exp(1j * np.angle(1j * SQRT_PI) * np.arange(cfg.dim))
-        op = phase[:, None] * _probe(cfg, "q") * phase.conj()
+        n = np.arange(cfg.dim)
+        op = _i_powers(n[:, None] - n) * _probe(cfg, "q")
     else:
         op = np.ascontiguousarray(displacement(cfg, SQRT_PI).real)
     op.setflags(write=False)

@@ -12,8 +12,9 @@ two-mode generator assembled from Kronecker products on 2·dim − 1 levels,
 or of each photon-number sector's whole generator assembled from
 single-mode matrix elements, both cut to the box (vs the d^j recursion,
 carried past sector dim − 1 on the box levels only), the same recursion
-written afresh in one pass with ``np.pad`` for the zero level −1 (vs a
-zero-bordered scratch buffer, filled corner by corner), and, for the largest
+written afresh in one pass with ``np.pad`` for the zero level −1 (vs the
+zero level −1 the sector store keeps as a border of its own array, filled
+corner by corner), and, for the largest
 sectors, the closed-form Krawtchouk sum of each matrix element in exact
 integers and 40-digit square roots,
 and Wigner values by assembling the displaced-parity expectation directly.

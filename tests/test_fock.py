@@ -282,17 +282,31 @@ def test_sector_builder_matches_the_full_row_recursion(dim):
     in pieces, the whole sectors of corners 9 and 17 first, as the breeding
     steps of a chain ask for them. A piece builds the sectors below its
     corner and nothing else, and a corner asked for once every sector is
-    built writes nothing."""
+    built writes nothing. Through every build the store's zero-bordered
+    backing array stays read-only, its level −1 row and column exact zeros,
+    and the blocks are a view of it."""
+    border = np.zeros((dim, dim + 1)).tobytes()
+
+    def check_backing(store):
+        backing = store.bordered
+        assert not backing.flags.writeable
+        assert backing[:, 0, :].tobytes() == border
+        assert backing[:, :, 0].tobytes() == border
+        assert np.shares_memory(store.blocks, backing)
+
     every = full_row_sectors(dim, 2 * dim - 1)
     one_pass = _SectorStore(dim)
     assert one_pass.sectors(2 * dim - 1).tobytes() == every.tobytes()
     assert one_pass.written == 2 * dim - 1
+    check_backing(one_pass)
     pieces = _SectorStore(dim)
     for width in (9, 17):
         if width < dim:
             assert pieces.sectors(width).tobytes() == full_row_sectors(dim, width).tobytes()
             assert pieces.written == width
+            check_backing(pieces)
     assert pieces.sectors(2 * dim - 1).tobytes() == every.tobytes()
+    check_backing(pieces)
     for width in (9, 17):
         if width < dim:
             assert pieces.sectors(width).tobytes() == every.tobytes()
@@ -300,6 +314,8 @@ def test_sector_builder_matches_the_full_row_recursion(dim):
     built = beamsplitter(FockConfig(dim))
     assert built.tobytes() == every.tobytes()
     assert not built.flags.writeable
+    check_backing(_sector_store(dim))
+    assert np.shares_memory(built, _sector_store(dim).bordered)
     beamsplitter.cache_clear()
     assert beamsplitter(FockConfig(dim)) is built
 

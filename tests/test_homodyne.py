@@ -43,10 +43,14 @@ def test_p_basis_diagonalizes_p(cfg, basis_p):
     assert np.max(np.abs(residual)) < EIG_RESIDUAL
 
 
-def test_p_basis_is_the_phased_real_q_basis(basis_q, basis_p):
-    assert basis_q.eigenvectors.dtype == np.float64
-    phases = 1j ** np.arange(basis_q.dim)
-    np.testing.assert_array_equal(basis_p.eigenvectors, phases[:, None] * basis_q.eigenvectors)
+@pytest.mark.parametrize("dim", [50, 101, 200, 645])
+def test_p_basis_is_the_phased_real_q_basis(dim):
+    # row n of the p basis is the exact iⁿ, a ±1 or ±i, times row n of the
+    # real q basis, bit for bit: numpy's 1j ** n is off past n = 99
+    q, p = (quadrature_basis(FockConfig(dim), axis) for axis in "qp")
+    assert q.eigenvectors.dtype == np.float64
+    phases = np.array([1, 1j, -1, -1j])[np.arange(dim) % 4]
+    assert p.eigenvectors.tobytes() == (phases[:, None] * q.eigenvectors).tobytes()
 
 
 def test_one_eigensolve_per_dim_for_both_axes(monkeypatch, tmp_path):
@@ -73,18 +77,20 @@ def test_one_eigensolve_per_dim_for_both_axes(monkeypatch, tmp_path):
     assert sizes == [19]
 
 
-@pytest.mark.parametrize("dim", [2, 3, 12, 13])
+@pytest.mark.parametrize("dim", [2, 3, 12, 13, 101, 130])
 def test_projection_is_the_conjugate_basis_product(dim):
-    # the real products, and the even/odd split of a p projection, must give
-    # the plain complex product for real and complex inputs, odd dims too
+    # the one product with the stored basis against the explicit sum over k
+    # of the real q eigenvectors, times the exact phases (−i)ᵏ for p, for
+    # real and complex inputs, odd dims and rows past n = 100 too
     rng = np.random.default_rng(dim)
     real = rng.normal(size=(3, dim, dim))
+    q = quadrature_basis(FockConfig(dim), "q").eigenvectors
+    conjugate_phases = {"q": np.ones(dim), "p": np.array([1, -1j, -1, 1j])[np.arange(dim) % 4]}
     for state2 in (real, real[0], real + 1j * rng.normal(size=real.shape)):
         for axis in "qp":
-            basis = quadrature_basis(FockConfig(dim), axis)
-            amplitudes = projection_amplitudes(state2, basis)
+            amplitudes = projection_amplitudes(state2, quadrature_basis(FockConfig(dim), axis))
             assert amplitudes.dtype == (state2.dtype if axis == "q" else np.complex128)
-            expected = basis.eigenvectors.conj().T @ state2
+            expected = np.einsum("k,ki,...kl->...il", conjugate_phases[axis], q, state2)
             np.testing.assert_allclose(amplitudes, expected, rtol=0, atol=1e-14)
 
 

@@ -78,6 +78,16 @@ def test_effective_squeezing_symmetry_on_target(cfg, target):
     assert delta_q == pytest.approx(0.4, abs=5e-3)
 
 
+@pytest.mark.parametrize("dim", [3, 50, 101, 200])
+def test_p_probe_is_the_q_probe_between_exact_phases(dim):
+    # entry [m, n] of D(i√π) is the exact i^(m−n), a ±1 or ±i, times that of
+    # D(√π), bit for bit and zeros' signs included
+    cfg = FockConfig(dim)
+    m, n = np.indices((dim, dim))
+    phases = np.array([1, 1j, -1, -1j])[(m - n) % 4]
+    assert metrics._probe(cfg, "p").tobytes() == (phases * metrics._probe(cfg, "q")).tobytes()
+
+
 def test_sgkp_db_values():
     assert sgkp_db(0.4) == pytest.approx(4.95, abs=0.005)
     assert sgkp_db(math.sqrt(0.5)) == pytest.approx(0.0, abs=1e-12)
