@@ -202,16 +202,19 @@ def cmd_enumerate(cfg: RunConfig) -> int:
     probability, fid, delta = (
         leaves[canonical] for leaves in enumerate_two_iterations(cfg.fock(), target=cfg.target())
     )
-    # per canonical leaf, how many of its three outcomes [q1, q2, p] have a distinct mirror
+    # per canonical leaf [q1, q2, p], how many of its three outcomes have a distinct mirror
+    q1, q2, p = np.nonzero(canonical)
     distinct = (2 * np.arange(cfg.dim) != cfg.dim - 1).astype(int)
-    m = (distinct[:, None, None] + distinct[:, None] + distinct)[canonical]
+    m = distinct[q1] + distinct[q2] + distinct[p]
     columns = [probability, sign_aggregated(probability, m), fid, delta]
     rows = zip(*(column.tolist() for column in columns))
     values = ["%.12g,%.12g,%.12g,%.12g" % row for row in rows]
     # the text after "q1,q2," depends only on the pair's orbit, named by its
-    # leaf at p = 0: its dim "p,values" strings are made once per orbit
+    # leaf at p = 0: its dim "p,values" strings are made once per orbit,
+    # each from the p's "p," label
+    labels = [f"{p}," for p in range(cfg.dim)]
     tails = {
-        leaves[0]: [f"{p},{values[leaf]}" for p, leaf in enumerate(leaves)]
+        leaves[0]: [label + values[leaf] for label, leaf in zip(labels, leaves)]
         for leaves in fold[canonical.any(axis=2)].tolist()
     }
     orbit = fold[:, :, 0].tolist()
@@ -224,7 +227,10 @@ def cmd_enumerate(cfg: RunConfig) -> int:
     )
     head = "q1,q2,p,probability,aggregated_probability,fidelity,effective_squeezing"
     _write_table(cfg, "enumerate", head, slabs)
-    weighted = probability * np.bincount(fold.ravel())  # by orbit size
+    # by orbit size: a canonical leaf stands for its 2^m mirror images, and for
+    # as many again by exchange when q1 ≠ q2 (a bincount of the read-only fold
+    # would copy it)
+    weighted = probability * (2**m * (1 + (q1 < q2)))
     curve_f = probability_fidelity_curve(weighted, fid, DEFAULT_FIDELITY_THRESHOLDS)
     curve_s = effective_squeezing_curve(weighted, delta, DEFAULT_SQUEEZING_BOUNDS)
     for suffix, column, points in (

@@ -35,22 +35,29 @@ class OutcomeDistribution:
         return self.eigenvalues / RESCALE
 
 
-def projection_amplitudes(state2: np.ndarray, basis: QuadratureBasis) -> np.ndarray:
-    """Unnormalized mode-2 amplitudes for every mode-1 outcome of a
-    two-mode state's (w, w) coefficient matrix M, or of a (..., w, w)
-    stack, w ≤ dim: the state on its first w levels of each mode, zero
-    above. Row i, of dim, is (⟨v_i| ⊗ I)|state2⟩ on the first w levels of
-    mode 2; its squared norm is the outcome probability. Only the first w
-    rows of the eigenvectors meet M, so w is read from its shape.
+def projection_amplitudes(
+    state2: np.ndarray, basis: QuadratureBasis, outcomes: slice = slice(None)
+) -> np.ndarray:
+    """Unnormalized mode-2 amplitudes for the mode-1 outcomes ``outcomes``,
+    a slice of the dim outcomes (all of them by default), of a two-mode
+    state's (w, w) coefficient matrix M, or of a (..., w, w) stack, w ≤ dim:
+    the state on its first w levels of each mode, zero above. Row i is
+    (⟨v_j| ⊗ I)|state2⟩ on the first w levels of mode 2, for the i-th
+    outcome j of the slice; its squared norm is that outcome's probability.
+    Only the first w rows of the eigenvectors meet M, so w is read from its
+    shape. A slice of two or more outcomes gives, bit for bit, the same
+    rows as the full call; numpy forms a one-outcome product as a vector
+    product, which may round differently in the last bit.
 
-    Both axes take the one product V†M with the stored eigenvectors V: the
-    q ones are real, and the p ones are the q ones times the exact phases
-    iᵏ (:func:`~qpbreed.fock.quadrature_basis`), whose entries ±v and ±iv
+    Both axes take the one product V†M with the stored eigenvectors V, cut
+    to the first w rows and the sliced columns: the q ones are real, and
+    the p ones are the q ones times the exact phases iᵏ
+    (:func:`~qpbreed.fock.quadrature_basis`), whose entries ±v and ±iv
     meet M with no rounding of their own. M's dtype carries the
     arithmetic: a real M gives real q amplitudes and complex p ones, and a
     complex M gives complex amplitudes on both axes.
     """
-    return basis.eigenvectors[: state2.shape[-1]].conj().T @ state2
+    return basis.eigenvectors[: state2.shape[-1], outcomes].conj().T @ state2
 
 
 def label_peaks(dist: OutcomeDistribution) -> OutcomeDistribution:

@@ -52,12 +52,17 @@ def effective_squeezing(cfg: FockConfig, state: np.ndarray, direction: str = "q"
     for 'q', imaginary for 'p'); for an ideal grid state of squeezing Δ both
     directions give δ = Δ. Gives 0.0 where the overlap magnitude reaches 1
     numerically and inf where it vanishes. ``state`` is one state, giving a
-    float, or a (..., dim) stack, giving an array of δ. The q probe is a real
-    matrix, so a real state is probed in real arithmetic.
+    float, or a (..., w) stack, giving an array of δ. It holds the first
+    w ≤ dim Fock levels, zero above, and is probed with the ``[:w, :w]``
+    corner of the dim-level probe, so w is read from its shape: a state
+    cut to the levels it occupies gives the δ of the same state padded
+    with zeros to dim, up to rounding. The q probe is a real matrix, so a
+    real state is probed in real arithmetic.
     """
     if direction not in ("q", "p"):
         raise ValueError(f"direction must be 'q' or 'p', got {direction!r}")
-    overlap = np.abs(np.vecdot(state, state @ _probe(cfg, direction).T))
+    width = state.shape[-1]
+    overlap = np.abs(np.vecdot(state, state @ _probe(cfg, direction)[:width, :width].T))
     with np.errstate(divide="ignore"):
         delta = np.sqrt(-2.0 * np.log(np.minimum(overlap, 1.0))) / SQRT_PI
     delta = np.where(overlap >= 1.0, 0.0, delta)

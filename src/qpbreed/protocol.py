@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -118,23 +119,34 @@ def default_target(cfg: FockConfig) -> np.ndarray:
     return qunaught_state(cfg, QunaughtParams(delta=0.4))
 
 
-def breed_step(left: np.ndarray, right: np.ndarray, axis: str, cfg: FockConfig):
-    """One breeding step, over every outcome of the measured quadrature.
+def breed_step(
+    left: np.ndarray,
+    right: np.ndarray,
+    axis: str,
+    cfg: FockConfig,
+    outcomes: slice = slice(None),
+):
+    """One breeding step, over the outcomes ``outcomes`` of the measured
+    quadrature: a slice of its dim outcomes, all of them by default.
 
     ``left`` enters the measured port. ``right`` is one state, or an
     (n, dim) stack whose rows are each bred with ``left``. Returns
-    ``(probabilities, posts)``: shapes (dim,) and (dim, dim) for one state,
-    (n, dim) and (n, dim, dim) for a stack. ``posts[..., i, :]`` is the
-    normalized kept-mode state after outcome i, or a zero row where the
-    outcome probability is at or below the underflow floor.
+    ``(probabilities, posts)``: with s outcomes in the slice (dim by
+    default), shapes (s,) and (s, dim) for one state, (n, s) and
+    (n, s, dim) for a stack. ``posts[..., i, :]`` is the normalized
+    kept-mode state after the slice's i-th outcome, or a zero row where the
+    outcome probability is at or below the underflow floor. The outcomes
+    outside the slice are neither projected nor normalized, and a slice of
+    two or more outcomes gives, bit for bit, the same rows as the full call
+    (:func:`~qpbreed.homodyne.projection_amplitudes`).
 
     The beamsplitter conserves total photon number, so inputs with top
     Fock levels T_L and T_R (the largest over a stack's rows) give a joint
     state in sectors t ≤ T_L + T_R, and posts that are zero above level
     T_L + T_R. The step works on the occupied corner of w = min(dim,
     T_L + T_R + 1) levels of each mode: the (…, w, w) joint coefficients
-    are mixed, projected onto all dim outcomes, and the posts padded with
-    zeros to dim. Levels are read from the arrays, so from a binomial input
+    are mixed, projected onto the sliced outcomes, and the posts padded
+    with zeros to dim. Levels are read from the arrays, so from a binomial input
     of top level T the level-k posts stay within 2ᵏ·T photons.
 
     Real inputs are bred in real arithmetic throughout, since the
@@ -157,15 +169,15 @@ def breed_step(left: np.ndarray, right: np.ndarray, axis: str, cfg: FockConfig):
     even measured levels k, whose phases (−i)ᵏ are real.
 
     The probabilities are those of the truncated model, not renormalized.
-    They sum to 1 while the joint state lies in whole sectors
-    (T_L + T_R < dim). A step that reaches sector dim sums to 1 minus the
-    weight the exact beamsplitter sends outside the truncation, its
-    leakage; each post is normalized on its own.
+    Over all dim outcomes they sum to 1 while the joint state lies in
+    whole sectors (T_L + T_R < dim). A step that reaches sector dim sums to
+    1 minus the weight the exact beamsplitter sends outside the truncation,
+    its leakage; each post is normalized on its own.
     """
     top = top_level(left) + top_level(right)
     width = max(1, min(cfg.dim, top + 1))
     mixed = apply_beamsplitter(cfg, left[:width, None] * right[..., None, :width])
-    amplitudes = projection_amplitudes(mixed, quadrature_basis(cfg, axis))
+    amplitudes = projection_amplitudes(mixed, quadrature_basis(cfg, axis), outcomes)
     if np.array_equal(left, right):  # ψ⊗ψ
         amplitudes[..., 1::2] = 0.0  # the kept mode is exactly parity-even
         if np.iscomplexobj(amplitudes) and not amplitudes.imag.any():
@@ -243,6 +255,7 @@ def check_enumeration_budget(dim: int) -> None:
         )
 
 
+@lru_cache(maxsize=None)
 def leaf_fold(dim: int):
     """The fold of the dim³ two-iteration leaves ``[q1, q2, p]`` by arm
     exchange and the three single-outcome mirrors.
@@ -255,9 +268,11 @@ def leaf_fold(dim: int):
 
     Returns ``(fold, canonical)``. ``canonical`` is the (dim, dim, dim) mask
     of those leaves, the product of a pair mask and an outcome mask; in
-    lexicographic order they are the c²(c + 1)/2 canonical leaves.
-    ``fold[q1, q2, p]`` is the position of the leaf's orbit representative
-    among them.
+    lexicographic order they are the c²(c + 1)/2 canonical leaves. Its
+    outcome mask keeps the first c p outcomes, a prefix, which the
+    enumeration measures as a slice. ``fold[q1, q2, p]`` is the position
+    of the leaf's orbit representative among them. Both arrays are built
+    once per dim and are read-only.
 
     For the default input the group acts exactly on the enumeration, at
     every dim, as follows:
@@ -279,7 +294,10 @@ def leaf_fold(dim: int):
     pair = low * half - low * (low - 1) // 2 + high - low  # rank among canonical pairs
     fold = half * pair[..., None] + mirror
     q1, q2, p = np.indices((dim, dim, dim), sparse=True)
-    return fold, (q1 <= q2) & (q2 < half) & (p < half)
+    canonical = (q1 <= q2) & (q2 < half) & (p < half)
+    for array in fold, canonical:
+        array.setflags(write=False)
+    return fold, canonical
 
 
 def enumerate_two_iterations(cfg: FockConfig, target: np.ndarray | None = None):
@@ -292,10 +310,18 @@ def enumerate_two_iterations(cfg: FockConfig, target: np.ndarray | None = None):
     probability, and the quality measures of each leaf, nan where the leaf
     probability underflows. Only the canonical leaves of :func:`leaf_fold`
     are bred and scored: for each q1 < ⌈dim/2⌉, one stack against
-    q2 ∈ [q1, ⌈dim/2⌉), scored on its first ⌈dim/2⌉ p outcomes. At dim 50
-    that is 325 of the 2,500 first-level pairs and 8,125 of the 125,000
-    leaves. Each array is one gather of their values through ``fold``, so
-    the leaves of an orbit are bit-identical.
+    q2 ∈ [q1, ⌈dim/2⌉), measured on its first ⌈dim/2⌉ p outcomes only (the
+    fold's outcome mask, a prefix, passed to :func:`breed_step` as a
+    slice). At dim 50 that is 325 of the 2,500 first-level pairs and 8,125
+    of the 125,000 leaves. Each array is one gather of their values
+    through ``fold``, so the leaves of an orbit are bit-identical.
+
+    Two first-level posts of top level T₁ give second-level posts within
+    the corner of w = min(dim, 2·T₁ + 1) levels (17 for the default input),
+    zero above, so fidelity and δ are scored on that corner: the posts and
+    the target cut to w levels. The probabilities are those of the full
+    breed bit for bit; fidelity and δ agree with scores of the dim-level
+    posts up to rounding.
 
     The copies are exact, since the group is exact at every dim (see
     :func:`leaf_fold`). Below dim 4·T + 1, T the top Fock level of the
@@ -309,16 +335,19 @@ def enumerate_two_iterations(cfg: FockConfig, target: np.ndarray | None = None):
     psi0 = default_input(cfg)
     probs, posts = breed_step(psi0, psi0, "q", cfg)
     fold, canonical = leaf_fold(dim)
-    pairs, outcomes = canonical.any(axis=2), canonical.any(axis=(0, 1))
+    pairs = canonical.any(axis=2)
+    kept = slice(np.count_nonzero(canonical.any(axis=(0, 1))))  # a prefix of the p outcomes
+    width = min(dim, 2 * top_level(posts) + 1)  # the second-level posts' occupied corner
+    target = target[:width].conj()
     blocks = []
     for q1 in np.flatnonzero(pairs.any(axis=1)):
-        cond, second = breed_step(posts[q1], posts[pairs[q1]], "p", cfg)
-        cond, second = cond[:, outcomes], second[:, outcomes]
-        quality = [np.abs(second @ target.conj()), effective_squeezing(cfg, second, "q")]
+        cond, second = breed_step(posts[q1], posts[pairs[q1]], "p", cfg, kept)
+        second = second[..., :width]
+        quality = [np.abs(second @ target), effective_squeezing(cfg, second, "q")]
         block = np.stack([probs[q1] * probs[pairs[q1], None] * cond, *quality])
         block[1:, cond <= PROBABILITY_FLOOR] = math.nan  # underflowed leaves
         blocks.append(block)
-    return tuple(np.concatenate(blocks, axis=1).reshape(3, -1)[:, fold])
+    return tuple(np.take(np.concatenate(blocks, axis=1).reshape(3, -1), fold, axis=1))
 
 
 def probability_fidelity_curve(probability, fidelities, thresholds) -> list[tuple[float, float]]:

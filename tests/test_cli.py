@@ -284,6 +284,35 @@ def test_whole_sectors_are_built_only_as_far_as_states_reach(tmp_path, args, wri
     assert fock._sector_store(50).written == written
 
 
+def test_enumerate_measures_the_kept_p_outcomes_and_scores_the_occupied_corner(
+    tmp_path, monkeypatch
+):
+    # at dim 40 the fold keeps the first 20 p outcomes, and two first-level
+    # posts (top level 8) give second-level posts within the corner w = 17:
+    # every p projection is onto those 20 outcomes alone, and δ is scored on
+    # stacks of width 17
+    from qpbreed import protocol
+
+    widths, p_outcomes = set(), set()
+    squeeze, project = protocol.effective_squeezing, protocol.projection_amplitudes
+
+    def scored(cfg, state, direction="q"):
+        widths.add(state.shape[-1])
+        return squeeze(cfg, state, direction)
+
+    def projected(state2, basis, *outcomes):
+        amplitudes = project(state2, basis, *outcomes)
+        if basis.axis == "p":
+            p_outcomes.add(amplitudes.shape[-2])
+        return amplitudes
+
+    monkeypatch.setattr(protocol, "effective_squeezing", scored)
+    monkeypatch.setattr(protocol, "projection_amplitudes", projected)
+    assert run_cli(["enumerate", "--dim", "40", "--output-path", str(tmp_path / "out.csv")]) == EXIT_OK
+    assert widths == {17}
+    assert p_outcomes == {20}
+
+
 def test_cli_sends_only_real_arrays_to_the_kernels(tmp_path, monkeypatch):
     # a state bred with itself stays real at every level, and a p
     # measurement turns complex only the post of two different arms, which

@@ -94,6 +94,22 @@ def test_projection_is_the_conjugate_basis_product(dim):
             np.testing.assert_allclose(amplitudes, expected, rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("dim, width", [(50, 17), (50, 50), (51, 20), (51, 51)])
+def test_projection_onto_a_slice_is_those_rows_of_the_full_projection(dim, width):
+    # bit for bit, signed zeros included, on both axes, for one (w, w)
+    # matrix and a stack, real and complex, a corner w < dim and full width
+    rng = np.random.default_rng(width)
+    real = rng.normal(size=(4, width, width))
+    for state2 in (real, real[0], real + 1j * rng.normal(size=real.shape)):
+        for axis in "qp":
+            basis = quadrature_basis(FockConfig(dim), axis)
+            full = projection_amplitudes(state2, basis)
+            for outcomes in (slice((dim + 1) // 2), slice(3, dim - 2), slice(1, None, 2)):
+                sliced = projection_amplitudes(state2, basis, outcomes)
+                assert sliced.shape == full[..., outcomes, :].shape
+                assert sliced.tobytes() == full[..., outcomes, :].tobytes()
+
+
 def test_invalid_axis(cfg):
     with pytest.raises(ValueError):
         quadrature_basis(cfg, "x")

@@ -78,6 +78,28 @@ def test_effective_squeezing_symmetry_on_target(cfg, target):
     assert delta_q == pytest.approx(0.4, abs=5e-3)
 
 
+@pytest.mark.parametrize("direction", "qp")
+def test_effective_squeezing_of_a_corner_is_that_of_the_padded_state(cfg, first_level, direction):
+    # a state given on its first w levels is probed with the [:w, :w] corner
+    # of the probe: the real first-level posts (top level 8) on w = 9 and the
+    # complex second-level p posts of two of them (top level 16) on w = 17,
+    # as one state and as (n, m, w) stacks, against the same states zero-padded.
+    # The bound is relative: a post of δ 2.14 has a probe overlap of 7e-4,
+    # whose rounding δ magnifies about 200-fold
+    _, posts = first_level
+    _, second = breed_step(posts[20], posts[18:24], "p", cfg)
+    for padded, width in ((posts[:48].reshape(6, 8, cfg.dim), 9), (second, 17)):
+        assert not padded[..., width:].any()
+        stacked = effective_squeezing(cfg, padded[..., :width], direction)
+        assert stacked.shape == padded.shape[:-1]
+        expected = effective_squeezing(cfg, padded, direction)
+        np.testing.assert_allclose(stacked, expected, rtol=1e-14, atol=0)
+        single = effective_squeezing(cfg, padded[2, 3, :width], direction)
+        assert isinstance(single, float)
+        assert abs(single - expected[2, 3]) <= 1e-14 * expected[2, 3]
+    assert second.dtype == np.complex128 and posts.dtype == np.float64
+
+
 @pytest.mark.parametrize("dim", [3, 50, 101, 200])
 def test_p_probe_is_the_q_probe_between_exact_phases(dim):
     # entry [m, n] of D(i√π) is the exact i^(m−n), a ±1 or ±i, times that of

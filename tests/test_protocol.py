@@ -230,6 +230,34 @@ def test_breed_step_of_a_state_with_itself_matches_the_full_dim_breed(
     assert not posts[:, 1::2].any()
 
 
+@pytest.mark.parametrize("dim, top", [(50, 8), (50, 49), (51, 12)])
+@pytest.mark.parametrize("axis", "qp")
+@pytest.mark.parametrize("complex_input", [False, True])
+def test_breed_step_on_a_slice_of_outcomes_gives_those_rows_of_the_full_step(
+    dim, top, axis, complex_input
+):
+    """A slice of the measured outcomes gives, bit for bit, the same rows
+    of probabilities and posts as the full step: for one state, a stack and
+    a state bred with itself, on a corner w = 2·top + 1 < dim, at full
+    width, and at an odd dim."""
+    rng = np.random.default_rng(dim + top)
+    states = rng.normal(size=(4, dim))
+    if complex_input:
+        states = states + 1j * rng.normal(size=states.shape)
+    states[:, top + 1 :] = 0
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    cfg = FockConfig(dim)
+    for left, right in ((states[0], states[1:]), (states[0], states[1]), (states[0], states[0])):
+        probs, posts = breed_step(left, right, axis, cfg)
+        for outcomes in (slice((dim + 1) // 2), slice(3, dim - 2), slice(1, None, 2)):
+            sliced_probs, sliced_posts = breed_step(left, right, axis, cfg, outcomes)
+            assert sliced_probs.shape == probs[..., outcomes].shape
+            assert sliced_probs.tobytes() == probs[..., outcomes].tobytes()
+            assert sliced_posts.dtype == posts.dtype
+            assert sliced_posts.shape == posts[..., outcomes, :].shape
+            assert sliced_posts.tobytes() == posts[..., outcomes, :].tobytes()
+
+
 @pytest.mark.parametrize("axis", "qp")
 def test_equal_arms_give_parity_even_posts_at_every_dim(axis):
     # the default input, top level T = 4, bred with itself: every post is
@@ -495,6 +523,17 @@ def test_leaf_fold(dim):
     np.testing.assert_array_equal(fold, fold.transpose(1, 0, 2))
     for axis in range(3):
         np.testing.assert_array_equal(fold, np.flip(fold, axis))
+
+
+def test_leaf_fold_is_built_once_per_dim_and_read_only():
+    fold, canonical = leaf_fold(12)
+    again = leaf_fold(12)
+    assert again[0] is fold and again[1] is canonical
+    for array in fold, canonical:
+        with pytest.raises(ValueError):
+            array[0, 0, 0] = array[0, 0, 0]
+    # the kept p outcomes are a prefix, which the enumeration measures as a slice
+    assert canonical.any(axis=(0, 1)).tolist() == [True] * 6 + [False] * 6
 
 
 def test_atlas_is_exchange_and_parity_invariant(atlas):
