@@ -33,7 +33,6 @@ from .protocol import (
     SweepRecord,
     breed_step,
     chain_prefixes,
-    check_enumeration_budget,
     effective_squeezing_curve,
     enumerate_two_iterations,
     leaf_fold,
@@ -195,9 +194,9 @@ DEFAULT_SQUEEZING_BOUNDS = [round(0.30 + 0.01 * i, 2) for i in range(41)]
 def cmd_enumerate(cfg: RunConfig) -> int:
     """Full two-iteration outcome enumeration: leaf table plus the two
     cumulative curves, written as sibling CSV files."""
-    check_enumeration_budget(cfg.dim)  # before the target is built
     # each canonical leaf is formatted and scored once; the other leaves of
-    # its orbit repeat its values
+    # its orbit repeat its values. The fold refuses a dim over the leaf
+    # budget, so it comes before the target is built
     fold, canonical = leaf_fold(cfg.dim)
     probability, fid, delta = (
         leaves[canonical] for leaves in enumerate_two_iterations(cfg.fock(), target=cfg.target())

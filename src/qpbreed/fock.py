@@ -14,8 +14,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import eig_hermitian_tridiagonal
-
 VACUUM_VARIANCE = 0.5
 
 
@@ -28,21 +26,6 @@ class FockConfig:
     def __post_init__(self):
         if self.dim < 2:
             raise ValueError(f"Hilbert-space dimension must be at least 2, got {self.dim}")
-
-
-@dataclass(frozen=True)
-class QuadratureBasis:
-    """Eigenvalues (ascending) and eigenvectors of one quadrature axis."""
-
-    axis: str
-    dim: int
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    @property
-    def center_index(self) -> int:
-        """Index of the innermost negative eigenvalue (24 at dim 50)."""
-        return self.dim // 2 - 1
 
 
 @dataclass(frozen=True)
@@ -94,32 +77,6 @@ def _i_powers(n: np.ndarray) -> np.ndarray:
     """iⁿ for an integer array n, each an exact ±1 or ±i read from a table
     of four, where numpy's ``1j ** n`` is off by up to 9.4e-14 past n = 99."""
     return np.array([1, 1j, -1, -1j])[n % 4]
-
-
-@lru_cache(maxsize=None)
-def quadrature_basis(cfg: FockConfig, axis: str) -> QuadratureBasis:
-    """Diagonalize the q or p quadrature on the truncated Fock space.
-
-    q is real symmetric tridiagonal in the Fock basis, so its eigenvectors
-    are real (float64). p shares its spectrum, and under the Fock-diagonal
-    phase map |n⟩ → iⁿ|n⟩ it is p = F q F†: row n of the complex p
-    eigenvectors is iⁿ (:func:`_i_powers`, exact by construction) times
-    row n of the q eigenvectors, so each entry is ±v or ±iv, bit for bit.
-    The p basis is built from the cached q basis, and a dim makes one
-    eigensolve for both axes; they share the eigenvalue array.
-    """
-    if axis not in ("q", "p"):
-        raise ValueError(f"axis must be 'q' or 'p', got {axis!r}")
-    if axis == "p":
-        q = quadrature_basis(cfg, "q")
-        vectors = _i_powers(np.arange(cfg.dim))[:, None] * q.eigenvectors
-        vectors.setflags(write=False)
-        return QuadratureBasis(axis=axis, dim=cfg.dim, eigenvalues=q.eigenvalues, eigenvectors=vectors)
-    offdiag = np.sqrt(np.arange(1, cfg.dim) / 2.0)
-    values, vectors = eig_hermitian_tridiagonal(np.zeros(cfg.dim), offdiag)
-    vectors.setflags(write=False)
-    values.setflags(write=False)
-    return QuadratureBasis(axis=axis, dim=cfg.dim, eigenvalues=values, eigenvectors=vectors)
 
 
 def hermite_functions(max_n: int, x: np.ndarray) -> np.ndarray:

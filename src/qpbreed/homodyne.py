@@ -1,8 +1,9 @@
 """Projective quadrature (homodyne) measurements on the truncated space.
 
 A quadrature observable restricted to dim Fock levels has a discrete
-spectrum; measuring it projects onto one of its dim eigenvectors. The
-measured mode is always mode 1, the row index of a (dim, dim) two-mode state.
+spectrum; measuring it projects onto one of its dim eigenvectors, built
+here once per dim and axis (:func:`quadrature_basis`). The measured mode is
+always mode 1, the row index of a (dim, dim) two-mode state.
 Post-selection keeps one outcome, named by an index or a peak label:
 :func:`select_outcome`.
 """
@@ -12,13 +13,58 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .fock import QuadratureBasis, quadrature_basis  # quadrature_basis: re-exported
-from .numerics import PROBABILITY_FLOOR, NumericalError
+from .fock import FockConfig, _i_powers
+from .numerics import PROBABILITY_FLOOR, NumericalError, eig_hermitian_tridiagonal
 
 RESCALE = math.sqrt(2 * math.pi)
+
+
+@dataclass(frozen=True)
+class QuadratureBasis:
+    """Eigenvalues (ascending) and eigenvectors of one quadrature axis."""
+
+    axis: str
+    dim: int
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+
+    @property
+    def center_index(self) -> int:
+        """Index of the innermost negative eigenvalue (24 at dim 50)."""
+        return self.dim // 2 - 1
+
+
+@lru_cache(maxsize=None)
+def quadrature_basis(cfg: FockConfig, axis: str) -> QuadratureBasis:
+    """Diagonalize the q or p quadrature on the truncated Fock space.
+
+    q is real symmetric tridiagonal in the Fock basis, so its eigenvectors
+    are real (float64). It is the Jacobi matrix of the Hermite polynomials,
+    so its eigenvalues are the dim Gauss–Hermite nodes and its eigenvectors
+    the φ_n, n < dim, sampled at each node and normalized (Golub & Welsch,
+    Math. Comp. 23, 221 (1969)). p shares its spectrum, and under the
+    Fock-diagonal phase map |n⟩ → iⁿ|n⟩ it is p = F q F†: row n of the
+    complex p eigenvectors is iⁿ (:func:`~qpbreed.fock._i_powers`, exact by
+    construction) times row n of the q eigenvectors, so each entry is ±v or
+    ±iv, bit for bit. The p basis is built from the cached q basis, and a
+    dim makes one eigensolve for both axes; they share the eigenvalue array.
+    """
+    if axis not in ("q", "p"):
+        raise ValueError(f"axis must be 'q' or 'p', got {axis!r}")
+    if axis == "p":
+        q = quadrature_basis(cfg, "q")
+        vectors = _i_powers(np.arange(cfg.dim))[:, None] * q.eigenvectors
+        vectors.setflags(write=False)
+        return QuadratureBasis(axis=axis, dim=cfg.dim, eigenvalues=q.eigenvalues, eigenvectors=vectors)
+    offdiag = np.sqrt(np.arange(1, cfg.dim) / 2.0)
+    values, vectors = eig_hermitian_tridiagonal(np.zeros(cfg.dim), offdiag)
+    vectors.setflags(write=False)
+    values.setflags(write=False)
+    return QuadratureBasis(axis=axis, dim=cfg.dim, eigenvalues=values, eigenvectors=vectors)
 
 
 @dataclass(frozen=True)
@@ -52,7 +98,7 @@ def projection_amplitudes(
     Both axes take the one product V†M with the stored eigenvectors V, cut
     to the first w rows and the sliced columns: the q ones are real, and
     the p ones are the q ones times the exact phases iᵏ
-    (:func:`~qpbreed.fock.quadrature_basis`), whose entries ±v and ±iv
+    (:func:`quadrature_basis`), whose entries ±v and ±iv
     meet M with no rounding of their own. M's dtype carries the
     arithmetic: a real M gives real q amplitudes and complex p ones, and a
     complex M gives complex amplitudes on both axes.

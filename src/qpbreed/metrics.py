@@ -17,15 +17,20 @@ SQRT_PI = math.sqrt(math.pi)
 WIGNER_CHUNK_ROWS = 64
 
 
-def fidelity(a: np.ndarray, b: np.ndarray) -> float:
+def fidelity(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """Overlap magnitude |⟨a|b⟩| between two normalized pure states.
 
     Note this is the amplitude overlap, not its square; all tabulated
-    fidelities in this package follow that convention.
+    fidelities in this package follow that convention. ``b`` is one state
+    of w levels. ``a`` is one state of w levels, giving a float, or a
+    (..., w) stack, giving the array of its rows' overlaps with ``b``, as
+    one matrix-vector product; a row's value agrees with the float of that
+    row alone up to rounding. A corner w < dim scores states cut to the
+    levels they occupy.
     """
-    if a.shape != b.shape:
+    if a.shape[-1:] != b.shape:
         raise ValueError(f"state dimensions differ: {a.shape} vs {b.shape}")
-    return float(abs(np.vdot(a, b)))
+    return float(abs(np.vdot(a, b))) if a.ndim == 1 else np.abs(a @ b.conj())
 
 
 @lru_cache(maxsize=None)

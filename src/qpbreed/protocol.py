@@ -173,7 +173,13 @@ def breed_step(
     whole sectors (T_L + T_R < dim). A step that reaches sector dim sums to
     1 minus the weight the exact beamsplitter sends outside the truncation,
     its leakage; each post is normalized on its own.
+
+    Raises ValueError when an input has more than dim levels, rather than
+    breed it cut to the box.
     """
+    levels = max(left.shape[-1], right.shape[-1])
+    if levels > cfg.dim:
+        raise ValueError(f"input state has {levels} levels, more than dim {cfg.dim}")
     top = top_level(left) + top_level(right)
     width = max(1, min(cfg.dim, top + 1))
     mixed = apply_beamsplitter(cfg, left[:width, None] * right[..., None, :width])
@@ -245,16 +251,6 @@ def run_chain(
 MAX_ENUMERATION_LEAVES = 2_000_000
 
 
-def check_enumeration_budget(dim: int) -> None:
-    """Raise ValueError if a two-iteration enumeration at ``dim`` would
-    exceed :data:`MAX_ENUMERATION_LEAVES`."""
-    if dim**3 > MAX_ENUMERATION_LEAVES:
-        raise ValueError(
-            f"enumeration at dim {dim} would produce {dim**3} leaves, over the "
-            f"budget of {MAX_ENUMERATION_LEAVES}"
-        )
-
-
 @lru_cache(maxsize=None)
 def leaf_fold(dim: int):
     """The fold of the dim³ two-iteration leaves ``[q1, q2, p]`` by arm
@@ -287,7 +283,16 @@ def leaf_fold(dim: int):
     - exchange: the beamsplitter blocks are the exact operator compressed
       to the truncation, so swapping the arms of a second step keeps its
       outcome distribution, in whole and in cut sectors alike.
+
+    Raises ValueError when dim³ exceeds :data:`MAX_ENUMERATION_LEAVES`,
+    before any array is built: the fold is the enumeration's first dim³
+    allocation, and every enumeration builds it first.
     """
+    if dim**3 > MAX_ENUMERATION_LEAVES:
+        raise ValueError(
+            f"enumeration at dim {dim} would produce {dim**3} leaves, over the "
+            f"budget of {MAX_ENUMERATION_LEAVES}"
+        )
     half = (dim + 1) // 2
     mirror = np.minimum(np.arange(dim), np.arange(dim)[::-1])  # i → min(i, dim − 1 − i)
     low, high = np.minimum.outer(mirror, mirror), np.maximum.outer(mirror, mirror)
@@ -318,32 +323,38 @@ def enumerate_two_iterations(cfg: FockConfig, target: np.ndarray | None = None):
 
     Two first-level posts of top level T₁ give second-level posts within
     the corner of w = min(dim, 2·T₁ + 1) levels (17 for the default input),
-    zero above, so fidelity and δ are scored on that corner: the posts and
-    the target cut to w levels. The probabilities are those of the full
-    breed bit for bit; fidelity and δ agree with scores of the dim-level
-    posts up to rounding.
+    zero above, so fidelity and δ are scored on that corner: each stack of
+    posts and the target cut to w levels, through
+    :func:`~qpbreed.metrics.fidelity` and
+    :func:`~qpbreed.metrics.effective_squeezing`. The probabilities are
+    those of the full breed bit for bit; fidelity and δ agree with scores
+    of the dim-level posts up to rounding.
 
     The copies are exact, since the group is exact at every dim (see
     :func:`leaf_fold`). Below dim 4·T + 1, T the top Fock level of the
     input (4 for the default input), the second step reaches sector dim,
     and the leaves sum to less than 1 by its leakage.
+
+    Raises ValueError when dim is over the leaf budget (:func:`leaf_fold`,
+    built first, before the target or any state), or when ``target`` is not
+    a vector of dim levels.
     """
     dim = cfg.dim
-    check_enumeration_budget(dim)
+    fold, canonical = leaf_fold(dim)
     if target is None:
         target = default_target(cfg)
+    if target.shape != (dim,):
+        raise ValueError(f"target has shape {target.shape}, not the ({dim},) of dim {dim}")
     psi0 = default_input(cfg)
     probs, posts = breed_step(psi0, psi0, "q", cfg)
-    fold, canonical = leaf_fold(dim)
     pairs = canonical.any(axis=2)
     kept = slice(np.count_nonzero(canonical.any(axis=(0, 1))))  # a prefix of the p outcomes
     width = min(dim, 2 * top_level(posts) + 1)  # the second-level posts' occupied corner
-    target = target[:width].conj()
     blocks = []
     for q1 in np.flatnonzero(pairs.any(axis=1)):
         cond, second = breed_step(posts[q1], posts[pairs[q1]], "p", cfg, kept)
         second = second[..., :width]
-        quality = [np.abs(second @ target), effective_squeezing(cfg, second, "q")]
+        quality = [fidelity(second, target[:width]), effective_squeezing(cfg, second, "q")]
         block = np.stack([probs[q1] * probs[pairs[q1], None] * cond, *quality])
         block[1:, cond <= PROBABILITY_FLOOR] = math.nan  # underflowed leaves
         blocks.append(block)

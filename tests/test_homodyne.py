@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qpbreed import FockConfig, fock, label_peaks, quadrature_basis
+from qpbreed import FockConfig, homodyne, label_peaks, quadrature_basis
 from qpbreed.cli import main
 from qpbreed.homodyne import RESCALE, OutcomeDistribution, projection_amplitudes, select_outcome
 from qpbreed.numerics import PROBABILITY_FLOOR, NumericalError, eig_hermitian_tridiagonal
@@ -63,7 +63,7 @@ def test_one_eigensolve_per_dim_for_both_axes(monkeypatch, tmp_path):
         sizes.append(len(diag))
         return eig_hermitian_tridiagonal(diag, offdiag)
 
-    monkeypatch.setattr(fock, "eig_hermitian_tridiagonal", counted)
+    monkeypatch.setattr(homodyne, "eig_hermitian_tridiagonal", counted)
     quadrature_basis.cache_clear()
     for dim, axes in ((17, "pq"), (18, "qp")):
         for axis in axes * 2:

@@ -38,6 +38,30 @@ def test_fidelity_dim_mismatch(psi0):
         fidelity(psi0, psi0[:10])
 
 
+@pytest.mark.parametrize("width", [50, 17])
+@pytest.mark.parametrize("stack_dtype, state_dtype", [(float, float), (complex, float), (complex, complex)])
+def test_fidelity_of_a_stack_agrees_with_each_row(target, width, stack_dtype, state_dtype):
+    # a stack is one matrix-vector product and a row one dot product, so
+    # they agree up to rounding; a corner w < dim scores cut states, and a
+    # complex stack against a real state is the atlas's case
+    rng = np.random.default_rng(29)
+    stack = rng.standard_normal((4, 6, width))
+    if stack_dtype is complex:
+        stack = stack + 1j * rng.standard_normal(stack.shape)
+    stack /= np.linalg.norm(stack, axis=-1, keepdims=True)
+    state = target[:width] / np.linalg.norm(target[:width])
+    if state_dtype is complex:
+        state = state * np.exp(0.3j * np.arange(width))
+    overlaps = fidelity(stack, state)
+    assert overlaps.shape == (4, 6) and overlaps.dtype == np.float64
+    rows = [[fidelity(row, state) for row in block] for block in stack]
+    assert all(type(value) is float for block in rows for value in block)
+    np.testing.assert_allclose(overlaps, rows, rtol=0, atol=1e-15)
+    for a, b in ((stack, state[:-1]), (stack[..., :-1], state), (state, stack)):
+        with pytest.raises(ValueError, match="state dimensions differ"):
+            fidelity(a, b)
+
+
 def test_effective_squeezing_vacuum(cfg, vacuum):
     # |<0|D(sqrt(pi))|0>|^2 = e^{-pi}  =>  delta = 1
     assert effective_squeezing(cfg, vacuum, "q") == pytest.approx(1.0, abs=1e-4)

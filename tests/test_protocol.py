@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -592,11 +593,49 @@ def test_fold_matches_the_direct_enumeration_in_cut_sectors(dim):
     np.testing.assert_allclose(fast_fid[both], slow_fid[both], rtol=0, atol=1e-12)
 
 
-def test_enumeration_budget_guard():
-    # 127³ = 2,048,383 leaves, just over the budget; the guard runs before
-    # any state is built
+def test_enumeration_budget_guard(monkeypatch):
+    # 127³ = 2,048,383 leaves, just over the budget; the fold refuses it
+    # before the target or any state is built
+    import qpbreed.protocol as protocol
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("a state was built for a refused enumeration")
+
+    for name in ("default_target", "default_input", "breed_step"):
+        monkeypatch.setattr(protocol, name, unbuilt)
     with pytest.raises(ValueError, match="budget"):
         enumerate_two_iterations(FockConfig(dim=127))
+
+
+def test_leaf_fold_refuses_a_dim_over_the_budget_before_it_allocates():
+    # the fold of 127³ leaves alone would be a 16 MB int64 array
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="2048383 leaves, over the budget of 2000000"):
+            leaf_fold(127)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 127**3
+
+
+@pytest.mark.parametrize("levels", [12, 60])
+def test_enumeration_refuses_a_target_of_another_dim(levels):
+    # a longer target cut to the corner would be scored without its norm
+    # above level 20, and a shorter one could not be scored at all
+    target = default_target(FockConfig(levels))
+    with pytest.raises(ValueError, match=rf"target has shape \({levels},\), not the \(20,\)"):
+        enumerate_two_iterations(FockConfig(20), target=target)
+
+
+def test_breed_step_refuses_a_state_longer_than_dim():
+    # cut to the box, a dim-60 target bred at dim 20 would lose 0.6 % of
+    # its probability without a word
+    cfg = FockConfig(20)
+    long, short = default_target(FockConfig(60)), default_input(cfg)
+    for left, right in ((long, short), (short, long), (short, np.stack([long, long]))):
+        with pytest.raises(ValueError, match="60 levels, more than dim 20"):
+            breed_step(left, right, "q", cfg)
 
 
 def test_probability_fidelity_curve_endpoints(atlas):
