@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
 import os
 import sys
 import typing
@@ -33,12 +32,12 @@ from .protocol import (
     SweepRecord,
     breed_step,
     chain_prefixes,
+    distinct_mirrors,
     effective_squeezing_curve,
     enumerate_two_iterations,
     leaf_fold,
     probability_fidelity_curve,
     sign_aggregated,
-    sign_aggregation_log,
     sweep_binomial_inputs,
 )
 
@@ -163,21 +162,10 @@ def cmd_chain(cfg: RunConfig) -> int:
     target = cfg.target()
     schedule = Schedule.from_string(cfg.schedule)
     tokens = cfg.postselect if cfg.postselect is not None else ["C"] * schedule.iterations
-    records = []
+    records = []  # json writes the outcome_path tuples as lists
     for prefix in chain_prefixes(fock_cfg, schedule, tokens, cfg.input_state()):
-        result = BranchResult.evaluate(fock_cfg, prefix, target)
-        k = len(result.outcome_path)
-        # measurements whose outcome has a distinct mirror: the 2^(k − j) of each level j
-        # whose index is not the middle one
-        m = sum(2 ** (k - level) for level, index in result.outcome_path if 2 * index != cfg.dim - 1)
-        record = {
-            **vars(result),
-            "iterations": k,
-            "probability": result.probability,
-            "aggregated_probability": math.exp(result.log_probability + sign_aggregation_log(m)),
-        }
-        del record["state"]
-        records.append(record)  # json writes the outcome_path tuples as lists
+        result = vars(BranchResult.evaluate(fock_cfg, prefix, target))
+        records.append({key: value for key, value in result.items() if key != "state"})
     payload = {
         "schema_version": SCHEMA_VERSION,
         "config": cfg.as_dict("chain"),
@@ -203,8 +191,7 @@ def cmd_enumerate(cfg: RunConfig) -> int:
     )
     # per canonical leaf [q1, q2, p], how many of its three outcomes have a distinct mirror
     q1, q2, p = np.nonzero(canonical)
-    distinct = (2 * np.arange(cfg.dim) != cfg.dim - 1).astype(int)
-    m = distinct[q1] + distinct[q2] + distinct[p]
+    m = sum(distinct_mirrors(cfg.dim, index) for index in (q1, q2, p))
     columns = [probability, sign_aggregated(probability, m), fid, delta]
     rows = zip(*(column.tolist() for column in columns))
     values = ["%.12g,%.12g,%.12g,%.12g" % row for row in rows]

@@ -112,28 +112,28 @@ def label_peaks(dist: OutcomeDistribution) -> OutcomeDistribution:
     C is always the innermost negative outcome. On a q-type distribution the
     most probable non-central local maximum of the negative half is S1 and
     its outward neighbour is S2; on a p-type distribution the local maximum
-    closest to one grid spacing (rescaled outcome −1) is S. Mirror labels are
-    attached to the reflected indices.
+    closest to one grid spacing (rescaled outcome −1) is S. Then, in one
+    step, the mirror index dim − 1 − i of each labelled index i gets the
+    label "mirror-" and i's label; the labelled indices all lie below dim/2,
+    so no mirror label replaces another label.
     """
     p = dist.probabilities
     dim = len(p)
     half = dim // 2
     center = half - 1
-    labels = {center: "C", dim - 1 - center: "mirror-C"}
+    labels = {center: "C"}
     # the local maxima of the negative half, the center excepted
     peaks = [i for i in range(1, half) if p[i] > p[i - 1] and p[i] >= p[i + 1] and i != center]
     if peaks:
         if dist.axis == "q":
             s1 = max(peaks, key=lambda i: p[i])
             labels[s1] = "S1"
-            labels[dim - 1 - s1] = "mirror-S1"
             labels[s1 - 1] = "S2"  # s1 ≥ 1, so S2 exists
-            labels[dim - s1] = "mirror-S2"
         else:
             rescaled = dist.rescaled_outcomes
             s = min(peaks, key=lambda i: abs(rescaled[i] + 1.0))
             labels[s] = "S"
-            labels[dim - 1 - s] = "mirror-S"
+    labels |= {dim - 1 - i: "mirror-" + label for i, label in labels.items()}
     return dataclasses.replace(dist, peak_labels=labels)
 
 

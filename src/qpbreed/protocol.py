@@ -19,9 +19,10 @@ the same probability and yield equivalent output states. Records in this
 module store the single-sequence probability; to compare with the
 aggregated convention, multiply it by 2^m with :func:`sign_aggregated`, or
 add m·ln 2 to its log with :func:`sign_aggregation_log`, where m counts the
-measurements whose outcome has a distinct mirror: all m = 2^k − 1 of k
-iterations at an even dim, but at an odd dim not those of the middle
-outcome, index (dim − 1)/2, the zero eigenvalue and its own mirror. The
+measurements whose outcome has a distinct mirror (:func:`distinct_mirrors`):
+all m = 2^k − 1 of k iterations at an even dim, but at an odd dim not those
+of the middle outcome, index (dim − 1)/2, the zero eigenvalue and its own
+mirror. :class:`BranchResult` carries both probabilities. The
 two-iteration enumeration copies leaves by these same mirror images (with
 arm exchange), which are exact at every dim: :func:`leaf_fold`.
 """
@@ -74,10 +75,14 @@ class Schedule:
 
 @dataclass(frozen=True)
 class BranchResult:
-    """Post-selected protocol output for one chain of outcomes."""
+    """Post-selected protocol output for one chain of outcomes: the chain
+    record. Every field but ``state`` is a field of the chain JSON record."""
 
     outcome_path: tuple[tuple[int, int], ...]  # (iteration, eigenvalue index)
+    iterations: int
     log_probability: float  # single-sequence, natural log
+    probability: float  # single-sequence
+    aggregated_probability: float  # with every distinct mirror image
     state: np.ndarray
     fidelity: float
     effective_squeezing_q: float
@@ -85,21 +90,31 @@ class BranchResult:
 
     @classmethod
     def evaluate(cls, cfg: FockConfig, prefix, target: np.ndarray) -> "BranchResult":
-        """Quality measures of one ``(outcome_path, log_probability, state)``
-        prefix from :func:`chain_prefixes`."""
+        """The record of one ``(outcome_path, log_probability, state)``
+        prefix from :func:`chain_prefixes`. Level j of k selects one outcome
+        in each of its 2^(k − j) measurements, so it adds 2^(k − j) mirror
+        factors where its outcome has a distinct mirror."""
         path, log_probability, state = prefix
+        k = len(path)
+        m = sum(2 ** (k - level) * distinct_mirrors(cfg.dim, index) for level, index in path)
         return cls(
             outcome_path=path,
+            iterations=k,
             log_probability=log_probability,
+            probability=math.exp(log_probability),
+            aggregated_probability=math.exp(log_probability + sign_aggregation_log(m)),
             state=state,
             fidelity=fidelity(state, target),
             effective_squeezing_q=effective_squeezing(cfg, state, "q"),
             effective_squeezing_p=effective_squeezing(cfg, state, "p"),
         )
 
-    @property
-    def probability(self) -> float:
-        return math.exp(self.log_probability)
+
+def distinct_mirrors(dim: int, index):
+    """1 for an outcome index whose mirror, dim − 1 − index, is another
+    outcome, and 0 for the middle outcome of an odd dim, (dim − 1)/2, the
+    zero eigenvalue and its own mirror; elementwise on an index array."""
+    return (2 * index != dim - 1) * 1
 
 
 def sign_aggregation_log(measurements: int) -> float:
@@ -174,12 +189,15 @@ def breed_step(
     1 minus the weight the exact beamsplitter sends outside the truncation,
     its leakage; each post is normalized on its own.
 
-    Raises ValueError when an input has more than dim levels, rather than
-    breed it cut to the box.
+    Raises ValueError, naming its length and dim, when an input has more
+    than dim levels, rather than breed it cut to the box, or fewer, rather
+    than read it as padded with zeros.
     """
-    levels = max(left.shape[-1], right.shape[-1])
-    if levels > cfg.dim:
-        raise ValueError(f"input state has {levels} levels, more than dim {cfg.dim}")
+    wrong = {left.shape[-1], right.shape[-1]} - {cfg.dim}
+    if wrong:
+        levels = max(wrong)  # a longer input is named first
+        relation = "more" if levels > cfg.dim else "fewer"
+        raise ValueError(f"input state has {levels} levels, {relation} than dim {cfg.dim}")
     top = top_level(left) + top_level(right)
     width = max(1, min(cfg.dim, top + 1))
     mixed = apply_beamsplitter(cfg, left[:width, None] * right[..., None, :width])

@@ -353,11 +353,16 @@ def test_aggregated_probability_counts_only_outcomes_with_a_distinct_mirror(tmp_
     # at an odd dim the middle outcome, index (dim − 1)/2, is its own mirror
     # and adds no factor 2
     out = tmp_path / "chain.json"
-    args = ["chain", "--dim", "51", "--schedule", "q", "--postselect", "25", "--output-path", str(out)]
-    assert run_cli(args) == EXIT_OK
-    record = json.loads(out.read_text())["records"][1]
-    assert record["outcome_path"] == [[1, 25]]
-    assert record["aggregated_probability"] == record["probability"]
+    args = ["chain", "--dim", "51", "--schedule", "qpq", "--postselect", "25,C,25"]
+    assert run_cli([*args, "--output-path", str(out)]) == EXIT_OK
+    records = json.loads(out.read_text())["records"]
+    assert records[1]["outcome_path"] == [[1, 25]]
+    assert records[1]["aggregated_probability"] == records[1]["probability"]
+    # of the 2² + 2 + 1 measurements only the 2 of level 2 (C = 24) have a
+    # distinct mirror, so m = 2
+    assert records[3]["outcome_path"] == [[1, 25], [2, 24], [3, 25]]
+    log_probability = records[3]["log_probability"]
+    assert records[3]["aggregated_probability"] == math.exp(log_probability + 2 * math.log(2))
     # one leaf per mirror class, each counted with its mirror images, sums to 1
     out = tmp_path / "enum.csv"
     assert run_cli(["enumerate", "--dim", "17", "--output-path", str(out)]) == EXIT_OK

@@ -26,7 +26,7 @@ from qpbreed import (
     sweep_binomial_inputs,
 )
 from qpbreed.numerics import PROBABILITY_FLOOR
-from qpbreed.protocol import chain_prefixes, leaf_fold, sign_aggregation_log
+from qpbreed.protocol import chain_prefixes, distinct_mirrors, leaf_fold, sign_aggregation_log
 
 from oracles import (
     constant_schedule,
@@ -53,6 +53,12 @@ def test_schedule_constructors():
 def test_measurement_count():
     assert sign_aggregated(1.0, 3) == 8.0
     assert sign_aggregation_log(3) == pytest.approx(3 * math.log(2))
+
+
+def test_distinct_mirrors_spares_only_the_middle_outcome_of_an_odd_dim():
+    assert distinct_mirrors(4, np.arange(4)).tolist() == [1, 1, 1, 1]
+    assert distinct_mirrors(5, np.arange(5)).tolist() == [1, 1, 0, 1, 1]
+    assert distinct_mirrors(51, 25) == 0 and distinct_mirrors(51, 24) == 1
 
 
 def test_breed_step_probabilities_valid(cfg, psi0, first_level):
@@ -635,6 +641,21 @@ def test_breed_step_refuses_a_state_longer_than_dim():
     long, short = default_target(FockConfig(60)), default_input(cfg)
     for left, right in ((long, short), (short, long), (short, np.stack([long, long]))):
         with pytest.raises(ValueError, match="60 levels, more than dim 20"):
+            breed_step(left, right, "q", cfg)
+
+
+@pytest.mark.parametrize(
+    "short",
+    [
+        np.full(12, 12**-0.5),  # top level 11: numpy's broadcast error without the check
+        default_input(FockConfig(12)),  # top level 4: bred as if padded without the check
+    ],
+)
+def test_breed_step_refuses_a_state_shorter_than_dim(short):
+    cfg = FockConfig(20)
+    full = default_input(cfg)
+    for left, right in ((short, short), (short, full), (full, np.stack([short, short]))):
+        with pytest.raises(ValueError, match="12 levels, fewer than dim 20"):
             breed_step(left, right, "q", cfg)
 
 
