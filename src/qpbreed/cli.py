@@ -213,10 +213,8 @@ def cmd_enumerate(cfg: RunConfig) -> int:
     )
     head = "q1,q2,p,probability,aggregated_probability,fidelity,effective_squeezing"
     _write_table(cfg, "enumerate", head, slabs)
-    # by orbit size: a canonical leaf stands for its 2^m mirror images, and for
-    # as many again by exchange when q1 ≠ q2 (a bincount of the read-only fold
-    # would copy it)
-    weighted = probability * (2**m * (1 + (q1 < q2)))
+    # by orbit size, the number of leaves the fold maps to each canonical one
+    weighted = probability * np.bincount(fold.ravel())
     curve_f = probability_fidelity_curve(weighted, fid, DEFAULT_FIDELITY_THRESHOLDS)
     curve_s = effective_squeezing_curve(weighted, delta, DEFAULT_SQUEEZING_BOUNDS)
     for suffix, column, points in (

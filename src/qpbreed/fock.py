@@ -83,20 +83,28 @@ def hermite_functions(max_n: int, x: np.ndarray) -> np.ndarray:
     """Normalized harmonic-oscillator eigenfunctions φ₀..φ_{max_n−1} at x.
 
     Stable three-term recurrence on the normalized functions; no factorials
-    are formed. Every φ_n is carried by φ₀ = π^{−1/4}e^{−x²/2}, which is
-    subnormal past |x| ≈ 37.6 and zero past 38.6, so every φ_n loses
-    precision there and then reads 0: φ_644(38.5) reads 4.509e-12 against
-    the true 4.441e-12, φ_644(38.6) 2.49e-12 against 1.08e-12, and
-    φ_644(38.61), truly about 9e-13, reads 0. The trapezoid grids
-    (:func:`_trapezoid`) first reach past 38.6 at dim 468.
+    are formed. Every φ_n is carried by φ₀ = π^{−1/4}e^{−x²/2}, which
+    underflows past |x| ≈ 37.6, so the recurrence starts from
+    π^{−1/4}e^{s − x²/2}, s = clip(x²/2 − 700, 0, 700), and every φ_n is
+    multiplied by e^{−s} at the end. Where |x| ≤ √1400 ≈ 37.4, s = 0 and
+    the values are the unscaled recurrence's, bit for bit. Out to
+    |x| ≈ 53.07, where the scaled start itself turns subnormal, no value
+    loses precision to underflow: at x = 37.5–48.9 every φ_n, n ≤ 644,
+    above 1e-300 is within 1e-13 relative of a 60-digit mpmath run,
+    φ_644(38.61) = 9.37e-13 among them. Past |x| ≈ 53.07 every φ_n,
+    n ≤ 644, is below 1e-187 and reads with lost precision or as 0; every
+    value stays finite at 1500 levels out to |x| = 200.
     """
     x = np.asarray(x, dtype=float)
+    scale = np.clip(0.5 * x**2 - 700, 0, 700)
     phi = np.zeros((max_n, len(x)))
-    phi[0] = math.pi ** -0.25 * np.exp(-0.5 * x**2)
+    phi[0] = math.pi ** -0.25 * np.exp(scale - 0.5 * x**2)
     if max_n > 1:
         phi[1] = math.sqrt(2.0) * x * phi[0]
     for n in range(2, max_n):
         phi[n] = math.sqrt(2.0 / n) * x * phi[n - 1] - math.sqrt((n - 1) / n) * phi[n - 2]
+    if scale.any():  # e^{−s} is exactly 1 on the columns that were not scaled
+        phi *= np.exp(-scale)
     return phi
 
 
@@ -202,7 +210,7 @@ class _SectorStore:
     ``blocks`` = ``bordered[:, 1:, 1:]`` of one (dim, dim + 1, dim + 1)
     array whose row and column 0 of each block are level −1 and stay zero.
     The array is the one a dim holds however it is reached; it is read-only
-    outside the writes of :func:`_write_sectors`, and the view always."""
+    outside the writes of :meth:`sectors`, and the view always."""
 
     def __init__(self, dim: int):
         self.bordered = np.zeros((dim, dim + 1, dim + 1))
@@ -213,14 +221,40 @@ class _SectorStore:
 
     def sectors(self, end: int) -> np.ndarray:
         """The blocks, with every sector t < end built: those past the
-        last one built are built from it, in order."""
-        if self.written < end:
-            self.bordered.setflags(write=True)
-            try:
-                _write_sectors(self.bordered, range(self.written, end))
-            finally:
-                self.bordered.setflags(write=False)
-            self.written = end
+        last one built are built from it, in order, each assigned once into
+        its block, where level k is at index k + 1.
+
+        The recursion is t·U|k, l⟩ = √k·A·U|k − 1, l⟩ + √l·B·U|k, l − 1⟩, with
+        A = U a† U† = (a† − b†)/√2 and B = U b† U† = (a† + b†)/√2. Every
+        coefficient of this averaged recursion is at most 1 in size, which
+        keeps it stable where the one-term ladder recursion is not. Row and
+        column k of sector t need rows and columns k − 1 and k of sector
+        t − 1, so sector t on its box levels low..high reads sector t − 1 on
+        levels low − 1..high only, one slice of the bordered block: a cut
+        sector is the exact sub-block, with no larger window. A whole sector
+        (low = 0) reads the zero level −1 of the border, and level t,
+        outside sector t − 1 and still zero, as the cut sector t + dim − 1
+        that shares its block comes later; both meet a zero coefficient √k
+        or √l.
+        """
+        bordered, dim = self.bordered, len(self.bordered)
+        roots = np.sqrt(np.arange(dim))
+        bordered.setflags(write=True)
+        try:
+            for total in range(self.written, end):
+                low, high = max(0, total - dim + 1), min(total, dim - 1)
+                # sector t − 1 on levels low − 1..high, at indices low..high + 1
+                previous = bordered[(total - 1) % dim, low : high + 2, low : high + 2]
+                root = roots[low : high + 1]  # √k; reversed, √l = √(t − k)
+                from_a = root * previous[:, :-1]  # √k·U|k − 1, l⟩ in column k
+                from_b = root[::-1] * previous[:, 1:]  # √l·U|k, l − 1⟩
+                # the a† parts of A and B, then their b† parts
+                bordered[total % dim, low + 1 : high + 2, low + 1 : high + 2] = (
+                    root[:, None] * (from_a + from_b)[:-1] + root[::-1, None] * (from_b - from_a)[1:]
+                ) / (total * math.sqrt(2))
+                self.written = total + 1
+        finally:
+            bordered.setflags(write=False)
         return self.blocks
 
 
@@ -244,7 +278,8 @@ def beamsplitter(cfg: FockConfig) -> np.ndarray:
     keeps its rows and columns inside the truncation. A whole sector's
     block is orthogonal. A cut sector's block is not: the weight it sends
     to levels outside the box is the truncation's true leakage, so a state
-    that reaches sector dim loses norm through it (:func:`_write_sectors`).
+    that reaches sector dim loses norm through it
+    (:meth:`_SectorStore.sectors`).
 
     A dim holds one packed array (:class:`_SectorStore`), filled on
     demand. :func:`apply_beamsplitter` on a corner w < dim builds the whole
@@ -254,41 +289,6 @@ def beamsplitter(cfg: FockConfig) -> np.ndarray:
     a state that reaches sector dim.
     """
     return _sector_store(cfg.dim).sectors(2 * cfg.dim - 1)
-
-
-def _write_sectors(bordered: np.ndarray, totals: range) -> None:
-    """Write each sector t of ``totals``, in order, into the zero-bordered
-    blocks of :class:`_SectorStore`, where level k is at index k + 1, from
-    sector t − 1, already there.
-
-    The recursion is t·U|k, l⟩ = √k·A·U|k − 1, l⟩ + √l·B·U|k, l − 1⟩, with
-    A = U a† U† = (a† − b†)/√2 and B = U b† U† = (a† + b†)/√2. Every
-    coefficient of this averaged recursion is at most 1 in size, which keeps
-    it stable where the one-term ladder recursion is not. Row and column k
-    of sector t need rows and columns k − 1 and k of sector t − 1, so sector
-    t on its box levels low..high reads sector t − 1 on levels
-    low − 1..high only, one slice of the bordered block: a cut sector is the
-    exact sub-block, with no larger window. A whole sector (low = 0) reads
-    the zero level −1 of the border, and level t, outside sector t − 1 and
-    still zero, as the cut sector t + dim − 1 that shares its block comes
-    later; both meet a zero coefficient √k or √l.
-    """
-    dim = len(bordered)
-    roots = np.sqrt(np.arange(dim))
-    for total in totals:
-        low, high = max(0, total - dim + 1), min(total, dim - 1)
-        # sector t − 1 on levels low − 1..high, at indices low..high + 1
-        previous = bordered[(total - 1) % dim, low : high + 2, low : high + 2]
-        root = roots[low : high + 1]  # √k; reversed, √l = √(t − k)
-        from_a = root * previous[:, :-1]  # column k: √k·U|k − 1, l⟩, rows from level low − 1
-        from_b = root[::-1] * previous[:, 1:]  # √l·U|k, l − 1⟩
-        block = bordered[total % dim, low + 1 : high + 2, low + 1 : high + 2]
-        np.add(from_a[:-1], from_b[:-1], out=block)  # the a† parts of A and B
-        block *= root[:, None]
-        from_b -= from_a  # their b† parts, in place to spare two temporaries
-        from_b[1:] *= root[::-1, None]
-        block += from_b[1:]
-        block /= total * math.sqrt(2)
 
 
 @lru_cache(maxsize=None)

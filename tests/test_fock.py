@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from qpbreed.fock import (
     _SectorStore,
     annihilation,
     apply_beamsplitter,
+    hermite_functions,
 )
 from oracles import (
     BEAMSPLITTER_ROUTES,
@@ -32,6 +34,7 @@ from oracles import (
     displacement_matrix,
     full_row_sectors,
     generator_beamsplitter,
+    hermite_phi,
     parity_operator,
     quad_qunaught_state,
     quadrature,
@@ -96,6 +99,32 @@ def test_displacement_top_corner_at_dim_300():
         corner = [[displacement_element(m, n, beta) for n in levels] for m in levels]
         built = displacement(FockConfig(300), beta)[270:, 270:]
         assert np.max(np.abs(built - np.array(corner))) < 1e-12
+
+
+def test_hermite_functions_keep_their_precision_past_the_unscaled_underflow():
+    """Past |x| = √1400 ≈ 37.4, where e^{−x²/2} nears the bottom of the
+    double range, every φ_n, n ≤ 644, whose true value exceeds 1e-300
+    matches a 60-digit mpmath run of the same recurrence to 1e-12 relative,
+    φ_644(38.61) ≈ 9.4e-13 included (the unscaled recurrence reads it as 0).
+    Inside that range the values are the unscaled recurrence's bit for bit,
+    and at 1500 levels they stay finite out to |x| = 200."""
+    x = np.append(np.linspace(37.5, 48.9, 12), 38.61)
+    built = hermite_functions(645, x)
+    with mpmath.workdps(60):
+        for column, point in zip(built.T, x.tolist()):
+            point = mpmath.mpf(point)
+            exact = [mpmath.pi ** mpmath.mpf(-0.25) * mpmath.exp(-point**2 / 2)]
+            exact.append(mpmath.sqrt(2) * point * exact[0])
+            for n in range(2, 645):
+                up, back = mpmath.sqrt(mpmath.mpf(2) / n), mpmath.sqrt(mpmath.mpf(n - 1) / n)
+                exact.append(up * point * exact[n - 1] - back * exact[n - 2])
+            for value, truth in zip(column.tolist(), exact):
+                if truth > mpmath.mpf("1e-300"):
+                    assert abs(value - truth) <= 1e-12 * truth
+    assert built[644, -1] == pytest.approx(9.366e-13, rel=1e-3)
+    inside = np.linspace(-37.4, 37.4, 1001)
+    assert hermite_functions(645, inside).tobytes() == hermite_phi(644, inside).tobytes()
+    assert np.isfinite(hermite_functions(1500, np.linspace(-200, 200, 81))).all()
 
 
 def test_binomial_psi0_amplitudes(cfg):
