@@ -61,7 +61,7 @@ def quadrature_basis(cfg: FockConfig, axis: str) -> QuadratureBasis:
         vectors.setflags(write=False)
         return QuadratureBasis(axis=axis, dim=cfg.dim, eigenvalues=q.eigenvalues, eigenvectors=vectors)
     offdiag = np.sqrt(np.arange(1, cfg.dim) / 2.0)
-    values, vectors = eig_hermitian_tridiagonal(np.zeros(cfg.dim), offdiag)
+    values, vectors = eig_hermitian_tridiagonal(offdiag)
     vectors.setflags(write=False)
     values.setflags(write=False)
     return QuadratureBasis(axis=axis, dim=cfg.dim, eigenvalues=values, eigenvectors=vectors)

@@ -95,15 +95,16 @@ def wigner(state: np.ndarray, q_axis: np.ndarray, p_axis: np.ndarray) -> np.ndar
     trapezoid sum at a few times the Nyquist rate is exponentially accurate.
 
     ψ is evaluated once, from the Hermite functions up to the state's top
-    occupied level, on one x grid that holds every q ± y. Its step h
-    is the q spacing divided by 2^j, for the smallest j ≥ 0 that puts h at
-    or below the sampling bound π/(2.5·bandwidth); the y step is the
-    largest multiple of h at or below that bound, so it is never coarser
-    than the bound and, on a dense q axis, not much finer either. A
-    one-point q axis takes the bound itself as its step. ``q_axis`` must
-    therefore be evenly spaced; ``p_axis`` may be any set of points. Since
-    the integrand at −y is the conjugate of that at y, only y ≥ 0 is
-    summed, with the y > 0 terms doubled, and only the real part is formed:
+    occupied level, on one x grid that holds every q ± y. Its step h is
+    the q spacing divided by 2^j, for the smallest j ≥ 0 that puts h at or
+    below the sampling bound π/(2.5·bandwidth), and the y step is h
+    itself. On :func:`default_grid` h lies between half the bound and the
+    bound; a q axis finer than half the bound sums proportionally more y
+    terms than the bound needs. A one-point q axis takes the bound itself
+    as its step. ``q_axis`` must therefore be evenly spaced; ``p_axis``
+    may be any set of points. Since the integrand at −y is the conjugate
+    of that at y, only y ≥ 0 is summed, with the y > 0 terms doubled, and
+    only the real part is formed:
     Re(P·e^{2ipy}) = Re P·cos 2py − Im P·sin 2py for the products
     P = ψ*(q+y)ψ(q−y), formed in ψ's dtype over chunks of q rows, with
     Re P and Im P each summed as one real matrix product. The cosine part
@@ -142,8 +143,7 @@ def wigner(state: np.ndarray, q_axis: np.ndarray, p_axis: np.ndarray) -> np.ndar
         while abs(spacing) / stride > bound:
             stride *= 2
         h = spacing / stride
-    skip = max(1, int(bound // abs(h)))  # x-grid points per y step
-    m = math.ceil(y_max / (skip * abs(h)))  # y steps on each side of 0
+    m = math.ceil(y_max / abs(h))  # y steps on each side of 0
 
     # cell [i, j] of the grid is cell [rows[i], columns[j]] of those evaluated
     p_eval, columns = np.unique(np.abs(p_axis), return_inverse=True)
@@ -153,11 +153,10 @@ def wigner(state: np.ndarray, q_axis: np.ndarray, p_axis: np.ndarray) -> np.ndar
         rows = np.maximum(rows, n_q - 1 - rows) - n_q // 2
     first = n_q - 1 - int(rows.max())  # the evaluated rows are q_axis[first:]
     n_eval = n_q - first
-    x = q_axis[0] + h * np.arange(first * stride - m * skip, (n_q - 1) * stride + m * skip + 1)
+    x = q_axis[0] + h * np.arange(first * stride - m, (n_q - 1) * stride + m + 1)
     psi = _wavefunction(state, x)
 
-    y_step = skip * h
-    angles = np.multiply.outer(2 * y_step * np.arange(m + 1), p_eval)
+    angles = np.multiply.outer(2 * h * np.arange(m + 1), p_eval)
     doubled = np.full((m + 1, 1), 2.0)  # a y > 0 term stands for ±y
     doubled[0] = 1.0
     cosines = np.cos(angles) * doubled
@@ -165,8 +164,8 @@ def wigner(state: np.ndarray, q_axis: np.ndarray, p_axis: np.ndarray) -> np.ndar
     del angles
 
     # row i, column k: ψ(q_i + y_k) and ψ(q_i − y_k), strided views of ψ
-    windows = np.lib.stride_tricks.sliding_window_view(psi, m * skip + 1)[:, ::skip]
-    plus = windows[m * skip :: stride]
+    windows = np.lib.stride_tricks.sliding_window_view(psi, m + 1)
+    plus = windows[m::stride]
     minus = windows[: n_eval * stride : stride, ::-1]
     even = np.empty((n_eval, len(p_eval)))
     odd = None if real else np.empty_like(even)
@@ -179,7 +178,7 @@ def wigner(state: np.ndarray, q_axis: np.ndarray, p_axis: np.ndarray) -> np.ndar
     values = even[np.ix_(rows, columns)]
     if not real:
         values -= np.sign(p_axis) * odd[:, columns]
-    values *= abs(y_step) / math.pi
+    values *= abs(h) / math.pi
     return values
 
 

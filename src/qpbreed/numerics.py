@@ -1,5 +1,6 @@
 """Dense linear-algebra substrate: the package's numerical error, its
-tolerances, the tridiagonal eigensolve behind the quadrature bases, and a
+tolerances, the tridiagonal eigensolve behind the quadrature bases (the q
+quadrature in the Fock basis, whose diagonal is zero), and a
 skew-Hermitian exponential that nothing in the package calls.
 
 Each routine is a pure function of its inputs, so results can be shared
@@ -29,21 +30,21 @@ SKEW_HERMITIAN_TOL = 1e-12
 PROBABILITY_FLOOR = 1e-300
 
 
-def eig_hermitian_tridiagonal(diag, offdiag):
-    """Eigendecomposition of a real symmetric tridiagonal matrix.
+def eig_hermitian_tridiagonal(offdiag):
+    """Eigendecomposition of the (n+1, n+1) real symmetric tridiagonal
+    matrix whose diagonal is zero and whose n off-diagonal entries are
+    ``offdiag``. Its one caller diagonalizes the q quadrature in the Fock
+    basis, whose diagonal is zero.
 
     Returns eigenvalues in ascending order and eigenvectors as the columns
     of a real (float64) matrix. The sign of each eigenvector is fixed by
     making its largest-magnitude entry positive, so repeated runs are
     bit-for-bit reproducible.
     """
-    diag = np.asarray(diag, dtype=float)
     offdiag = np.asarray(offdiag, dtype=float)
-    if offdiag.shape[0] != diag.shape[0] - 1:
-        raise ValueError("offdiag must be one entry shorter than diag")
     try:
-        values, vectors = np.linalg.eigh(np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - hard to trigger
+        values, vectors = np.linalg.eigh(np.diag(offdiag, 1) + np.diag(offdiag, -1))
+    except np.linalg.LinAlgError as exc:
         raise NumericalError(f"tridiagonal eigensolver did not converge: {exc}") from exc
     largest = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(len(values))]
     return values, vectors * np.where(largest < 0, -1.0, 1.0)

@@ -191,8 +191,11 @@ def breed_step(
 
     Raises ValueError, naming its length and dim, when an input has more
     than dim levels, rather than breed it cut to the box, or fewer, rather
-    than read it as padded with zeros.
+    than read it as padded with zeros; and, naming its shape, when
+    ``left`` is a stack rather than one state.
     """
+    if left.ndim != 1:
+        raise ValueError(f"left must be one state, not an array of shape {left.shape}")
     wrong = {left.shape[-1], right.shape[-1]} - {cfg.dim}
     if wrong:
         levels = max(wrong)  # a longer input is named first

@@ -476,6 +476,8 @@ def test_config_error_exit_code(capsys):
     assert "error" in capsys.readouterr().err
     assert run_cli(["distribution", "--schedule", "xy"]) == EXIT_CONFIG
     capsys.readouterr()
+    assert run_cli(["distribution", "--schedule", "qpq", "--postselect", "C,C,C"]) == EXIT_CONFIG
+    assert "conditioned distribution needs exactly two postselect tokens" in capsys.readouterr().err
     # the extent of the peak sum follows from dim and delta and is no setting
     assert run_cli(["chain", "--schedule", "qp", "--t-max", "20"]) == EXIT_CONFIG
     assert "unrecognized arguments: --t-max 20" in capsys.readouterr().err
@@ -584,6 +586,21 @@ def test_numerical_failure_exit_code(monkeypatch):
 
     monkeypatch.setitem(cli.COMMANDS, "distribution", boom)
     assert run_cli(["distribution"]) == cli.EXIT_NUMERICAL
+
+
+def test_eigensolver_failure_exit_code(tmp_path, monkeypatch, capsys):
+    # the eigensolve runs on a dim's first basis, so none may be cached
+    def unconverged(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", unconverged)
+    qpbreed.quadrature_basis.cache_clear()
+    out = tmp_path / "d.csv"
+    assert run_cli(["distribution", "--dim", "23", "--output-path", str(out)]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: tridiagonal eigensolver did not converge")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_memory_error_exit_code(monkeypatch, capsys):

@@ -174,6 +174,16 @@ def test_squeezed_vacuum_even_support(cfg):
     assert np.max(np.abs(state[1::2])) == 0
 
 
+def test_squeezing_deltas_outside_their_range_are_refused(cfg):
+    # the grid's Δ lies in (0, 1); a squeezed vacuum may also be the vacuum
+    for delta in (0.0, -0.3, 1.0, 1.5, math.nan):
+        with pytest.raises(ValueError, match=r"squeezing delta must be in \(0, 1\)"):
+            QunaughtParams(delta)
+    for delta in (0.0, -0.3, 1.01, math.nan):
+        with pytest.raises(ValueError, match=r"delta must be in \(0, 1\]"):
+            squeezed_vacuum(cfg, delta)
+
+
 @pytest.mark.parametrize("dim", [2, 3, 12, 50, 51, 645])
 def test_squeezed_vacuum_is_the_analytic_series(dim):
     for delta in (0.001, 0.05, 0.3, 0.4, 0.9, 1.0):

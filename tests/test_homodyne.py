@@ -59,9 +59,9 @@ def test_one_eigensolve_per_dim_for_both_axes(monkeypatch, tmp_path):
     # its target and its probes are built without an eigenbasis
     sizes = []
 
-    def counted(diag, offdiag):
-        sizes.append(len(diag))
-        return eig_hermitian_tridiagonal(diag, offdiag)
+    def counted(offdiag):
+        sizes.append(len(offdiag) + 1)
+        return eig_hermitian_tridiagonal(offdiag)
 
     monkeypatch.setattr(homodyne, "eig_hermitian_tridiagonal", counted)
     quadrature_basis.cache_clear()

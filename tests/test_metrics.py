@@ -158,9 +158,10 @@ def test_wigner_matches_brute_force_oracle(cfg, psi0):
         assert grid[0, 0] == pytest.approx(wigner_point(psi0, q, p), abs=1e-8)
     # evenly spaced axes share one x grid: the default axis (q spacing over
     # 2 below the sampling bound), a coarse one (spacing over 16) and a fine
-    # one (two x steps per y step), checked at the corners, the origin and
-    # off-diagonal points. The corners sit at |α|² = 25, which the oracle
-    # needs 60 padding levels to reach.
+    # one (spacing under half the bound, which the y sum steps by too),
+    # checked at the corners, the origin and off-diagonal points. The
+    # corners sit at |α|² = 25, which the oracle needs 60 padding levels to
+    # reach.
     *_, (_, _, state) = chain_prefixes(cfg, Schedule.from_string("qp"), ["C", "C"], psi0)
     for axis in (default_grid(), np.linspace(-4, 4, 21), np.linspace(-4, 4, 401)):
         grid = wigner(state, axis, axis)

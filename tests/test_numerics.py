@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qpbreed.numerics import eig_hermitian_tridiagonal, expm_skew_hermitian
+from qpbreed.numerics import NumericalError, eig_hermitian_tridiagonal, expm_skew_hermitian
 
 from oracles import EIG_RESIDUAL, UNITARITY, gauss_hermite_nodes
 
@@ -10,7 +10,7 @@ from oracles import EIG_RESIDUAL, UNITARITY, gauss_hermite_nodes
 def test_tridiagonal_eigs_match_gauss_hermite_oracle():
     n = 50
     offdiag = np.sqrt(np.arange(1, n) / 2.0)
-    values, vectors = eig_hermitian_tridiagonal(np.zeros(n), offdiag)
+    values, vectors = eig_hermitian_tridiagonal(offdiag)
     nodes = gauss_hermite_nodes(n)
     assert np.max(np.abs(values - nodes)) < 1e-9
 
@@ -19,7 +19,7 @@ def test_tridiagonal_eigs_residual_and_orthonormality():
     n = 50
     offdiag = np.sqrt(np.arange(1, n) / 2.0)
     matrix = np.diag(offdiag, 1) + np.diag(offdiag, -1)
-    values, vectors = eig_hermitian_tridiagonal(np.zeros(n), offdiag)
+    values, vectors = eig_hermitian_tridiagonal(offdiag)
     residual = matrix @ vectors - vectors * values[None, :]
     assert np.max(np.abs(residual)) < EIG_RESIDUAL
     gram = vectors.conj().T @ vectors
@@ -28,8 +28,8 @@ def test_tridiagonal_eigs_residual_and_orthonormality():
 
 def test_tridiagonal_eigvector_phases_deterministic():
     offdiag = np.sqrt(np.arange(1, 30) / 2.0)
-    _, v1 = eig_hermitian_tridiagonal(np.zeros(30), offdiag)
-    _, v2 = eig_hermitian_tridiagonal(np.zeros(30), offdiag)
+    _, v1 = eig_hermitian_tridiagonal(offdiag)
+    _, v2 = eig_hermitian_tridiagonal(offdiag)
     assert np.array_equal(v1, v2)
     for j in range(v1.shape[1]):
         k = int(np.argmax(np.abs(v1[:, j])))
@@ -37,9 +37,14 @@ def test_tridiagonal_eigvector_phases_deterministic():
         assert v1[k, j].imag == 0
 
 
-def test_tridiagonal_shape_mismatch():
-    with pytest.raises(ValueError):
-        eig_hermitian_tridiagonal(np.zeros(5), np.zeros(5))
+def test_tridiagonal_eigensolver_failure_is_a_numerical_error(monkeypatch):
+    # numpy's LinAlgError is a ValueError, which would read as bad input
+    def unconverged(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", unconverged)
+    with pytest.raises(NumericalError, match="did not converge: Eigenvalues did not converge"):
+        eig_hermitian_tridiagonal(np.sqrt(np.arange(1, 9) / 2.0))
 
 
 def test_expm_skew_hermitian_is_unitary():

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -659,6 +660,18 @@ def test_breed_step_refuses_a_state_shorter_than_dim(short):
             breed_step(left, right, "q", cfg)
 
 
+@pytest.mark.parametrize("dim, shape", [(20, (3, 20)), (12, (12, 12))])
+def test_breed_step_refuses_a_stacked_left(dim, shape):
+    # only right may be a stack; left would meet numpy's broadcast or
+    # matmul errors without the check
+    cfg = FockConfig(dim)
+    left = np.broadcast_to(default_input(cfg), shape)
+    message = "left must be one state, not an array of shape " + re.escape(str(shape))
+    for right in (default_input(cfg), left):
+        with pytest.raises(ValueError, match=message):
+            breed_step(left, right, "q", cfg)
+
+
 def test_probability_fidelity_curve_endpoints(atlas):
     probabilities, fidelities, _ = atlas
     points = probability_fidelity_curve(probabilities, fidelities, [0.0, 2.0])
@@ -695,6 +708,33 @@ def test_sweep_flags_unsupported_inputs():
     records = sweep_binomial_inputs(cfg, [4], [6, 7], Schedule.alternating(2), 0.4)
     # N=4, K>=6 occupies level 2*3*4 = 24 >= 20
     assert all(not r.supported and math.isnan(r.fidelity) for r in records)
+
+
+def test_sweep_flags_an_underflowing_level(monkeypatch):
+    # no center outcome underflows at the CLI's dims, so a stand-in
+    # select_outcome fails level 2 of the second input, (2, 3)
+    import qpbreed.protocol as protocol
+    from qpbreed.numerics import NumericalError
+
+    args = (FockConfig(dim=20), [2], [2, 3, 4], Schedule.alternating(4), 0.4)
+    honest = sweep_binomial_inputs(*args)
+    assert all(r.supported for r in honest)
+    real, calls = protocol.select_outcome, []
+
+    def starved(basis, probabilities, token):
+        calls.append(token)
+        if len(calls) == 4 + 2:  # the first input's four levels, then one
+            raise NumericalError("selected outcome underflowed")
+        return real(basis, probabilities, token)
+
+    monkeypatch.setattr(protocol, "select_outcome", starved)
+    records = sweep_binomial_inputs(*args)
+    levels = [(r.K, r.iteration) for r in records]
+    assert levels == [(2, i) for i in range(5)] + [(3, 0), (3, 1), (3, 2)] + [(4, i) for i in range(5)]
+    flagged = records.pop(7)
+    assert (flagged.N, flagged.K, flagged.iteration, flagged.supported) == (2, 3, 2, False)
+    assert math.isnan(flagged.fidelity)
+    assert records == [r for r in honest if r.K != 3 or r.iteration < 2]
 
 
 def test_sweep_breeds_once_for_all_targets(monkeypatch):
