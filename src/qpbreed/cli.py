@@ -70,6 +70,8 @@ class RunConfig:
                 f"dim {self.dim} is too large: its packed beamsplitter, dim³ float64 entries, "
                 f"would exceed the budget of {MAX_BEAMSPLITTER_BYTES} bytes"
             )
+        if self.K < 1:  # wigner --n 0 builds no binomial input to refuse it
+            raise ValueError(f"K must be at least 1, got {self.K}")
         if not 0 < self.delta_target < 1:
             raise ValueError(f"delta-target must be in (0, 1), got {self.delta_target}")
         if any(c not in "qp" for c in self.schedule) or not self.schedule:

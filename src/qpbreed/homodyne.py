@@ -140,12 +140,14 @@ def label_peaks(dist: OutcomeDistribution) -> OutcomeDistribution:
 def select_outcome(basis: QuadratureBasis, probabilities: np.ndarray, token) -> int:
     """Eigenvalue index that a post-selection token selects among the
     outcome ``probabilities`` of a measurement in ``basis``: an index in
-    [0, dim), or a peak label (C/S1/S2/S or a mirror-label) of their
-    distribution. Raises NumericalError when the selected outcome's
-    probability is at or below the underflow floor."""
+    [0, dim), given as an integer or as text of unsigned ASCII digits (a
+    sign or another script's digits make no index), or a peak label
+    (C/S1/S2/S or a mirror-label) of their distribution. Raises
+    NumericalError when the selected outcome's probability is at or below
+    the underflow floor."""
     dim = len(probabilities)
     text = str(token)
-    if text.removeprefix("-").isdecimal():
+    if isinstance(token, int) or (text.isascii() and text.isdecimal()):
         index = int(text)
         if not 0 <= index < dim:
             raise ValueError(f"outcome index {index} out of range for dim {dim}")

@@ -12,10 +12,6 @@ from .fock import VACUUM_VARIANCE, FockConfig, _i_powers, displacement, hermite_
 
 SQRT_PI = math.sqrt(math.pi)
 
-#: q rows of a :func:`wigner` grid whose products are formed at a time.
-#: Keep it: BLAS blocks a matmul by row count, so it fixes the printed digits.
-WIGNER_CHUNK_ROWS = 64
-
 
 def fidelity(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """Overlap magnitude |⟨a|b⟩| between two normalized pure states.
@@ -106,10 +102,11 @@ def wigner(state: np.ndarray, q_axis: np.ndarray, p_axis: np.ndarray) -> np.ndar
     of that at y, only y ≥ 0 is summed, with the y > 0 terms doubled, and
     only the real part is formed:
     Re(P·e^{2ipy}) = Re P·cos 2py − Im P·sin 2py for the products
-    P = ψ*(q+y)ψ(q−y), formed in ψ's dtype over chunks of q rows, with
-    Re P and Im P each summed as one real matrix product. The cosine part
-    is even in p and the sine part odd, so both are evaluated at the
-    distinct |p| only.
+    P = ψ*(q+y)ψ(q−y), formed in ψ's dtype in one product over all the
+    evaluated rows, an (evaluated rows) × (y terms) array, with Re P and
+    Im P each summed as one real matrix product. The cosine part is even
+    in p and the sine part odd, so both are evaluated at the distinct |p|
+    only.
 
     A real ψ is its own conjugate and has real P: W is the cosine part
     alone, even in p, and its cells at ±p are copies. A real ψ of one
@@ -161,23 +158,14 @@ def wigner(state: np.ndarray, q_axis: np.ndarray, p_axis: np.ndarray) -> np.ndar
     doubled[0] = 1.0
     cosines = np.cos(angles) * doubled
     sines = None if real else np.sin(angles) * doubled
-    del angles
+    del angles  # before the products are formed, so that the two are never held at once
 
-    # row i, column k: ψ(q_i + y_k) and ψ(q_i − y_k), strided views of ψ
+    # row i, column k: ψ*(q_i + y_k)·ψ(q_i − y_k), from strided views of ψ
     windows = np.lib.stride_tricks.sliding_window_view(psi, m + 1)
-    plus = windows[m::stride]
-    minus = windows[: n_eval * stride : stride, ::-1]
-    even = np.empty((n_eval, len(p_eval)))
-    odd = None if real else np.empty_like(even)
-    for lo in range(0, n_eval, WIGNER_CHUNK_ROWS):
-        chunk = slice(lo, lo + WIGNER_CHUNK_ROWS)
-        products = plus[chunk].conj() * minus[chunk]
-        even[chunk] = products.real @ cosines
-        if not real:
-            odd[chunk] = products.imag @ sines
-    values = even[np.ix_(rows, columns)]
+    products = windows[m::stride].conj() * windows[: n_eval * stride : stride, ::-1]
+    values = (products.real @ cosines)[np.ix_(rows, columns)]
     if not real:
-        values -= np.sign(p_axis) * odd[:, columns]
+        values -= np.sign(p_axis) * (products.imag @ sines)[:, columns]
     values *= abs(h) / math.pi
     return values
 

@@ -486,6 +486,35 @@ def test_config_error_exit_code(capsys):
     assert run_cli(["chain", "--schedule", "qp", "--postselect", "24"]) == EXIT_CONFIG
     assert run_cli(["chain", "--schedule", "qp", "--postselect", "99,24"]) == EXIT_CONFIG
     assert run_cli(["chain", "--schedule", "qp", "--postselect", "S9,C"]) == EXIT_CONFIG
+    capsys.readouterr()
+    # a signed zero and the Arabic-Indic digits ٢٤ (24) are no outcome index
+    for token in ("-0", "-00", "\u0662\u0664"):
+        assert run_cli(["chain", "--schedule", "q", "--postselect", token]) == EXIT_CONFIG
+        assert f"post-selection token {token!r} is not an index" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["wigner", "--n", "0", "--k", "-5"],  # the target sentinel builds no binomial input
+        ["wigner", "--n", "0", "--k", "0"],
+        ["wigner", "--k", "0"],
+        ["chain", "--schedule", "q", "--k", "0"],
+        ["distribution", "--k", "-1"],
+    ],
+)
+def test_k_below_one_is_refused_by_every_command_that_reads_it(tmp_path, capsys, args):
+    out = tmp_path / "out.csv"
+    assert run_cli(args + ["--output-path", str(out)]) == EXIT_CONFIG
+    assert f"K must be at least 1, got {args[-1]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_k_of_one_is_accepted(tmp_path):
+    out = tmp_path / "target.csv"
+    args = ["wigner", "--n", "0", "--k", "1", "--dim", "13", "--output-path", str(out)]
+    assert run_cli(args) == EXIT_OK
+    assert "# config K=1" in out.read_text().splitlines()
 
 
 def test_unwritable_output_path_exit_code(tmp_path, capsys):

@@ -213,7 +213,9 @@ def test_select_outcome_by_index_or_label(basis_q, first_level):
         select_outcome(basis_q, probabilities, "50")
     with pytest.raises(ValueError, match="'S' is not an index"):
         select_outcome(basis_q, probabilities, "S")  # a p-type label
-    for junk in ("\u00b2", "--1", " 3"):  # a digit that is no decimal, two signs, a space
+    # a digit that is no decimal, two signs, a space, a signed zero, and the
+    # Arabic-Indic digits ٢٤ (24)
+    for junk in ("\u00b2", "--1", " 3", "-0", "-00", "\u0662\u0664"):
         with pytest.raises(ValueError, match="is not an index"):
             select_outcome(basis_q, probabilities, junk)
 
