@@ -144,11 +144,12 @@ def breed_step(
     """One breeding step, over the outcomes ``outcomes`` of the measured
     quadrature: a slice of its dim outcomes, all of them by default.
 
-    ``left`` enters the measured port. ``right`` is one state, or an
-    (n, dim) stack whose rows are each bred with ``left``. Returns
+    ``left`` enters the measured port. Each input is one state or an
+    (n, dim) stack of states: one state is bred with every row of a stack,
+    and two stacks, of equal length, row i with row i. Returns
     ``(probabilities, posts)``: with s outcomes in the slice (dim by
-    default), shapes (s,) and (s, dim) for one state, (n, s) and
-    (n, s, dim) for a stack. ``posts[..., i, :]`` is the normalized
+    default), shapes (s,) and (s, dim) for two states, (n, s) and
+    (n, s, dim) with a stack. ``posts[..., i, :]`` is the normalized
     kept-mode state after the slice's i-th outcome, or a zero row where the
     outcome probability is at or below the underflow floor. The outcomes
     outside the slice are neither projected nor normalized, and a slice of
@@ -162,7 +163,9 @@ def breed_step(
     T_L + T_R + 1) levels of each mode: the (…, w, w) joint coefficients
     are mixed, projected onto the sliced outcomes, and the posts padded
     with zeros to dim. Levels are read from the arrays, so from a binomial input
-    of top level T the level-k posts stay within 2ᵏ·T photons.
+    of top level T the level-k posts stay within 2ᵏ·T photons. Every pair
+    of a stack is bred on the corner of its widest rows, so a row's posts
+    agree with those of its own step up to rounding.
 
     Real inputs are bred in real arithmetic throughout, since the
     beamsplitter blocks and the q eigenvectors are real: measured in q they
@@ -170,9 +173,10 @@ def breed_step(
     phases iⁿ of the p eigenvectors, except as below. Complex inputs give
     complex posts.
 
-    A state bred with itself (``right`` equal to ``left``) gives posts with
-    exactly zero odd levels. ψ⊗ψ is symmetric under exchange of the modes,
-    and the balanced beamsplitter turns that symmetry into the parity of
+    A state bred with itself (``right`` equal to ``left``, for a stack every
+    row with itself) gives posts with exactly zero odd levels. ψ⊗ψ is
+    symmetric under exchange of the modes, and the balanced beamsplitter
+    turns that symmetry into the parity of
     the kept mode: the joint wavefunction ψ((x + y)/√2)·ψ((x − y)/√2) is
     even in the kept mode's coordinate y (Hong–Ou–Mandel interference).
     Every beamsplitter block is the exact operator compressed to the
@@ -191,11 +195,9 @@ def breed_step(
 
     Raises ValueError, naming its length and dim, when an input has more
     than dim levels, rather than breed it cut to the box, or fewer, rather
-    than read it as padded with zeros; and, naming its shape, when
-    ``left`` is a stack rather than one state.
+    than read it as padded with zeros; and numpy's broadcast ValueError
+    for two stacks of unequal length.
     """
-    if left.ndim != 1:
-        raise ValueError(f"left must be one state, not an array of shape {left.shape}")
     wrong = {left.shape[-1], right.shape[-1]} - {cfg.dim}
     if wrong:
         levels = max(wrong)  # a longer input is named first
@@ -203,7 +205,7 @@ def breed_step(
         raise ValueError(f"input state has {levels} levels, {relation} than dim {cfg.dim}")
     top = top_level(left) + top_level(right)
     width = max(1, min(cfg.dim, top + 1))
-    mixed = apply_beamsplitter(cfg, left[:width, None] * right[..., None, :width])
+    mixed = apply_beamsplitter(cfg, left[..., :width, None] * right[..., None, :width])
     amplitudes = projection_amplitudes(mixed, quadrature_basis(cfg, axis), outcomes)
     if np.array_equal(left, right):  # ψ⊗ψ
         amplitudes[..., 1::2] = 0.0  # the kept mode is exactly parity-even
@@ -413,30 +415,32 @@ def sweep_binomial_inputs(
     """Chain fidelity after 0..k iterations for a grid of binomial inputs,
     against the qunaught target of each given Δ.
 
-    Post-selects the innermost negative eigenvalue at every level, breeds
-    each chain once and gives records by target, then N, K and iteration.
-    Unsupported (N, K) combinations (Fock support outside the truncation)
-    and chains whose selected outcome underflows are flagged rather than
-    fatal.
+    Post-selects the innermost negative eigenvalue at every level and gives
+    records by target, then N, K and iteration. The inputs whose top level
+    fits the truncation are one (n, dim) stack, and each level breeds it
+    with itself in one :func:`breed_step`, every row with itself, on the
+    center outcome and the next: the first row of a slice of two is, bit
+    for bit, that of the full step. Unsupported (N, K) combinations (Fock
+    support outside the truncation) are flagged at iteration 0, and a chain
+    whose selected outcome underflows, a zero post, is flagged at that
+    level with no record after it; neither is fatal.
     """
     targets = [qunaught_state(cfg, QunaughtParams(delta)) for delta in target_deltas]
-    center = [quadrature_basis(cfg, "q").center_index] * schedule.iterations
+    center = quadrature_basis(cfg, "q").center_index
+    inputs = [BinomialParams(N=n_sym, K=k_trunc) for n_sym in N_list for k_trunc in K_list]
+    fits = [params for params in inputs if params.top_level < cfg.dim]
+    stacks = [np.array([binomial_state(cfg, params) for params in fits]).reshape(-1, cfg.dim)]
+    for axis in schedule.axes:
+        posts = breed_step(stacks[-1], stacks[-1], axis, cfg, slice(center, center + 2))[1]
+        stacks.append(posts[:, 0])
+    chains = zip(*stacks)  # the states of each input that fits, level by level
     levels = []  # (N, K, iteration, state), state None where unsupported
-    for n_sym in N_list:
-        for k_trunc in K_list:
-            params = BinomialParams(N=n_sym, K=k_trunc)
-            if params.top_level >= cfg.dim:
-                levels.append((n_sym, k_trunc, 0, None))
-                continue
-            level = 0
-            try:
-                for path, _, state in chain_prefixes(
-                    cfg, schedule, center, binomial_state(cfg, params)
-                ):
-                    level = len(path)
-                    levels.append((n_sym, k_trunc, level, state))
-            except NumericalError:
-                levels.append((n_sym, k_trunc, level + 1, None))
+    for params in inputs:
+        for level, state in enumerate(next(chains) if params.top_level < cfg.dim else [None]):
+            supported = state is not None and state.any()
+            levels.append((params.N, params.K, level, state if supported else None))
+            if not supported:
+                break
     records = []
     for delta, target in zip(target_deltas, targets):
         for n_sym, k_trunc, level, state in levels:

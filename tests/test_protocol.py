@@ -1,5 +1,4 @@
 import math
-import re
 import tracemalloc
 import warnings
 
@@ -26,6 +25,8 @@ from qpbreed import (
     sign_aggregated,
     sweep_binomial_inputs,
 )
+from qpbreed.fock import apply_beamsplitter
+from qpbreed.homodyne import projection_amplitudes
 from qpbreed.numerics import PROBABILITY_FLOOR
 from qpbreed.protocol import chain_prefixes, distinct_mirrors, leaf_fold, sign_aggregation_log
 
@@ -660,16 +661,56 @@ def test_breed_step_refuses_a_state_shorter_than_dim(short):
             breed_step(left, right, "q", cfg)
 
 
-@pytest.mark.parametrize("dim, shape", [(20, (3, 20)), (12, (12, 12))])
-def test_breed_step_refuses_a_stacked_left(dim, shape):
-    # only right may be a stack; left would meet numpy's broadcast or
-    # matmul errors without the check
-    cfg = FockConfig(dim)
-    left = np.broadcast_to(default_input(cfg), shape)
-    message = "left must be one state, not an array of shape " + re.escape(str(shape))
-    for right in (default_input(cfg), left):
-        with pytest.raises(ValueError, match=message):
-            breed_step(left, right, "q", cfg)
+@pytest.mark.parametrize("axis, complex_input", [("q", False), ("p", True)])
+def test_breed_step_pairs_two_stacks_row_by_row(axis, complex_input):
+    # rows of top levels 5, 12 and 19 at dim 20: each pair is bred on the
+    # corner of the widest rows, every level here, and must agree with its
+    # own step on its own corner; a stack bred with itself pairs each row
+    # with itself, under the parity rule of a state bred with itself
+    cfg = FockConfig(20)
+    rng = np.random.default_rng(34)
+    states = rng.normal(size=(2, 3, 20))
+    if complex_input:
+        states = states + 1j * rng.normal(size=states.shape)
+    states[:, np.arange(20) > np.array([5, 12, 19])[:, None]] = 0
+    states /= np.linalg.norm(states, axis=-1, keepdims=True)
+    lefts, rights = states
+    for right in (rights, lefts):
+        probs, posts = breed_step(lefts, right, axis, cfg)
+        assert probs.shape == (3, 20) and posts.shape == (3, 20, 20)
+        for row in range(3):
+            alone_probs, alone_posts = breed_step(lefts[row], right[row], axis, cfg)
+            assert np.max(np.abs(probs[row] - alone_probs)) < 1e-14
+            assert np.max(np.abs(posts[row] - alone_posts)) < 1e-14
+    assert not posts[:, :, 1::2].any()
+
+
+@pytest.mark.parametrize("axis", "qp")
+def test_breed_step_of_one_state_against_a_stack_is_unchanged_by_pairing(axis):
+    # one state against a stack is the enumeration's path: the joint state
+    # left ⊗ row of each row, mixed, projected and normalized as written
+    # out here, bit for bit
+    cfg = FockConfig(20)
+    psi0 = default_input(cfg)
+    stack = breed_step(psi0, psi0, "q", cfg)[1][:10]
+    probs, posts = breed_step(stack[9], stack, axis, cfg)
+    width = 2 * 8 + 1  # first-level posts reach level 8
+    joint = stack[9][:width, None] * stack[..., None, :width]
+    amplitudes = projection_amplitudes(apply_beamsplitter(cfg, joint), quadrature_basis(cfg, axis))
+    written_probs = np.vecdot(amplitudes, amplitudes).real
+    assert written_probs.min() > PROBABILITY_FLOOR  # no post is a zero row
+    written_posts = np.zeros(amplitudes.shape[:-1] + (20,), amplitudes.dtype)
+    written_posts[..., :width] = amplitudes * (1.0 / np.sqrt(written_probs))[..., None]
+    assert probs.tobytes() == written_probs.tobytes()
+    assert posts.dtype == written_posts.dtype
+    assert posts.tobytes() == written_posts.tobytes()
+
+
+def test_breed_step_refuses_stacks_of_unequal_length():
+    cfg = FockConfig(20)
+    psi0 = default_input(cfg)
+    with pytest.raises(ValueError, match="could not be broadcast"):
+        breed_step(np.stack([psi0] * 2), np.stack([psi0] * 3), "q", cfg)
 
 
 def test_probability_fidelity_curve_endpoints(atlas):
@@ -712,22 +753,23 @@ def test_sweep_flags_unsupported_inputs():
 
 def test_sweep_flags_an_underflowing_level(monkeypatch):
     # no center outcome underflows at the CLI's dims, so a stand-in
-    # select_outcome fails level 2 of the second input, (2, 3)
+    # breed_step zeroes level 2 of the second input, (2, 3), as an
+    # underflowed outcome leaves it
     import qpbreed.protocol as protocol
-    from qpbreed.numerics import NumericalError
 
     args = (FockConfig(dim=20), [2], [2, 3, 4], Schedule.alternating(4), 0.4)
     honest = sweep_binomial_inputs(*args)
     assert all(r.supported for r in honest)
-    real, calls = protocol.select_outcome, []
+    real, calls = protocol.breed_step, []
 
-    def starved(basis, probabilities, token):
-        calls.append(token)
-        if len(calls) == 4 + 2:  # the first input's four levels, then one
-            raise NumericalError("selected outcome underflowed")
-        return real(basis, probabilities, token)
+    def starved(left, right, axis, inner_cfg, outcomes):
+        probabilities, posts = real(left, right, axis, inner_cfg, outcomes)
+        calls.append(axis)
+        if len(calls) == 2:  # level 2, one step for every input
+            probabilities[1], posts[1] = 0.0, 0.0
+        return probabilities, posts
 
-    monkeypatch.setattr(protocol, "select_outcome", starved)
+    monkeypatch.setattr(protocol, "breed_step", starved)
     records = sweep_binomial_inputs(*args)
     levels = [(r.K, r.iteration) for r in records]
     assert levels == [(2, i) for i in range(5)] + [(3, 0), (3, 1), (3, 2)] + [(4, i) for i in range(5)]
@@ -748,7 +790,33 @@ def test_sweep_breeds_once_for_all_targets(monkeypatch):
     both = sweep_binomial_inputs(cfg, [2, 3], [2, 3, 4], schedule, 0.4, 0.35)
     assert [r.target_delta for r in both] == [0.4] * len(alone[0]) + [0.35] * len(alone[1])
     assert both == alone[0] + alone[1]
-    assert len(steps) == sum(r.iteration > 0 and r.supported for r in alone[0])
+    assert len(steps) == schedule.iterations  # one step per level for the whole stack
+
+
+@pytest.mark.parametrize("dim", [20, 50, 51])
+@pytest.mark.parametrize("schedule", ["qp", "pqpq"])
+def test_sweep_matches_a_chain_walk_of_each_input(dim, schedule):
+    # the stacked sweep against each input walked on its own by
+    # chain_prefixes, center outcome at every level, over the CLI's grid;
+    # at an even dim the next outcome is the center's mirror and heralds
+    # the same fidelities, at dim 51 it is the middle outcome
+    cfg = FockConfig(dim)
+    schedule = Schedule.from_string(schedule)
+    target = default_target(cfg)
+    center = [quadrature_basis(cfg, "q").center_index] * schedule.iterations
+    walked = []
+    for n_sym in (2, 3, 4):
+        for k_trunc in range(2, 8):
+            params = BinomialParams(N=n_sym, K=k_trunc)
+            if params.top_level >= dim:
+                walked.append((n_sym, k_trunc, 0, False, math.nan))
+                continue
+            for path, _, state in chain_prefixes(cfg, schedule, center, binomial_state(cfg, params)):
+                walked.append((n_sym, k_trunc, len(path), True, fidelity(state, target)))
+    records = sweep_binomial_inputs(cfg, [2, 3, 4], range(2, 8), schedule, 0.4)
+    assert [(r.N, r.K, r.iteration, r.supported) for r in records] == [w[:4] for w in walked]
+    fidelities = np.array([r.fidelity for r in records])
+    assert np.allclose(fidelities, [w[4] for w in walked], rtol=0, atol=1e-13, equal_nan=True)
 
 
 def test_sweep_oscillation_and_argmax(cfg):
