@@ -32,6 +32,7 @@ from .protocol import (
     SweepRecord,
     breed_step,
     chain_prefixes,
+    default_input,
     distinct_mirrors,
     effective_squeezing_curve,
     enumerate_two_iterations,
@@ -186,8 +187,10 @@ def cmd_enumerate(cfg: RunConfig) -> int:
     cumulative curves, written as sibling CSV files."""
     # each canonical leaf is formatted and scored once; the other leaves of
     # its orbit repeat its values. The fold refuses a dim over the leaf
-    # budget, so it comes before the target is built
+    # budget and the input a dim that does not hold it, so both come
+    # before the target is built
     fold, canonical = leaf_fold(cfg.dim)
+    default_input(cfg.fock())
     probability, fid, delta = (
         leaves[canonical] for leaves in enumerate_two_iterations(cfg.fock(), target=cfg.target())
     )

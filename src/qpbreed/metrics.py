@@ -91,12 +91,16 @@ def wigner(state: np.ndarray, q_axis: np.ndarray, p_axis: np.ndarray) -> np.ndar
     trapezoid sum at a few times the Nyquist rate is exponentially accurate.
 
     ψ is evaluated once, from the Hermite functions up to the state's top
-    occupied level, on one x grid that holds every q ± y. Its step h is
-    the q spacing divided by 2^j, for the smallest j ≥ 0 that puts h at or
-    below the sampling bound π/(2.5·bandwidth), and the y step is h
-    itself. On :func:`default_grid` h lies between half the bound and the
-    bound; a q axis finer than half the bound sums proportionally more y
-    terms than the bound needs. A one-point q axis takes the bound itself
+    occupied level, on one x grid that holds every q ± y. The sampling
+    follows the L levels up to and including that top level, not the
+    array's length: the y sum reaches out to |y| = √(2L + 1) + 3 + max |q|,
+    and the bandwidth 2√(2L + 1) + 2·max |p| sets the sampling bound
+    π/(2.5·bandwidth). A state padded with zero levels therefore draws the
+    same grid, bit for bit. The step h is the q spacing divided by 2^j, for
+    the smallest j ≥ 0 that puts h at or below the bound, and the y step
+    is h itself. On :func:`default_grid` h lies between half the bound and
+    the bound; a q axis finer than half the bound sums proportionally more
+    y terms than the bound needs. A one-point q axis takes the bound itself
     as its step. ``q_axis`` must therefore be evenly spaced; ``p_axis``
     may be any set of points. Since the integrand at −y is the conjugate
     of that at y, only y ≥ 0 is summed, with the y > 0 terms doubled, and
@@ -117,15 +121,15 @@ def wigner(state: np.ndarray, q_axis: np.ndarray, p_axis: np.ndarray) -> np.ndar
     """
     state = np.asarray(state)
     real = not np.iscomplexobj(state)
-    dim = state.shape[0]
+    levels = top_level(state) + 1  # the levels _wavefunction sums over
     q_axis = np.asarray(q_axis, dtype=float)
     p_axis = np.asarray(p_axis, dtype=float)
 
-    # classically allowed radius of the highest Fock level, plus tail room
-    x_max = math.sqrt(2 * dim + 1) + 3.0
+    # classically allowed radius of the first unoccupied level, plus tail room
+    x_max = math.sqrt(2 * levels + 1) + 3.0
     p_extreme = float(np.max(np.abs(p_axis))) if p_axis.size else 0.0
     q_extreme = float(np.max(np.abs(q_axis)))
-    bandwidth = 2 * math.sqrt(2 * dim + 1) + 2 * p_extreme
+    bandwidth = 2 * math.sqrt(2 * levels + 1) + 2 * p_extreme
     bound = math.pi / (2.5 * bandwidth)
     y_max = x_max + q_extreme
 

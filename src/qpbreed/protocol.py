@@ -127,7 +127,16 @@ def sign_aggregated(probability, measurements: int):
 
 
 def default_input(cfg: FockConfig) -> np.ndarray:
-    return binomial_state(cfg, BinomialParams(N=2, K=3))
+    """The enumeration's input, the N=2, K=3 binomial codeword. Raises
+    ValueError, naming dim and the codeword's top Fock level 4, when dim
+    does not hold that level."""
+    params = BinomialParams(N=2, K=3)
+    if cfg.dim <= params.top_level:
+        raise ValueError(
+            f"dim {cfg.dim} cannot hold the default input, whose top Fock level is "
+            f"{params.top_level}; dim must be at least {params.top_level + 1}"
+        )
+    return binomial_state(cfg, params)
 
 
 def default_target(cfg: FockConfig) -> np.ndarray:
@@ -359,16 +368,17 @@ def enumerate_two_iterations(cfg: FockConfig, target: np.ndarray | None = None):
     and the leaves sum to less than 1 by its leakage.
 
     Raises ValueError when dim is over the leaf budget (:func:`leaf_fold`,
-    built first, before the target or any state), or when ``target`` is not
-    a vector of dim levels.
+    built first, before the target or any state), when dim does not hold
+    the input (:func:`default_input`, built next, before the target), or
+    when ``target`` is not a vector of dim levels.
     """
     dim = cfg.dim
     fold, canonical = leaf_fold(dim)
+    psi0 = default_input(cfg)
     if target is None:
         target = default_target(cfg)
     if target.shape != (dim,):
         raise ValueError(f"target has shape {target.shape}, not the ({dim},) of dim {dim}")
-    psi0 = default_input(cfg)
     probs, posts = breed_step(psi0, psi0, "q", cfg)
     pairs = canonical.any(axis=2)
     kept = slice(np.count_nonzero(canonical.any(axis=(0, 1))))  # a prefix of the p outcomes

@@ -204,10 +204,13 @@ def wigner_point(state, q, p, pad=30):
 
 
 def unreduced_wigner(state, q_axis, p_axis):
-    """``metrics.wigner`` evaluated on every grid point in complex
-    arithmetic, with no symmetry used: the same x grid, y step and sums,
-    but the products ψ*(q+y)ψ(q−y) of every q row are complex and meet the
-    complex phases e^{2ipy} of every p in one complex matrix product."""
+    """An independent reference for ``metrics.wigner``: the same
+    autocorrelation sum, evaluated on every grid point in complex
+    arithmetic, with no symmetry used. It samples on the box, sizing the
+    x grid and the y step from the state's length rather than from its
+    occupied levels, with all dim Hermite functions; the products
+    ψ*(q+y)ψ(q−y) of every q row are complex and meet the complex phases
+    e^{2ipy} of every p in one complex matrix product."""
     state = np.asarray(state, dtype=complex)
     dim = state.shape[0]
     q_axis = np.asarray(q_axis, dtype=float)

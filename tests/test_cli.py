@@ -241,6 +241,20 @@ def test_enumerate_over_budget_exits_before_the_target(monkeypatch, capsys):
     assert "over the budget of 2000000" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("dim", [2, 4])
+def test_enumerate_below_the_input_exits_before_the_target(monkeypatch, capsys, dim):
+    # enumerate reads no N or K: the refusal names dim and the top level of
+    # its fixed input, 4
+    def unbuilt(cfg):
+        raise AssertionError("the target was built for a refused enumeration")
+
+    monkeypatch.setattr(RunConfig, "target", unbuilt)
+    assert run_cli(["enumerate", "--dim", str(dim)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"dim {dim} cannot hold the default input, whose top Fock level is 4" in err
+    assert "N=" not in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "args, cut_sectors",
     [
@@ -427,6 +441,18 @@ def test_wigner_matrix_text(tmp_path):
     rows = [line for line in out.read_text().splitlines() if not line.startswith("#")]
     assert len(rows) == 201
     assert len(rows[0].split(",")) == 201
+
+
+def test_wigner_input_grid_is_the_same_at_every_dim(tmp_path):
+    # the grid follows the levels the input occupies, not the zero levels
+    # above them, so only the echoed dim differs: from dim 5, the least
+    # that holds its top level 4, to dim 300
+    data = []
+    for dim in (5, 30, 60, 300):
+        out = tmp_path / f"wigner_{dim}.csv"
+        assert run_cli(["wigner", "--dim", str(dim), "--output-path", str(out)]) == EXIT_OK
+        data.append([line for line in out.read_text().splitlines() if not line.startswith("#")])
+    assert len(data[0]) == 201 and all(rows == data[0] for rows in data)
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (2, 1), (4, 5), (5, 4), (5, 5)])

@@ -202,8 +202,9 @@ def test_wigner_reduced_paths_match_the_unreduced_kernel(monkeypatch, wigner_sta
     # the default axes, an even-length antisymmetric q axis with an
     # asymmetric p axis, an asymmetric q axis, and one-point q axes. On an
     # antisymmetric q axis of several points the parity-even states are
-    # evaluated on an x grid over the rows q ≥ 0 only, shorter than the
-    # other states' grid over the whole axis.
+    # evaluated on an x grid over the rows q ≥ 0 only, shorter than their
+    # grid on the same axis with its first point one ulp nearer 0, which is
+    # not antisymmetric; every other state's x grid is as long on both.
     x_lengths = []
 
     def counted(max_n, x):
@@ -219,16 +220,32 @@ def test_wigner_reduced_paths_match_the_unreduced_kernel(monkeypatch, wigner_sta
         (np.array([1.0]), np.linspace(-2, 1, 7)),
     ]
     for q_axis, p_axis in axes:
-        lengths = {}
+        unmirrored = q_axis.copy()
+        unmirrored[0] = np.nextafter(unmirrored[0], 0)
+        halved = len(q_axis) > 1 and np.array_equal(q_axis, -q_axis[::-1])
         for name, state in wigner_states.items():
             values = wigner(state, q_axis, p_axis)
             expected = unreduced_wigner(state, q_axis, p_axis)
             np.testing.assert_allclose(values, expected, rtol=0, atol=1e-13)
-            lengths[name] = x_lengths[-1]
-        halved = len(q_axis) > 1 and np.array_equal(q_axis, -q_axis[::-1])
-        for name in ("input", "target", "qp_chain"):
-            assert (lengths[name] < lengths["q_post"]) == halved
-        assert lengths["q_post"] == lengths["qp_post"]
+            length = x_lengths[-1]
+            wigner(state, unmirrored, p_axis)
+            one_parity = name in ("input", "target", "qp_chain")
+            assert (length < x_lengths[-1]) == (halved and one_parity), name
+            assert length <= x_lengths[-1], name
+
+
+def test_wigner_of_a_zero_padded_state_is_bitwise_the_same(wigner_states):
+    # the step, the x grid and the y sum follow the levels a state occupies,
+    # not its length: a real one-parity, a real mixed-parity and a complex
+    # state draw the same grid padded with 0, 30 and 450 zero levels
+    axes = [(default_grid(), default_grid()), (np.linspace(-2, 4, 31), default_grid())]
+    for name in ("input", "qp_chain", "q_post", "qp_post"):
+        state = wigner_states[name]
+        for q_axis, p_axis in axes:
+            grid = wigner(state, q_axis, p_axis)
+            for pad in (0, 30, 450):
+                padded = np.concatenate([state, np.zeros(pad, dtype=state.dtype)])
+                np.testing.assert_array_equal(wigner(padded, q_axis, p_axis), grid, err_msg=name)
 
 
 def test_wigner_reduced_paths_match_brute_force_oracle(wigner_states):
